@@ -1,11 +1,11 @@
 """Bound states of the radial Dirac-Coulomb problem by ladder operators.
 
 The closed-form solution lives in `channels` (quantum numbers and energies),
-`ladder` (the operator algebra acting on polynomial coefficient vectors) and
-`radial` (assembly of the physical two-component wavefunction).  `oracle`
-re-derives everything numerically: high-order quadrature for norms and inner
-products, direct substitution into the coupled first-order system, and a
-two-sided shooting eigensolver that knows nothing about the algebra.
+`ladder` (the operator algebra acting on generalized-Laguerre coefficient
+vectors) and `radial` (assembly of the physical two-component wavefunction).
+`oracle` re-derives everything numerically: high-order quadrature for norms
+and inner products, direct substitution into the coupled first-order system,
+and a two-sided shooting eigensolver that knows nothing about the algebra.
 `verify` bundles both sides into pass/fail suites, `cli` exposes the lot.
 """
 

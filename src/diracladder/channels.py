@@ -145,7 +145,8 @@ def bound_energy(channel: Channel, k: int, mass=1.0) -> BoundState:
     ratio = channel.zeta / (mu - 0.5)          # = zeta/(s + k)
     energy = mass / precision.sqrt(1.0 + ratio * ratio)
     wavenumber = ratio * energy                # kappa = zeta*E/(mu - 1/2)
-    nu = precision.sqrt((mass - energy) / (mass + energy))
+    # sqrt((m - E)/(m + E)) rewritten without the cancellation in m - E
+    nu = ratio / (1.0 + precision.sqrt(1.0 + ratio * ratio))
     return BoundState(channel=channel, k=k, mu=mu, energy=energy,
                       wavenumber=wavenumber, nu=nu, mass=mass)
 

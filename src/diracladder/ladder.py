@@ -27,21 +27,30 @@ Reduced to the polynomial part q, the operators act as
 
 and the Casimir as D1(D1 q) + 2*mu*rho*q - rho^2*q - q/4 with
 D1 = rho*d/drho + (lam - 1/2 -+ rho) (sign tied to the branch).
+
+q is stored as its coefficients c_n on the generalized Laguerre polynomials
+L_n = L_n^(a)(2*rho), a = 2*lam - 1 (DLMF 18.9, 18.18).  The rank-k member
+is a single basis vector, q = c_k L_k.  Every action above is composed from
+two banded primitives on these coefficients,
+
+    rho * L_n           = ((2n + a + 1) L_n - (n + 1) L_(n+1) - (n + a) L_(n-1)) / 2
+    rho * d/drho L_n    = n L_n - (n + a) L_(n-1)
+
+so raising L_n gives (n + 1) L_(n+1) + (mu - lam - n) L_n.  Values come
+from the forward three-term recurrence and the x-measure norm is a sum of
+nonnegative terms, so float64 and mpmath coefficients share one code path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from . import precision
 from .errors import (
     DomainError,
     NotAnEigenfunction,
-    PrecisionLimit,
     WrongBranch,
 )
 from .report import VerificationReport
@@ -61,129 +70,114 @@ __all__ = [
     "raise_to_rank",
 ]
 
-# Coefficients below this fraction of the largest one are trimmed.
-TRIM_RELATIVE = 1e-14
-
-# Raising chains in float64 lose ~2 digits per 10 ranks; past this rank the
-# trailing coefficients are pure noise.  mpmath coefficients lift the cap.
-MAX_FLOAT64_RANK = 60
-
 
 # ---------------------------------------------------------------------------
-# plain-list polynomial helpers (coefficients in ascending powers of rho)
+# coefficient vectors on L_n^(a)(2*rho), a = 2*lam - 1
 
-def _poly_trim(coeffs):
-    top = max(abs(c) for c in coeffs)
-    if top == 0:
-        return (coeffs[0] * 0,)
-    out = list(coeffs)
-    while len(out) > 1 and abs(out[-1]) <= TRIM_RELATIVE * top:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_scale(coeffs, factor):
-    return [c * factor for c in coeffs]
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0.0
-        y = b[i] if i < len(b) else 0.0
-        out.append(x - y)
+def _combine(*terms):
+    """Sum of factor * coeffs over (factor, coeffs) pairs, zero-padded."""
+    out = [terms[0][1][0] * 0] * max(len(coeffs) for _, coeffs in terms)
+    for factor, coeffs in terms:
+        for n, c in enumerate(coeffs):
+            out[n] += factor * c
     return out
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0.0
-        y = b[i] if i < len(b) else 0.0
-        out.append(x + y)
+def _rel_dev(a, b, scale) -> float:
+    """max |a - b| over zero-padded coefficient vectors, divided by scale."""
+    return precision.to_float(max(abs(c) for c in _combine((1, a), (-1, b))) / scale)
+
+
+def _times_rho(lam, coeffs):
+    # rho*L_n = ((2n + a + 1) L_n - (n + 1) L_(n+1) - (n + a) L_(n-1)) / 2
+    a = 2 * lam - 1
+    out = [coeffs[0] * 0] * (len(coeffs) + 1)
+    for n, c in enumerate(coeffs):
+        out[n] += (2 * n + a + 1) * c / 2
+        out[n + 1] -= (n + 1) * c / 2
+        if n:
+            out[n - 1] -= (n + a) * c / 2
     return out
 
 
-def _polyval(coeffs, rho):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * rho + c
-    return acc
+def _rho_d(lam, coeffs):
+    # rho * d/drho L_n = n L_n - (n + a) L_(n-1)
+    a = 2 * lam - 1
+    out = [n * c for n, c in enumerate(coeffs)]
+    for n in range(1, len(coeffs)):
+        out[n - 1] -= (n + a) * coeffs[n]
+    return out
 
 
 def _raising_action(lam, mu, coeffs):
     # rho*q' - 2*rho*q + (lam + mu)*q
-    out = [coeffs[0] * 0 for _ in range(len(coeffs) + 1)]
-    for i, c in enumerate(coeffs):
-        out[i] += (i + lam + mu) * c
-        out[i + 1] -= 2 * c
-    return out
+    return _combine((1, _rho_d(lam, coeffs)), (-2, _times_rho(lam, coeffs)),
+                    (lam + mu, coeffs))
 
 
 def _lowering_action(lam, mu, coeffs):
     # rho*q' + (lam - mu)*q
-    return [(i + lam - mu) * c for i, c in enumerate(coeffs)]
+    return _combine((1, _rho_d(lam, coeffs)), (lam - mu, coeffs))
 
 
 def _weighted_derivative_action(lam, coeffs, branch_sign):
     # D1 q = rho*q' + (lam - 1/2)*q + branch_sign*rho*q
-    out = [coeffs[0] * 0 for _ in range(len(coeffs) + 1)]
-    for i, c in enumerate(coeffs):
-        out[i] += (i + lam - 0.5) * c
-        out[i + 1] += branch_sign * c
-    return out
+    return _combine((1, _rho_d(lam, coeffs)), (lam - 0.5, coeffs),
+                    (branch_sign, _times_rho(lam, coeffs)))
 
 
 def _casimir_action(lam, mu, coeffs, branch):
     sign = -1.0 if branch == "positive" else 1.0
     d1 = _weighted_derivative_action(lam, coeffs, sign)
-    d2 = _weighted_derivative_action(lam, d1, sign)
-    out = list(d2)
-    for i, c in enumerate(coeffs):
-        out[i + 1] += 2 * mu * c          # 2*mu*rho*q
-        out[i + 2] -= c                   # -rho^2*q
-        out[i] -= 0.25 * c                # -q/4
-    return out
+    rho_q = _times_rho(lam, coeffs)
+    return _combine((1, _weighted_derivative_action(lam, d1, sign)), (2 * mu, rho_q),
+                    (-1, _times_rho(lam, rho_q)), (-0.25, coeffs))
+
+
+def _tail_sums(coeffs):
+    """T_i = sum_(n >= i) c_n for i = 0 .. len(coeffs) - 1."""
+    tails = list(coeffs)
+    for i in range(len(tails) - 2, -1, -1):
+        tails[i] = tails[i] + tails[i + 1]
+    return tails
 
 
 def _x_norm_sq(lam, coeffs):
-    # Exact x-measure norm of P = rho**(lam-1/2)*exp(-rho)*q:
-    # integral rho^(2*lam-2+i+j) exp(-2*rho) drho = Gamma(a)/2^a, a = 2*lam-1+i+j.
-    if precision.is_extended(lam) or any(precision.is_extended(c) for c in coeffs):
-        total = coeffs[0] * 0
-        for i, ci in enumerate(coeffs):
-            for j, cj in enumerate(coeffs):
-                a = 2 * lam - 1 + i + j
-                total += ci * cj * precision.gamma(a) / precision.power(2.0, a)
-        return total
+    # integral rho^(2*lam-2) exp(-2*rho) q^2 drho.  With x = 2*rho and
+    # L_m^(a) = sum_(i<=m) L_i^(a-1), q = sum_i T_i L_i^(a-1), and the
+    # L_i^(a-1) are orthogonal under x^(a-1) e^(-x) with squared norms
+    # Gamma(i+a)/i!.  Every term is nonnegative.
+    a = 2 * lam - 1
+    h = precision.gamma(a)
+    total = coeffs[0] * 0
+    for i, t in enumerate(_tail_sums(coeffs)):
+        total += t * t * h
+        h = h * (i + a) / (i + 1)
+    return total / precision.power(2.0, a)
 
-    # Float inputs: the signed double sum cancels to O(1) from terms of size
-    # Gamma(2*lam-1+2*rank), hopeless in double precision beyond small rank.
-    # Evaluate in throwaway mpmath precision sized to the largest term.
-    lam_f = float(lam)
-    cs = [float(c) for c in coeffs]
-    biggest = 0.0
-    for i, ci in enumerate(cs):
-        for j, cj in enumerate(cs):
-            if ci != 0.0 and cj != 0.0:
-                a = 2.0 * lam_f - 1.0 + i + j
-                size = math.lgamma(a) - a * math.log(2.0) + math.log(abs(ci * cj))
-                biggest = max(biggest, size)
-    digits = 25 + max(0, int(biggest / math.log(10.0)) + 1)
-    with mpmath.workdps(digits):
-        base = 2 * mpmath.mpf(lam_f) - 1
-        conv = [mpmath.mpf(0)] * (2 * len(cs) - 1)
-        for i, ci in enumerate(cs):
-            for j, cj in enumerate(cs):
-                conv[i + j] += mpmath.mpf(ci) * cj
-        moment = mpmath.gamma(base) / mpmath.power(2, base)
-        total = mpmath.mpf(0)
-        for m, c_m in enumerate(conv):
-            total += c_m * moment
-            moment *= (base + m) / 2
-        return float(total)
+
+def _evaluate_q(lam, coeffs, rho):
+    """q(rho) at a float, an mpmath scalar or a numpy array of radii.
+
+    L_0 .. L_n come from the forward three-term recurrence in x = 2*rho.
+    """
+    if isinstance(rho, np.ndarray):
+        lam = precision.to_float(lam)
+        coeffs = [precision.to_float(c) for c in coeffs]
+    a = 2 * lam - 1
+    x = 2 * rho
+    prev, cur = 0, x * 0 + 1
+    value = x * 0
+    for n, c in enumerate(coeffs):
+        if n:
+            prev, cur = cur, ((2 * n - 1 + a - x) * cur - (n - 1 + a) * prev) / n
+        value = value + c * cur
+    return value
+
+
+def _evaluate_dq(lam, coeffs, rho):
+    """dq/drho = -2 * sum_i T_(i+1) L_i, since d/dx L_n^(a) = -sum_(i<n) L_i^(a)."""
+    return -2 * _evaluate_q(lam, _tail_sums(coeffs)[1:], rho)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +187,10 @@ def _x_norm_sq(lam, coeffs):
 class LadderFunction:
     """One member of the ladder family, stored as its polynomial part.
 
-    coeffs holds q in ascending powers of rho; lam and mu may be floats or
-    mpmath scalars (the latter keeps every derived quantity at extended
-    precision).
+    coeffs holds q on the generalized Laguerre basis, q = sum_n c_n L_n with
+    L_n = L_n^(2*lam-1)(2*rho); a member of rank k has k + 1 coefficients.
+    lam and mu may be floats or mpmath scalars (the latter keeps every
+    derived quantity at extended precision).
     """
 
     lam: float
@@ -222,9 +217,7 @@ class LadderFunction:
 
     def polynomial(self, rho):
         """q(rho); accepts scalars (float or mpmath) and numpy arrays."""
-        if isinstance(rho, np.ndarray):
-            return _polyval([precision.to_float(c) for c in self.coeffs], rho)
-        return _polyval(self.coeffs, rho)
+        return _evaluate_q(self.lam, self.coeffs, rho)
 
     def evaluate(self, rho):
         """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight."""
@@ -287,17 +280,12 @@ def c_minus(lam, mu):
 def apply_raising(f: LadderFunction):
     """Normalized raising: returns (member at mu+1, C_plus).
 
-    Unit norm is preserved.  Float64 chains refuse to climb past rank 60;
-    build the ground state from an mpmath lam to go higher.
+    Unit norm is preserved.  On the rank-k member c_k L_k the result is
+    c_k (k + 1) / C_plus * L_(k+1), up to rounding in the lower coefficients.
     """
     _require_positive_branch(f)
-    if not precision.is_extended(f.lam) and f.rank + 1 > MAX_FLOAT64_RANK:
-        raise PrecisionLimit(
-            f"raising to rank {f.rank + 1} exceeds float64 significance "
-            f"(cap {MAX_FLOAT64_RANK}); use mpmath inputs")
     coeff = c_plus(f.lam, f.mu)
-    raw = _raising_action(f.lam, f.mu, f.coeffs)
-    new = _poly_trim(_poly_scale(raw, 1.0 / coeff))
+    new = tuple(c / coeff for c in _raising_action(f.lam, f.mu, f.coeffs))
     return LadderFunction(f.lam, f.mu + 1, new, f.branch), coeff
 
 
@@ -305,16 +293,17 @@ def apply_lowering(f: LadderFunction):
     """Normalized lowering: returns (member at mu-1, C_minus).
 
     At the bottom of the tower (mu == lam) the action annihilates: the
-    returned function is identically zero and the coefficient is 0.
+    returned function is identically zero and the coefficient is 0.  Above
+    it, the top coefficient of the action is (rank + lam - mu) * c_top = 0,
+    so it is dropped and the result has one coefficient fewer.
     """
     _require_positive_branch(f)
     if f.rank == 0:
         # C_minus vanishes with the action itself; keep 0/0 out of the code path
         zero = tuple(c * 0 for c in f.coeffs)
         return LadderFunction(f.lam, f.mu - 1, zero, f.branch), f.lam * 0
-    raw = _lowering_action(f.lam, f.mu, f.coeffs)
     coeff = c_minus(f.lam, f.mu)
-    new = _poly_trim(_poly_scale(raw, 1.0 / coeff))
+    new = tuple(c / coeff for c in _lowering_action(f.lam, f.mu, f.coeffs)[:-1])
     return LadderFunction(f.lam, f.mu - 1, new, f.branch), coeff
 
 
@@ -343,12 +332,11 @@ def apply_casimir(f: LadderFunction, rel_tol: float = 1e-8):
         raise DomainError("casimir eigenvalue of the zero function is undefined")
     raw = _casimir_action(f.lam, f.mu, f.coeffs, f.branch)
     omega = f.lam * (f.lam - 1)
-    resid = _poly_sub(raw, _poly_scale(list(f.coeffs), omega))
-    scale = max(abs(c) for c in f.coeffs)
-    deviation = max(abs(c) for c in resid) / scale
-    if precision.to_float(deviation) > rel_tol:
+    deviation = _rel_dev(raw, _combine((omega, f.coeffs)),
+                         max(abs(c) for c in f.coeffs))
+    if deviation > rel_tol:
         raise NotAnEigenfunction(
-            f"casimir residual {precision.to_float(deviation):.3e} exceeds {rel_tol:.1e}")
+            f"casimir residual {deviation:.3e} exceeds {rel_tol:.1e}")
     # projection <Cq, q>/<q, q> over coefficient vectors
     num = sum(raw[i] * c for i, c in enumerate(f.coeffs))
     den = sum(c * c for c in f.coeffs)
@@ -364,37 +352,34 @@ def commutator_check(f: LadderFunction, tolerance: float = 1e-10) -> Verificatio
       3. casimir q == (lower.raise + mu^2 + mu) q
     """
     _require_positive_branch(f)
-    lam, mu, q = f.lam, f.mu, list(f.coeffs)
+    lam, mu, q = f.lam, f.mu, f.coeffs
     report = VerificationReport(f"su(2) relations at lam={precision.to_float(lam):.6f}, "
                                 f"mu={precision.to_float(mu):.6f}")
     scale = max(abs(c) for c in q)
-
-    def rel_dev(a, b):
-        diff = _poly_sub(a, b)
-        return precision.to_float(max(abs(c) for c in diff) / scale)
 
     down = _lowering_action(lam, mu, q)
     up_down = _raising_action(lam, mu - 1, down)
     up = _raising_action(lam, mu, q)
     down_up = _lowering_action(lam, mu + 1, up)
 
-    comm = _poly_sub(up_down, down_up)
+    comm = _combine((1, up_down), (-1, down_up))
     report.add("[raise, lower] acts as 2*mu",
-               rel_dev(comm, _poly_scale(q, 2 * mu)), tolerance)
+               _rel_dev(comm, _combine((2 * mu, q)), scale), tolerance)
 
     # weight operator multiplies by the operand's label: on raise(f) that is
     # mu+1, so [weight, raise] f = (mu+1)*up - mu*up must equal up itself
-    weight_comm = _poly_sub(_poly_scale(up, mu + 1), _poly_scale(up, mu))
-    report.add("[weight, raise] acts as raise", rel_dev(weight_comm, up), tolerance)
+    weight_comm = _combine((mu + 1, up), (-mu, up))
+    report.add("[weight, raise] acts as raise", _rel_dev(weight_comm, up, scale),
+               tolerance)
 
     eigen = -(mu * (mu + 1) - lam * (lam - 1))
     report.add("lower.raise acts as -(mu*(mu+1) - omega)",
-               rel_dev(down_up, _poly_scale(q, eigen)), tolerance)
+               _rel_dev(down_up, _combine((eigen, q)), scale), tolerance)
 
     casimir = _casimir_action(lam, mu, q, f.branch)
-    ladder_side = _poly_add(down_up, _poly_scale(q, mu * mu + mu))
+    ladder_side = _combine((1, down_up), (mu * mu + mu, q))
     report.add("casimir == lower.raise + weight*(weight+1)",
-               rel_dev(casimir, ladder_side), tolerance)
+               _rel_dev(casimir, ladder_side, scale), tolerance)
     return report
 
 
@@ -402,17 +387,15 @@ def positive_operator_check(f: LadderFunction):
     """The positive quadratic form 2*mu^2 - omega, measured on f.
 
     Returns (|raise f|^2 + |lower f|^2)/2 + mu^2*|f|^2 normalized by |f|^2,
-    each norm from exact moment integrals.  For family members this equals
+    each norm exact in the Laguerre basis.  For family members this equals
     the sum of the three squared generator norms, whose label value
     2*mu^2 - omega is strictly positive (it bounds mu away from zero).
     """
     _require_positive_branch(f)
     lam, mu = f.lam, f.mu
-    up = _raising_action(lam, mu, list(f.coeffs))
-    down = _lowering_action(lam, mu, list(f.coeffs))
-    nf = _x_norm_sq(lam, list(f.coeffs))
-    n_up = _x_norm_sq(lam, up)
-    n_down = _x_norm_sq(lam, down) if any(c != 0 for c in down) else nf * 0
+    nf = _x_norm_sq(lam, f.coeffs)
+    n_up = _x_norm_sq(lam, _raising_action(lam, mu, f.coeffs))
+    n_down = _x_norm_sq(lam, _lowering_action(lam, mu, f.coeffs))
     return ((n_up + n_down) / 2 + mu * mu * nf) / nf
 
 

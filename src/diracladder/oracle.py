@@ -197,6 +197,14 @@ def _trapezoid_integral(values_fn, alpha: float, degree: int,
     return _converge_by_doubling(rule, spec)
 
 
+def _weighted_integral(values_fn, alpha: float, degree: int,
+                       spec: QuadratureSpec) -> float:
+    # integral rho^alpha e^(-2rho) values_fn(rho) drho under spec's scheme
+    if spec.scheme == "transformed-trapezoid-in-x":
+        return _trapezoid_integral(values_fn, alpha, degree, spec)
+    return _gauss_integral(values_fn, alpha, spec)
+
+
 def laguerre_weighted_integral(coeffs, alpha: float, spec: QuadratureSpec | None = None):
     """integral rho^alpha * exp(-2*rho) * p(rho) drho over (0, inf).
 
@@ -208,10 +216,8 @@ def laguerre_weighted_integral(coeffs, alpha: float, spec: QuadratureSpec | None
         raise DomainError(f"weight exponent must exceed -1, got {alpha}")
     spec = spec or QuadratureSpec()
     coeffs = [precision.to_float(c) for c in coeffs]
-    if spec.scheme == "transformed-trapezoid-in-x":
-        return _trapezoid_integral(lambda rho: _poly_eval(coeffs, rho),
-                                   alpha, len(coeffs) - 1, spec)
-    return _gauss_integral(lambda rho: _poly_eval(coeffs, rho), alpha, spec)
+    return _weighted_integral(lambda rho: _poly_eval(coeffs, rho),
+                              alpha, len(coeffs) - 1, spec)
 
 
 def component_norm_integral(polys, alpha: float,
@@ -231,9 +237,7 @@ def component_norm_integral(polys, alpha: float,
     def values(rho):
         return sum(_poly_eval(p, rho) ** 2 for p in polys)
 
-    if spec.scheme == "transformed-trapezoid-in-x":
-        return _trapezoid_integral(values, alpha, degree, spec)
-    return _gauss_integral(values, alpha, spec)
+    return _weighted_integral(values, alpha, degree, spec)
 
 
 def inner_product(f: LadderFunction, g: LadderFunction,
@@ -243,7 +247,7 @@ def inner_product(f: LadderFunction, g: LadderFunction,
     The phase average makes members with different mu labels orthogonal
     identically (returned as exact 0); equal labels reduce to the radial
     integral of rho^(2*lam-2) e^(-2*rho) q_f q_g, evaluated pointwise as a
-    product of Horner evaluations (a square when f is g).
+    product of the members' polynomial values (a square when f is g).
     """
     if f.branch != "positive" or g.branch != "positive":
         raise WrongBranch("inner products are defined on the positive branch")
@@ -254,17 +258,12 @@ def inner_product(f: LadderFunction, g: LadderFunction,
         return 0.0
     spec = spec or QuadratureSpec()
     alpha = spec.exponent if spec.exponent is not None else 2.0 * lam - 2.0
-    qf = [precision.to_float(c) for c in f.coeffs]
-    qg = [precision.to_float(c) for c in g.coeffs]
-    degree = (len(qf) - 1) + (len(qg) - 1)
 
     def values(rho):
-        left = _poly_eval(qf, rho)
-        return left * left if qf == qg else left * _poly_eval(qg, rho)
+        left = f.polynomial(rho)
+        return left * left if g == f else left * g.polynomial(rho)
 
-    if spec.scheme == "transformed-trapezoid-in-x":
-        return _trapezoid_integral(values, alpha, degree, spec)
-    return _gauss_integral(values, alpha, spec)
+    return _weighted_integral(values, alpha, f.degree + g.degree, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +541,11 @@ def truncated_norms(f: LadderFunction, cutoffs) -> np.ndarray:
         raise DomainError("cutoff beyond 300 would overflow e^(2*rho)")
 
     lam = precision.to_float(f.lam)
-    q = [precision.to_float(c) for c in f.coeffs]
     nodes, weights = np.polynomial.legendre.leggauss(max(240, int(4 * cuts[-1])))
 
     def one(r):
         rho = 0.5 * r * (nodes + 1.0)
-        vals = rho ** (2.0 * lam - 2.0) * np.exp(2.0 * rho) * _poly_eval(q, rho) ** 2
+        vals = rho ** (2.0 * lam - 2.0) * np.exp(2.0 * rho) * f.polynomial(rho) ** 2
         return 0.5 * r * float(np.dot(weights, vals))
 
     return np.asarray([one(r) for r in cuts])

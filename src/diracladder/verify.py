@@ -16,6 +16,7 @@ from . import oracle
 from .channels import bound_energy, make_channel, state_from_energy
 from .errors import NotAnEigenfunction
 from .ladder import (
+    _rel_dev,
     apply_casimir,
     apply_lowering,
     apply_raising,
@@ -55,17 +56,6 @@ def _grid_lams():
     return seen
 
 
-def _coeff_dev(a, b) -> float:
-    scale = max(abs(c) for c in b)
-    n = max(len(a), len(b))
-    worst = 0.0
-    for i in range(n):
-        x = a[i] if i < len(a) else 0.0
-        y = b[i] if i < len(b) else 0.0
-        worst = max(worst, abs(x - y) / scale)
-    return float(worst)
-
-
 def suite_algebra(k_max: int = 20, tolerance: float = 1e-10) -> VerificationReport:
     report = VerificationReport("ladder algebra")
     worst_comm = {}
@@ -85,7 +75,8 @@ def suite_algebra(k_max: int = 20, tolerance: float = 1e-10) -> VerificationRepo
                                              abs(check.measured))
             raised, c_up = apply_raising(f)
             lowered, c_down = apply_lowering(raised)
-            worst_round = max(worst_round, _coeff_dev(lowered.coeffs, f.coeffs))
+            scale = max(abs(c) for c in f.coeffs)
+            worst_round = max(worst_round, _rel_dev(lowered.coeffs, f.coeffs, scale))
             # C- at mu+1 and C+ at mu share the radicand: product = -(C+)^2
             product_dev = abs(c_down * c_up + c_up * c_up) / (c_up * c_up)
             worst_product = max(worst_product, float(product_dev))
