@@ -27,7 +27,6 @@ from .errors import (
     InvalidQuantumNumber,
     NoSignChange,
     NotAnEigenfunction,
-    PrecisionLimit,
     QuadratureFailure,
     StiffnessFailure,
     Supercritical,
@@ -53,7 +52,6 @@ from .ladder import (
 )
 from .oracle import (
     QuadratureSpec,
-    ShootingConfig,
     ShootingResult,
     compare_spectrum,
     component_norm_integral,
@@ -84,14 +82,14 @@ __all__ = [
     "BoundState", "Channel", "bound_energy", "make_channel", "mu_from_energy",
     "spectrum_table", "state_from_energy", "zeta_from_charge",
     "DiracLadderError", "DomainError", "InvalidQuantumNumber", "NoSignChange",
-    "NotAnEigenfunction", "PrecisionLimit", "QuadratureFailure",
+    "NotAnEigenfunction", "QuadratureFailure",
     "StiffnessFailure", "Supercritical", "SupercriticalChannelWarning",
     "UnphysicalState", "WrongBranch",
     "LadderFunction", "OperatorMatrix", "apply_casimir", "apply_lowering",
     "apply_omega3", "apply_raising", "c_minus", "c_plus", "commutator_check",
     "ground_ladder_function", "matrix_representation", "negative_branch_ground",
     "positive_operator_check", "raise_to_rank",
-    "QuadratureSpec", "ShootingConfig", "ShootingResult", "compare_spectrum",
+    "QuadratureSpec", "ShootingResult", "compare_spectrum",
     "component_norm_integral", "divergence_check", "inner_product",
     "laguerre_weighted_integral",
     "matching_determinant", "matching_scan", "ode_residual",

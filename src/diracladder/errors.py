@@ -36,17 +36,12 @@ class NotAnEigenfunction(DiracLadderError):
     member of the ladder family."""
 
 
-class PrecisionLimit(DiracLadderError):
-    """The requested computation would lose all significance in float64.
-    Re-run with extended-precision inputs."""
-
-
 class QuadratureFailure(DiracLadderError):
     """Gauss-Laguerre node doubling failed to converge to tolerance."""
 
 
 class NoSignChange(DiracLadderError):
-    """Shooting determinant has no sign change over the energy bracket."""
+    """Shooting determinant has no sign change over the nu bracket."""
 
 
 class StiffnessFailure(DiracLadderError):

@@ -9,9 +9,13 @@ raw first-order system
     F' = -(tau/rho) F + (1/nu + zeta/rho) G
     G' = +(tau/rho) G + (nu  - zeta/rho) F
 
-with nu = sqrt((m - E)/(m + E)) and rho = kappa*r.  The closed-form spectrum
-is used only to seed energy brackets, never as the answer; matching_scan
-offers hint-free root counting.
+with nu = sqrt((m - E)/(m + E)) and rho = kappa*r.  The shot unknown is nu,
+not E: the system holds no mass, so E = m(1 - nu^2)/(1 + nu^2) is formed only
+from the converged nu.  The domain scales with mu = lambda + k (match point
+max(1, mu - 1/2), outer radius 2*mu + 25), and one helper integrates both
+legs for the determinant and the solution tables alike.  The closed-form
+spectrum is used only to seed nu brackets, never as the answer;
+matching_scan offers hint-free root counting.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "QuadratureSpec",
-    "ShootingConfig",
     "ShootingResult",
     "laguerre_weighted_integral",
     "component_norm_integral",
@@ -96,29 +99,6 @@ class QuadratureSpec:
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_doublings < 1:
             raise DomainError(f"need at least 1 doubling, got {self.max_doublings}")
-
-
-@dataclass(frozen=True)
-class ShootingConfig:
-    rho_min: float = 1e-4
-    rho_match: float | None = None            # None: max(1, mu - 1/2)
-    rho_max: float = 40.0
-    steps: int = 600                          # per-side samples in tables
-    energy_bracket: tuple[float, float] | None = None
-    tolerance: float = 1e-13                  # absolute, on E
-    rtol: float = 1e-11
-    atol: float = 1e-14
-    method: str = "DOP853"
-
-    def __post_init__(self):
-        if not self.rho_min > 0:
-            raise DomainError(f"rho_min must be positive, got {self.rho_min}")
-        if not self.rho_max > self.rho_min:
-            raise DomainError("need rho_min < rho_max")
-        if self.rho_match is not None and not self.rho_min < self.rho_match < self.rho_max:
-            raise DomainError("need rho_min < rho_match < rho_max")
-        if not self.tolerance > 0:
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -332,6 +312,15 @@ def ode_residual(solution: RadialSolution, grid=None, method: str = "exact",
 
 # ---------------------------------------------------------------------------
 # two-sided shooting
+#
+# nu, not E, is the unknown: forming nu from a trial E would go through
+# m - E, which cancels at small zeta.
+
+_RHO_MIN = 1e-4            # outward start
+_RTOL, _ATOL = 1e-11, 1e-14
+_TABLE_STEPS = 600         # per-leg samples in shooting_solution tables
+_NU_RTOL = 1e-12           # Brent tolerance on nu, relative
+
 
 def _rhs(tau, zeta, nu):
     inv_nu = 1.0 / nu
@@ -344,157 +333,120 @@ def _rhs(tau, zeta, nu):
     return fun
 
 
-def _nu_of(energy, mass):
-    if not 0.0 < energy < mass:
-        raise DomainError(f"trial energy must lie in (0, mass), got {energy}")
-    return np.sqrt((mass - energy) / (mass + energy))
-
-
-def _outward_ic(channel: Channel, nu: float, rho_min: float):
-    # two-term series F, G ~ rho^s (y0 + y1 rho) from the indicial system
-    s = precision.to_float(channel.s)
-    tau = precision.to_float(channel.tau)
-    zeta = precision.to_float(channel.zeta)
+def _outward_ic(tau, zeta, s, nu):
+    # two-term series F, G ~ rho^s (y0 + y1 rho) from the indicial system; the
+    # system is linear, so rho_min^s is dropped and the start is O(1), which
+    # keeps atol from swamping the solution at large s
     f0 = 1.0
     g0 = (s + tau) / zeta
     # [[s+1+tau, -zeta], [zeta, s+1-tau]] @ [f1, g1] = [g0/nu, nu*f0]
     det = 2.0 * s + 1.0
     f1 = ((s + 1.0 - tau) * (g0 / nu) + zeta * (nu * f0)) / det
     g1 = ((s + 1.0 + tau) * (nu * f0) - zeta * (g0 / nu)) / det
-    scale = rho_min ** s
-    return (scale * (f0 + f1 * rho_min), scale * (g0 + g1 * rho_min))
+    return (f0 + f1 * _RHO_MIN, g0 + g1 * _RHO_MIN)
 
 
-def _inward_ic(channel: Channel, energy: float, mass: float, nu: float, rho_max: float):
-    # decaying tail F ~ e^(-rho) rho^q with q = zeta*E/kappa; the 1/rho
-    # correction enters only through the component ratio G/F
+def _legs(channel: Channel, nu: float, k: int, table: bool = False):
+    """Outward and inward solutions at nu, each ending at the match point.
+
+    The domain follows mu = lambda + k: the legs meet at max(1, mu - 1/2) and
+    the inward one starts at 2*mu + 25, past the outermost node (~2*mu).  With
+    table set, each leg is sampled at _TABLE_STEPS points, else at the match.
+    """
+    if not 0.0 < nu < 1.0:
+        raise DomainError(f"nu must lie in (0, 1), got {nu}")
     tau = precision.to_float(channel.tau)
     zeta = precision.to_float(channel.zeta)
-    kappa = np.sqrt((mass - energy) * (mass + energy))
-    q = zeta * energy / kappa
-    f0 = 1.0
-    g0 = -nu * (1.0 - (tau + zeta * nu + q) / rho_max)
-    return (f0, g0)
-
-
-def _resolve_match(channel: Channel, k: int, cfg: ShootingConfig) -> float:
-    if cfg.rho_match is not None:
-        return cfg.rho_match
+    s = precision.to_float(channel.s)
     mu = precision.to_float(channel.lam) + k
-    return min(max(1.0, mu - 0.5), 0.5 * cfg.rho_max)
+    rho_match, rho_max = max(1.0, mu - 0.5), 2.0 * mu + 25.0
+    # decaying tail F ~ e^(-rho) rho^q with q = zeta*E/kappa; the 1/rho
+    # correction enters only through the component ratio G/F
+    q = zeta * (1.0 - nu * nu) / (2.0 * nu)
+    inward = (1.0, -nu * (1.0 - (tau + zeta * nu + q) / rho_max))
+    fun = _rhs(tau, zeta, nu)
+    legs = []
+    for start, y0, grid in ((_RHO_MIN, _outward_ic(tau, zeta, s, nu), np.geomspace),
+                            (rho_max, inward, np.linspace)):
+        span = (start, rho_match)
+        t_eval = grid(start, rho_match, _TABLE_STEPS) if table else [rho_match]
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                sol = solve_ivp(fun, span, y0, method="DOP853", rtol=_RTOL,
+                                atol=_ATOL, t_eval=t_eval)
+            except FloatingPointError as exc:
+                raise StiffnessFailure(
+                    f"integration overflowed on span {span} ({exc})") from exc
+        if not sol.success or not np.all(np.isfinite(sol.y)):
+            raise StiffnessFailure(f"integrator rejected span {span}: {sol.message}")
+        legs.append(sol)
+    return legs
 
 
-def _integrate_to(channel, energy, mass, cfg, span, y0, t_eval=None):
-    nu = _nu_of(energy, mass)
-    fun = _rhs(precision.to_float(channel.tau), precision.to_float(channel.zeta), nu)
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            sol = solve_ivp(fun, span, y0, method=cfg.method, rtol=cfg.rtol,
-                            atol=cfg.atol, t_eval=t_eval, dense_output=False)
-        except FloatingPointError as exc:
-            raise StiffnessFailure(
-                f"integration overflowed on span {span}; "
-                f"reduce rho_max or widen the match point ({exc})") from exc
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        raise StiffnessFailure(f"integrator rejected span {span}: {sol.message}")
-    return sol
-
-
-def matching_determinant(channel: Channel, energy: float, k: int = 0,
-                         mass: float = 1.0, config: ShootingConfig | None = None) -> float:
+def matching_determinant(channel: Channel, nu: float, k: int = 0) -> float:
     """Normalized Wronskian of outward and inward solutions at the match point.
 
     Vanishing is equivalent to the log-derivative match; the normalization
-    keeps the value O(1) so sign changes are bracketable.
+    keeps the value O(1) so sign changes are bracketable.  k sets only the
+    domain (match point and outer radius), not the equation.
     """
-    cfg = config or ShootingConfig()
-    rho_match = _resolve_match(channel, k, cfg)
-    nu = _nu_of(energy, mass)
-    out = _integrate_to(channel, energy, mass, cfg,
-                        (cfg.rho_min, rho_match),
-                        _outward_ic(channel, nu, cfg.rho_min),
-                        t_eval=[rho_match])
-    inw = _integrate_to(channel, energy, mass, cfg,
-                        (cfg.rho_max, rho_match),
-                        _inward_ic(channel, energy, mass, nu, cfg.rho_max),
-                        t_eval=[rho_match])
-    f_o, g_o = out.y[0, -1], out.y[1, -1]
-    f_i, g_i = inw.y[0, -1], inw.y[1, -1]
+    out, inw = _legs(channel, nu, k)
+    f_o, g_o = out.y[:, -1]
+    f_i, g_i = inw.y[:, -1]
     w = f_o * g_i - f_i * g_o
     return float(w / ((abs(f_o) + abs(g_o)) * (abs(f_i) + abs(g_i))))
 
 
-def matching_scan(channel: Channel, energies, k: int = 0, mass: float = 1.0,
-                  config: ShootingConfig | None = None) -> np.ndarray:
-    """Determinant sampled over an energy list (hint-free root counting)."""
-    return np.asarray([matching_determinant(channel, e, k=k, mass=mass, config=config)
-                       for e in energies])
+def matching_scan(channel: Channel, nus, k: int = 0) -> np.ndarray:
+    """Determinant sampled over a list of nu values (hint-free root counting)."""
+    return np.asarray([matching_determinant(channel, nu, k=k) for nu in nus])
 
 
-def _closed_form_energy(channel: Channel, k: int, mass: float) -> float:
-    mu = precision.to_float(channel.lam) + k
-    ratio = precision.to_float(channel.zeta) / (mu - 0.5)
-    return mass / np.sqrt(1.0 + ratio * ratio)
-
-
-def _default_bracket(channel: Channel, k: int, mass: float) -> tuple[float, float]:
-    # the closed form is a hint only: walls stay well clear of the target
-    # root and exclude the neighbouring levels entirely
-    e_k = _closed_form_energy(channel, k, mass)
-    e_up = _closed_form_energy(channel, k + 1, mass)
-    gap_up = e_up - e_k
-    gap_down = e_k - _closed_form_energy(channel, k - 1, mass) if k >= 1 else gap_up
-    return (e_k - 0.45 * gap_down, e_k + 0.45 * gap_up)
-
-
-def shooting_solve(channel: Channel, k: int, mass: float = 1.0,
-                   config: ShootingConfig | None = None) -> float:
-    """Bound-state energy from two-sided shooting alone.
-
-    Brackets the matching determinant's sign change (seeded by, but never
-    solved from, the closed form) and polishes with Brent's method.
-    """
+def _shoot(channel: Channel, k: int, mass: float) -> tuple[float, float]:
+    # (nu, E) of level k.  The closed form is a hint only: with r_n =
+    # zeta/(s + n) (= kappa/E of level n) the walls sit 45% of the way to the
+    # neighbouring levels, and nu = r/(1 + sqrt(1 + r^2)) maps them into (0, 1)
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    cfg = config or ShootingConfig()
-    if cfg.energy_bracket is not None:
-        lo, hi = cfg.energy_bracket
-        if not 0.0 < lo < hi < mass:
-            raise DomainError(f"energy bracket must sit inside (0, mass), got {lo}, {hi}")
-    else:
-        lo, hi = _default_bracket(channel, k, mass)
-    w_lo = matching_determinant(channel, lo, k=k, mass=mass, config=cfg)
-    w_hi = matching_determinant(channel, hi, k=k, mass=mass, config=cfg)
+    if not mass > 0:
+        raise DomainError(f"mass must be positive, got {mass}")
+    s = precision.to_float(channel.s)
+    zeta = precision.to_float(channel.zeta)
+    r_k, r_next = zeta / (s + k), zeta / (s + k + 1)
+    r_prev = zeta / (s + k - 1) if k >= 1 else 2.0 * r_k - r_next
+    lo, hi = (r / (1.0 + np.sqrt(1.0 + r * r))
+              for r in (r_k - 0.45 * (r_k - r_next), r_k + 0.45 * (r_prev - r_k)))
+    w_lo = matching_determinant(channel, lo, k=k)
+    w_hi = matching_determinant(channel, hi, k=k)
     if np.sign(w_lo) == np.sign(w_hi):
         raise NoSignChange(
-            f"determinant keeps sign {np.sign(w_lo):+.0f} over [{lo:.12g}, {hi:.12g}] "
-            f"for {channel.label()}, k={k}")
-    return float(brentq(
-        lambda e: matching_determinant(channel, e, k=k, mass=mass, config=cfg),
-        lo, hi, xtol=cfg.tolerance, rtol=8.9e-16))
+            f"determinant keeps sign {np.sign(w_lo):+.0f} over nu in "
+            f"[{lo:.12g}, {hi:.12g}] for {channel.label()}, k={k}")
+    nu = brentq(lambda x: matching_determinant(channel, x, k=k), lo, hi,
+                xtol=_NU_RTOL * lo, rtol=_NU_RTOL)
+    return nu, float(mass * (1.0 - nu * nu) / (1.0 + nu * nu))
 
 
-def shooting_solution(channel: Channel, k: int, mass: float = 1.0,
-                      config: ShootingConfig | None = None) -> ShootingResult:
-    """Assembled two-sided solution at the shot energy, with its node count.
+def shooting_solve(channel: Channel, k: int, mass: float = 1.0) -> float:
+    """Bound-state energy from two-sided shooting alone.
+
+    Brackets the matching determinant's sign change in nu (seeded by, but
+    never solved from, the closed form), polishes nu with Brent's method and
+    returns E = m(1 - nu^2)/(1 + nu^2).
+    """
+    return _shoot(channel, k, mass)[1]
+
+
+def shooting_solution(channel: Channel, k: int, mass: float = 1.0) -> ShootingResult:
+    """Assembled two-sided solution at the shot nu, with its node count.
 
     The inward piece is rescaled so the dominant component agrees at the
     match point; F's sign changes over the joint table are the radial nodes.
     """
-    cfg = config or ShootingConfig()
-    energy = shooting_solve(channel, k, mass=mass, config=cfg)
-    rho_match = _resolve_match(channel, k, cfg)
-    nu = _nu_of(energy, mass)
-
-    t_out = np.geomspace(cfg.rho_min, rho_match, cfg.steps)
-    out = _integrate_to(channel, energy, mass, cfg, (cfg.rho_min, rho_match),
-                        _outward_ic(channel, nu, cfg.rho_min), t_eval=t_out)
-    t_in = np.linspace(cfg.rho_max, rho_match, cfg.steps)
-    inw = _integrate_to(channel, energy, mass, cfg, (cfg.rho_max, rho_match),
-                        _inward_ic(channel, energy, mass, nu, cfg.rho_max), t_eval=t_in)
-
-    f_o, g_o = out.y[0, -1], out.y[1, -1]
-    f_i, g_i = inw.y[0, -1], inw.y[1, -1]
+    nu, energy = _shoot(channel, k, mass)
+    out, inw = _legs(channel, nu, k, table=True)
+    f_o, g_o = out.y[:, -1]
+    f_i, g_i = inw.y[:, -1]
     factor = f_o / f_i if abs(f_o) >= abs(g_o) else g_o / g_i
     rho = np.concatenate([out.t, inw.t[::-1][1:]])
     f = np.concatenate([out.y[0], factor * inw.y[0][::-1][1:]])
@@ -505,12 +457,11 @@ def shooting_solution(channel: Channel, k: int, mass: float = 1.0,
     return ShootingResult(energy=energy, rho=rho, F=f, G=g, node_count=node_count)
 
 
-def compare_spectrum(zeta, j_max, k_max: int, mass: float = 1.0,
-                     config: ShootingConfig | None = None) -> list[dict]:
+def compare_spectrum(zeta, j_max, k_max: int, mass: float = 1.0) -> list[dict]:
     """Algebraic vs shooting energy for every subcritical state in range."""
     rows = []
     for st in spectrum_table(zeta, j_max, k_max, mass=mass):
-        e_shoot = shooting_solve(st.channel, st.k, mass=mass, config=config)
+        e_shoot = shooting_solve(st.channel, st.k, mass=mass)
         e_alg = precision.to_float(st.energy)
         rows.append({
             "j": precision.to_float(st.channel.j),

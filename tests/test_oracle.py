@@ -10,7 +10,6 @@ from diracladder import (
     NoSignChange,
     QuadratureFailure,
     QuadratureSpec,
-    ShootingConfig,
     StiffnessFailure,
     WrongBranch,
     bound_energy,
@@ -181,10 +180,10 @@ def test_ode_residual_grid_validation():
 
 def test_matching_determinant_brackets_the_level():
     ch = ref_channel()
-    e0 = bound_energy(ch, 1).energy
-    vals = matching_scan(ch, [e0 - 0.01, e0 + 0.01], k=1)
+    nu0 = bound_energy(ch, 1).nu
+    vals = matching_scan(ch, [nu0 * 0.99, nu0 * 1.01], k=1)
     assert vals[0] * vals[1] < 0
-    assert abs(matching_determinant(ch, e0, k=1)) < 1e-8
+    assert abs(matching_determinant(ch, nu0, k=1)) < 1e-8
 
 
 def test_shooting_matches_closed_form():
@@ -195,18 +194,31 @@ def test_shooting_matches_closed_form():
         assert e_shoot == pytest.approx(e_alg, rel=1e-10)
 
 
+@pytest.mark.parametrize("j, zeta, k", [(0.5, 0.5, 20), (0.5, 0.5, 40), (20.5, 0.1, 20)])
+def test_shooting_high_in_the_tower(j, zeta, k):
+    # levels whose outermost node (~2*mu) lies at or past rho = 40: the
+    # shooting domain has to grow with mu = lambda + k
+    ch = make_channel(j, -1, zeta)
+    assert abs(shooting_solve(ch, k) - bound_energy(ch, k).energy) <= 1e-9
+
+
+@pytest.mark.parametrize("eps, k", [(-1, 2), (+1, 3)])
+def test_shooting_node_count_at_tiny_coupling(eps, k):
+    # at zeta=1e-6, m - E ~ 1e-13 m is below what a float64 E resolves,
+    # while nu ~ 1e-7 is carried to full relative precision
+    res = shooting_solution(make_channel(0.5, eps, 1e-6), k)
+    assert res.node_count == 2
+
+
 def test_shooting_rejects_bad_input():
     ch = ref_channel()
     with pytest.raises(DomainError):
         shooting_solve(ch, -1)
     with pytest.raises(DomainError):
-        shooting_solve(ch, 1, config=ShootingConfig(energy_bracket=(0.5, 1.5)))
-    with pytest.raises(DomainError):
-        ShootingConfig(rho_min=0.0)
-    with pytest.raises(DomainError):
-        ShootingConfig(rho_min=5.0, rho_max=1.0)
-    with pytest.raises(DomainError):
-        ShootingConfig(rho_match=50.0)
+        shooting_solve(ch, 1, mass=0.0)
+    for nu in (0.0, -0.1, 1.0):
+        with pytest.raises(DomainError):
+            matching_determinant(ch, nu, k=1)
 
 
 def test_shooting_finds_no_excluded_level():
@@ -217,17 +229,17 @@ def test_shooting_finds_no_excluded_level():
 
 
 def test_long_outward_leg_overflows_controlled():
-    ch = ref_channel()
-    cfg = ShootingConfig(rho_max=900.0, rho_match=885.0)
+    # far off any level, the outward leg grows like e^rho up to the
+    # match point near mu - 1/2 ~ 1000 and overflows
     with pytest.raises(StiffnessFailure):
-        matching_determinant(ch, 0.9, k=1, config=cfg)
+        matching_determinant(ref_channel(), 0.2, k=1000)
 
 
 def test_shooting_solution_nodes_and_tables():
     ch = ref_channel()
     res = shooting_solution(ch, 2)
     assert res.node_count == 2
-    assert res.rho[0] < 1e-3 and res.rho[-1] == pytest.approx(40.0)
+    assert res.rho[0] < 1e-3 and res.rho[-1] > 2.0 * (ch.lam + 2)
     assert np.all(np.isfinite(res.F)) and np.all(np.isfinite(res.G))
     # spliced solution is continuous: no wild jump at the match point
     jumps = np.abs(np.diff(res.F)) / np.max(np.abs(res.F))
