@@ -51,7 +51,6 @@ from .ladder import (
     raise_to_rank,
 )
 from .oracle import (
-    QuadratureSpec,
     ShootingResult,
     compare_spectrum,
     component_norm_integral,
@@ -89,7 +88,7 @@ __all__ = [
     "apply_omega3", "apply_raising", "c_minus", "c_plus", "commutator_check",
     "ground_ladder_function", "matrix_representation", "negative_branch_ground",
     "positive_operator_check", "raise_to_rank",
-    "QuadratureSpec", "ShootingResult", "compare_spectrum",
+    "ShootingResult", "compare_spectrum",
     "component_norm_integral", "divergence_check", "inner_product",
     "laguerre_weighted_integral",
     "matching_determinant", "matching_scan", "ode_residual",

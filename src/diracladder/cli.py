@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -68,16 +69,18 @@ def _cutoffs_type(text: str):
     return cuts
 
 
-def _add_common(parser: argparse.ArgumentParser, with_output: bool = True):
-    parser.add_argument("--mass", type=float, default=1.0,
-                        help="particle mass in its own units (default 1)")
-    parser.add_argument("--precision", type=int, default=None, metavar="BITS",
-                        help="working precision in bits (default 53 or "
-                             "DIRACLADDER_PRECISION)")
-    if with_output:
-        parser.add_argument("--format", choices=("csv", "json"), default="csv")
-        parser.add_argument("--output", default=None, metavar="PATH",
-                            help="write to a file instead of stdout")
+def _add_common(parser: argparse.ArgumentParser, mass: bool, extended: bool):
+    # --precision only where the arithmetic honours it, --mass only where used
+    if mass:
+        parser.add_argument("--mass", type=float, default=1.0,
+                            help="particle mass in its own units (default 1)")
+    if extended:
+        parser.add_argument("--precision", type=int, default=None, metavar="BITS",
+                            help="working precision in bits (default 53 or "
+                                 "DIRACLADDER_PRECISION)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--output", default=None, metavar="PATH",
+                        help="write to a file instead of stdout")
 
 
 def _add_coupling(parser: argparse.ArgumentParser):
@@ -111,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--electron-mass-mev", type=float,
                    default=precision.ELECTRON_MASS_MEV,
                    help="rest energy used by --si")
-    _add_common(p)
+    _add_common(p, mass=True, extended=True)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="evaluate (rho, F, G) on a grid")
@@ -124,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.add_argument("--normalize", choices=("algebraic", "physical"),
                    default="algebraic")
-    _add_common(p)
+    _add_common(p, mass=True, extended=True)
     p.set_defaults(func=_cmd_wavefunction)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -137,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coupling(p)
     p.add_argument("--j-max", type=float, default=0.5)
     p.add_argument("--k-max", type=int, default=2)
-    _add_common(p)
+    _add_common(p, mass=True, extended=False)
     p.set_defaults(func=_cmd_oracle_compare)
 
     p = sub.add_parser("demo-divergence",
@@ -147,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--cutoffs", type=_cutoffs_type, default=(5.0, 10.0, 20.0, 40.0),
                    metavar="R1,R2,...")
-    _add_common(p)
+    _add_common(p, mass=False, extended=False)
     p.set_defaults(func=_cmd_demo_divergence)
     return parser
 
@@ -155,8 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
+# oracle-compare and demo-divergence compute in float64 only and take no
+# --precision; their metadata says so whatever DIRACLADDER_PRECISION holds
+_FLOAT64_ONLY = (53, "fixed (float64 command)")
+
+
 def _resolve_precision(args) -> tuple[int, str]:
-    if getattr(args, "precision", None) is not None:
+    if args.precision is not None:
         bits, source = args.precision, "command line"
     elif os.environ.get("DIRACLADDER_PRECISION"):
         bits, source = int(os.environ["DIRACLADDER_PRECISION"]), \
@@ -365,7 +373,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    bits, source = _resolve_precision(args)
+    bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
     rows = compare_spectrum(precision.to_float(zeta), args.j_max, args.k_max,
                             mass=args.mass)
@@ -387,7 +395,7 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_demo_divergence(args) -> int:
-    bits, source = _resolve_precision(args)
+    bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
     channel = make_channel(args.j, args.eps, zeta)
     member = negative_branch_ground(channel.lam)
@@ -400,12 +408,12 @@ def _cmd_demo_divergence(args) -> int:
     prev = None
     for r, n in zip(cuts, norms):
         ratio = "" if prev is None else repr(float(n / prev[1]))
-        bound = "" if prev is None else repr(float(__import__("math").exp(r - prev[0])))
+        bound = "" if prev is None else repr(math.exp(r - prev[0]))
         text_rows.append([repr(float(r)), repr(float(n)), ratio, bound])
         value_rows.append({"R": float(r), "truncated_norm": float(n),
                            "ratio_to_previous": None if prev is None else float(n / prev[1]),
                            "lower_bound_exp": None if prev is None
-                           else float(__import__("math").exp(r - prev[0]))})
+                           else math.exp(r - prev[0])})
         prev = (r, n)
 
     meta = _base_meta(args, bits, source)

@@ -70,6 +70,8 @@ __all__ = [
     "raise_to_rank",
 ]
 
+_CASIMIR_REL_TOL = 1e-8    # apply_casimir's eigenfunction test
+
 
 # ---------------------------------------------------------------------------
 # coefficient vectors on L_n^(a)(2*rho), a = 2*lam - 1
@@ -180,6 +182,16 @@ def _evaluate_dq(lam, coeffs, rho):
     return -2 * _evaluate_q(lam, _tail_sums(coeffs)[1:], rho)
 
 
+def _check_radius(rho):
+    # shared by every evaluator of members and radial solutions; written as
+    # all(rho > 0) so that NaN radii are rejected too
+    if isinstance(rho, np.ndarray):
+        if not np.all(rho > 0):
+            raise DomainError("rho must be positive")
+    elif not rho > 0:
+        raise DomainError(f"rho must be positive, got {rho}")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -221,14 +233,11 @@ class LadderFunction:
 
     def evaluate(self, rho):
         """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight."""
+        _check_radius(rho)
         sign = -1.0 if self.branch == "positive" else 1.0
         if isinstance(rho, np.ndarray):
-            if np.any(rho <= 0):
-                raise DomainError("rho must be positive")
             lam = precision.to_float(self.lam)
             return rho ** (lam - 0.5) * np.exp(sign * rho) * self.polynomial(rho)
-        if not rho > 0:
-            raise DomainError(f"rho must be positive, got {rho}")
         weight = precision.power(rho, self.lam - 0.5) * precision.exp(sign * rho)
         return weight * self.polynomial(rho)
 
@@ -322,11 +331,11 @@ def apply_omega3(f: LadderFunction):
     return f, f.mu
 
 
-def apply_casimir(f: LadderFunction, rel_tol: float = 1e-8):
+def apply_casimir(f: LadderFunction):
     """Apply the quadratic invariant; returns (f, measured eigenvalue).
 
     Raises NotAnEigenfunction when the residual against omega*q exceeds
-    rel_tol relative to the largest coefficient of q.
+    _CASIMIR_REL_TOL (1e-8) relative to the largest coefficient of q.
     """
     if f.is_zero:
         raise DomainError("casimir eigenvalue of the zero function is undefined")
@@ -334,9 +343,9 @@ def apply_casimir(f: LadderFunction, rel_tol: float = 1e-8):
     omega = f.lam * (f.lam - 1)
     deviation = _rel_dev(raw, _combine((omega, f.coeffs)),
                          max(abs(c) for c in f.coeffs))
-    if deviation > rel_tol:
+    if deviation > _CASIMIR_REL_TOL:
         raise NotAnEigenfunction(
-            f"casimir residual {deviation:.3e} exceeds {rel_tol:.1e}")
+            f"casimir residual {deviation:.3e} exceeds {_CASIMIR_REL_TOL:.1e}")
     # projection <Cq, q>/<q, q> over coefficient vectors
     num = sum(raw[i] * c for i, c in enumerate(f.coeffs))
     den = sum(c * c for c in f.coeffs)

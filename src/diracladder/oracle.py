@@ -16,6 +16,16 @@ max(1, mu - 1/2), outer radius 2*mu + 25), and one helper integrates both
 legs for the determinant and the solution tables alike.  The closed-form
 spectrum is used only to seed nu brackets, never as the answer;
 matching_scan offers hint-free root counting.
+
+Quadrature follows one fixed policy per scheme, with no settable knobs:
+Gauss-Laguerre starts at 128 nodes and the log-grid trapezoid at 512, and
+each doubles its nodes, at most 5 times, until two successive estimates
+agree to 1e-10 (Gauss) or 1e-12 (trapezoid) relative to max(1, |estimate|).
+Gauss rules are capped at 360 nodes, where double-precision weights break
+down, so they compare 128 against 256 nodes only; the integrands are
+polynomials against fixed weights, and both rules are exact up to roundoff
+below degree 256.  An integral that has not settled within its policy
+raises QuadratureFailure.
 """
 
 from __future__ import annotations
@@ -45,7 +55,6 @@ if TYPE_CHECKING:
     from .radial import RadialSolution
 
 __all__ = [
-    "QuadratureSpec",
     "ShootingResult",
     "laguerre_weighted_integral",
     "component_norm_integral",
@@ -61,44 +70,15 @@ __all__ = [
     "divergence_check",
 ]
 
-_SCHEMES = ("generalized-gauss-laguerre", "transformed-trapezoid-in-x")
+# quadrature policy per scheme: (starting nodes, tolerance); see above
+_GAUSS = "generalized-gauss-laguerre"
+_TRAPEZOID = "transformed-trapezoid-in-x"
+_POLICY = {_GAUSS: (128, 1e-10), _TRAPEZOID: (512, 1e-12)}
+_DOUBLINGS = 5
 
 # scipy's generalized Gauss-Laguerre weights overflow to NaN near 400 nodes;
 # 360 is the last comfortable power-of-two-ish rung (256 doubled would pass it)
 _MAX_GAUSS_NODES = 360
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node-doubling convergence policy for the integral rules.
-
-    exponent, when set, overrides the weight exponent (2*lam - 2 for
-    x-measure norm integrals) that inner_product derives from its operands.
-    Gauss rules are capped at 360 nodes, where the double-precision weight
-    computation breaks down; the integrands here are polynomials against
-    fixed weights, so 128-256 nodes is already exact up to roundoff.
-    """
-
-    scheme: str = "generalized-gauss-laguerre"
-    nodes: int = 128
-    exponent: float | None = None
-    tolerance: float = 1e-10
-    max_doublings: int = 5
-
-    def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.nodes < 8:
-            raise DomainError(f"need at least 8 nodes, got {self.nodes}")
-        if (self.scheme == "generalized-gauss-laguerre"
-                and self.nodes > _MAX_GAUSS_NODES):
-            raise DomainError(
-                f"Gauss-Laguerre weights are unreliable beyond {_MAX_GAUSS_NODES} "
-                f"nodes in double precision, got {self.nodes}")
-        if not self.tolerance > 0:
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_doublings < 1:
-            raise DomainError(f"need at least 1 doubling, got {self.max_doublings}")
 
 
 @dataclass(frozen=True)
@@ -129,37 +109,38 @@ def _poly_eval(coeffs, t):
     return acc
 
 
-def _converge_by_doubling(rule, spec: QuadratureSpec, max_nodes=None):
-    n = spec.nodes
+def _converge_by_doubling(rule, scheme: str, max_nodes=None):
+    n, tolerance = _POLICY[scheme]
     prev = rule(n)
-    for _ in range(spec.max_doublings):
+    for _ in range(_DOUBLINGS):
         if max_nodes is not None and 2 * n > max_nodes:
             break
         n *= 2
         cur = rule(n)
         if not np.isfinite(cur):
             raise QuadratureFailure(f"integral estimate went non-finite at {n} nodes")
-        if abs(cur - prev) <= spec.tolerance * max(1.0, abs(cur)):
+        if abs(cur - prev) <= tolerance * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise QuadratureFailure(
         f"integral did not settle after doubling to {n} nodes "
-        f"(tol {spec.tolerance:.1e})")
+        f"(tol {tolerance:.1e})")
 
 
-def _gauss_integral(values_fn, alpha: float, spec: QuadratureSpec) -> float:
-    # values_fn(rho_array) -> polynomial-part values; weight rho^alpha e^(-2rho)
-    factor = 2.0 ** (-(alpha + 1.0))
+def _weighted_integral(values_fn, alpha: float, degree: int,
+                       scheme: str = _GAUSS) -> float:
+    # integral rho^alpha e^(-2rho) values_fn(rho) drho; values_fn takes arrays
+    if alpha <= -1:
+        raise DomainError(f"weight exponent must exceed -1, got {alpha}")
+    if scheme == _GAUSS:
+        factor = 2.0 ** (-(alpha + 1.0))
 
-    def rule(n):
-        t, w = _laguerre_rule(n, float(alpha))
-        return factor * float(np.dot(w, values_fn(t / 2.0)))
+        def gauss(n):
+            t, w = _laguerre_rule(n, float(alpha))
+            return factor * float(np.dot(w, values_fn(t / 2.0)))
 
-    return _converge_by_doubling(rule, spec, max_nodes=_MAX_GAUSS_NODES)
+        return _converge_by_doubling(gauss, scheme, max_nodes=_MAX_GAUSS_NODES)
 
-
-def _trapezoid_integral(values_fn, alpha: float, degree: int,
-                        spec: QuadratureSpec) -> float:
     # Same integral under rho = e^x: the x-integrand decays like e^((alpha+1)x)
     # to the left and e^(-2 e^x) to the right, so plain trapezoid on a wide
     # enough window superconverges.  Diagnostic cross-check for the Gauss rule.
@@ -167,68 +148,57 @@ def _trapezoid_integral(values_fn, alpha: float, degree: int,
     x_lo = -48.0 / a - 2.0
     x_hi = np.log(30.0 + 3.0 * (degree + a))
 
-    def rule(n):
+    def trapezoid(n):
         x = np.linspace(x_lo, x_hi, n)
         rho = np.exp(x)
         vals = rho ** a * np.exp(-2.0 * rho) * values_fn(rho)
         h = x[1] - x[0]
         return h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
 
-    return _converge_by_doubling(rule, spec)
+    return _converge_by_doubling(trapezoid, scheme)
 
 
-def _weighted_integral(values_fn, alpha: float, degree: int,
-                       spec: QuadratureSpec) -> float:
-    # integral rho^alpha e^(-2rho) values_fn(rho) drho under spec's scheme
-    if spec.scheme == "transformed-trapezoid-in-x":
-        return _trapezoid_integral(values_fn, alpha, degree, spec)
-    return _gauss_integral(values_fn, alpha, spec)
-
-
-def laguerre_weighted_integral(coeffs, alpha: float, spec: QuadratureSpec | None = None):
+def laguerre_weighted_integral(coeffs, alpha: float):
     """integral rho^alpha * exp(-2*rho) * p(rho) drho over (0, inf).
 
     Substituting t = 2*rho maps this onto the generalized Gauss-Laguerre rule
-    with weight t^alpha * exp(-t); nodes are doubled until two consecutive
-    rules agree to spec.tolerance.
+    with weight t^alpha * exp(-t), under the module's fixed node-doubling
+    policy.
     """
-    if alpha <= -1:
-        raise DomainError(f"weight exponent must exceed -1, got {alpha}")
-    spec = spec or QuadratureSpec()
     coeffs = [precision.to_float(c) for c in coeffs]
     return _weighted_integral(lambda rho: _poly_eval(coeffs, rho),
-                              alpha, len(coeffs) - 1, spec)
+                              alpha, len(coeffs) - 1)
 
 
-def component_norm_integral(polys, alpha: float,
-                            spec: QuadratureSpec | None = None) -> float:
+def component_norm_integral(polys, alpha: float) -> float:
     """integral rho^alpha * exp(-2*rho) * sum_j p_j(rho)^2 drho.
 
     Squares are formed pointwise after Horner evaluation, never by
     convolving coefficients: the summed integrand is nonnegative, so the
     quadrature sum has no catastrophic cancellation even at high rank.
     """
-    if alpha <= -1:
-        raise DomainError(f"weight exponent must exceed -1, got {alpha}")
-    spec = spec or QuadratureSpec()
     polys = [[precision.to_float(c) for c in p] for p in polys]
     degree = 2 * max(len(p) - 1 for p in polys)
 
     def values(rho):
         return sum(_poly_eval(p, rho) ** 2 for p in polys)
 
-    return _weighted_integral(values, alpha, degree, spec)
+    return _weighted_integral(values, alpha, degree)
 
 
 def inner_product(f: LadderFunction, g: LadderFunction,
-                  spec: QuadratureSpec | None = None) -> float:
+                  scheme: str = _GAUSS) -> float:
     """Inner product of two ladder members under the x-measure drho/rho.
 
     The phase average makes members with different mu labels orthogonal
     identically (returned as exact 0); equal labels reduce to the radial
     integral of rho^(2*lam-2) e^(-2*rho) q_f q_g, evaluated pointwise as a
     product of the members' polynomial values (a square when f is g).
+    scheme is 'generalized-gauss-laguerre' or, as a cross-check,
+    'transformed-trapezoid-in-x'.
     """
+    if scheme not in _POLICY:
+        raise DomainError(f"scheme must be one of {tuple(_POLICY)}, got {scheme!r}")
     if f.branch != "positive" or g.branch != "positive":
         raise WrongBranch("inner products are defined on the positive branch")
     lam = precision.to_float(f.lam)
@@ -236,14 +206,12 @@ def inner_product(f: LadderFunction, g: LadderFunction,
         raise DomainError("members from different towers")
     if abs(precision.to_float(f.mu) - precision.to_float(g.mu)) > 1e-9:
         return 0.0
-    spec = spec or QuadratureSpec()
-    alpha = spec.exponent if spec.exponent is not None else 2.0 * lam - 2.0
 
     def values(rho):
         left = f.polynomial(rho)
         return left * left if g == f else left * g.polynomial(rho)
 
-    return _weighted_integral(values, alpha, f.degree + g.degree, spec)
+    return _weighted_integral(values, 2.0 * lam - 2.0, f.degree + g.degree, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +320,10 @@ def _legs(channel: Channel, nu: float, k: int, table: bool = False):
     The domain follows mu = lambda + k: the legs meet at max(1, mu - 1/2) and
     the inward one starts at 2*mu + 25, past the outermost node (~2*mu).  With
     table set, each leg is sampled at _TABLE_STEPS points, else at the match.
+    Every shooting entry point reaches this check on k and nu.
     """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu must lie in (0, 1), got {nu}")
     tau = precision.to_float(channel.tau)
@@ -406,8 +377,6 @@ def _shoot(channel: Channel, k: int, mass: float) -> tuple[float, float]:
     # (nu, E) of level k.  The closed form is a hint only: with r_n =
     # zeta/(s + n) (= kappa/E of level n) the walls sit 45% of the way to the
     # neighbouring levels, and nu = r/(1 + sqrt(1 + r^2)) maps them into (0, 1)
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     if not mass > 0:
         raise DomainError(f"mass must be positive, got {mass}")
     s = precision.to_float(channel.s)

@@ -35,6 +35,7 @@ from .channels import BoundState
 from .errors import DomainError
 from .ladder import (
     LadderFunction,
+    _check_radius,
     _combine,
     _evaluate_dq,
     _evaluate_q,
@@ -52,6 +53,8 @@ __all__ = [
     "physical_normalize",
     "count_radial_nodes",
 ]
+
+_NODE_SAMPLES = 4000       # scan points in count_radial_nodes
 
 
 @dataclass(frozen=True)
@@ -100,16 +103,8 @@ class RadialSolution:
             return rho ** (precision.to_float(lam) - 0.5) * np.exp(-rho)
         return precision.power(rho, lam - 0.5) * precision.exp(-rho)
 
-    @staticmethod
-    def _check_rho(rho):
-        if isinstance(rho, np.ndarray):
-            if rho.size and not np.all(rho > 0):
-                raise DomainError("rho must be positive")
-        elif not rho > 0:
-            raise DomainError(f"rho must be positive, got {rho}")
-
     def _component(self, rho, which):
-        self._check_rho(rho)
+        _check_radius(rho)
         front = self.front_factors()[which]
         if isinstance(rho, np.ndarray):
             front = precision.to_float(front)
@@ -127,7 +122,7 @@ class RadialSolution:
 
         dF/drho = c_F * w * (u_F' + ((lam - 1/2)/rho - 1) * u_F).
         """
-        self._check_rho(rho)
+        _check_radius(rho)
         lam = self.state.channel.lam
         w = self._weight(rho)
         log_w_prime = (precision.to_float(lam) - 0.5) / rho - 1.0
@@ -167,14 +162,10 @@ def evaluate_on_grid(solution: RadialSolution, grid) -> WavefunctionTable:
     rho = np.asarray(grid, dtype=float)
     if rho.ndim != 1:
         raise DomainError("grid must be one-dimensional")
-    if rho.size == 0:
-        return WavefunctionTable(rho=rho, F=rho.copy(), G=rho.copy())
-    if not np.all(rho > 0):
-        raise DomainError("grid radii must be positive")
     return WavefunctionTable(rho=rho, F=solution.F(rho), G=solution.G(rho))
 
 
-def physical_norm_integral(solution: RadialSolution, spec=None):
+def physical_norm_integral(solution: RadialSolution):
     """integral (F^2 + G^2) drho at the solution's current amplitude.
 
     The integrand is a sum of squared polynomials against the weight
@@ -193,33 +184,33 @@ def physical_norm_integral(solution: RadialSolution, spec=None):
 
     degree = 2 * (len(parts[0][1]) - 1)
     return oracle._weighted_integral(values, 2.0 * precision.to_float(lam) - 1.0,
-                                     degree, spec or oracle.QuadratureSpec())
+                                     degree)
 
 
-def physical_normalize(solution: RadialSolution, spec=None) -> RadialSolution:
+def physical_normalize(solution: RadialSolution) -> RadialSolution:
     """Rescale so that integral (F^2 + G^2) drho == 1."""
     base = replace(solution, amplitude=1.0)
-    norm = physical_norm_integral(base, spec=spec)
+    norm = physical_norm_integral(base)
     return replace(solution, amplitude=1.0 / precision.sqrt(norm),
                    normalization="physical")
 
 
-def count_radial_nodes(solution: RadialSolution, component: str = "F",
-                       rho_max: float | None = None, samples: int = 4000) -> np.ndarray:
+def count_radial_nodes(solution: RadialSolution, component: str = "F") -> np.ndarray:
     """Interior zeros of F or G: dense-grid sign changes, refined in brackets.
 
-    Double roots do not occur in this family, so sign changes find every
-    node.  Level k has k nodes in G; F has k nodes for epsilon = -1 and
-    k - 1 for epsilon = +1.  Each pass evaluates all brackets at 65 points
-    at once and keeps the first sign change, shrinking them 64-fold.
+    The scan grid is log-spaced, _NODE_SAMPLES points from 1e-3 to
+    4*mu + 20, well past the outermost node (polynomial roots sit below the
+    classical turning region).  Double roots do not occur in this family, so
+    sign changes find every node.  Level k has k nodes in G; F has k nodes
+    for epsilon = -1 and k - 1 for epsilon = +1.  Each pass evaluates all
+    brackets at 65 points at once and keeps the first sign change, shrinking
+    them 64-fold.
     """
     if component not in ("F", "G"):
         raise DomainError(f"component must be 'F' or 'G', got {component!r}")
     func = solution.F if component == "F" else solution.G
-    if rho_max is None:
-        # polynomial roots sit well below the classical turning region
-        rho_max = 4.0 * precision.to_float(solution.state.mu) + 20.0
-    grid = np.geomspace(1e-3, rho_max, samples)
+    rho_max = 4.0 * precision.to_float(solution.state.mu) + 20.0
+    grid = np.geomspace(1e-3, rho_max, _NODE_SAMPLES)
     sign = np.sign(func(grid))
     flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
     lo, hi = grid[flips], grid[flips + 1]

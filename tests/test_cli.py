@@ -160,6 +160,14 @@ def test_usage_errors_exit_two(capsys):
         main(["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
               "--k", "1", "--grid", "nonsense"])
     assert exc.value.code == 2
+    # flags a command would ignore are not registered: demo-divergence uses
+    # no mass, and the two float64 commands take no precision
+    for argv in (["demo-divergence", "--zeta", "0.5", "--mass", "2"],
+                 ["demo-divergence", "--zeta", "0.5", "--precision", "200"],
+                 ["oracle-compare", "--zeta", "0.5", "--precision", "113"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -170,7 +178,9 @@ def test_verify_single_suite(capsys):
     assert "[PASS]" in out
 
 
-def test_oracle_compare(capsys):
+def test_oracle_compare(capsys, monkeypatch):
+    # a float64 command reports 53 bits whatever the environment asks for
+    monkeypatch.setenv("DIRACLADDER_PRECISION", "120")
     code, out, _ = run(["oracle-compare", "--zeta", "0.5", "--j-max", "0.5",
                         "--k-max", "1"], capsys)
     assert code == 0
@@ -178,14 +188,18 @@ def test_oracle_compare(capsys):
     assert header[:3] == ["j", "eps", "k"]
     assert len(rows) == 3
     assert float(meta_lines(out)["worst_rel_delta"]) < 1e-6
+    assert meta_lines(out)["precision_bits"] == "53"
 
 
-def test_demo_divergence(capsys):
+def test_demo_divergence(capsys, monkeypatch):
+    monkeypatch.setenv("DIRACLADDER_PRECISION", "150")
     code, out, _ = run(["demo-divergence", "--zeta", "0.5",
                         "--cutoffs", "5,10,20"], capsys)
     assert code == 0
+    assert meta_lines(out)["precision_bits"] == "53"
     header, rows = csv_rows(out)
     assert header[0] == "R"
     norms = [float(r[1]) for r in rows]
     assert norms == sorted(norms)
     assert "[PASS]" in out
+

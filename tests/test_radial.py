@@ -87,6 +87,21 @@ def test_evaluate_on_grid_contract():
         evaluate_on_grid(sol, np.ones((2, 2)))
 
 
+def test_nan_radius_rejected_everywhere():
+    # members, solutions and grids share one check: every rho must be > 0
+    sol = solution(1)
+    bad = np.array([1.0, np.nan])
+    for evaluate in (sol.psi_plus.evaluate, sol.F, sol.G,
+                     sol.evaluate_with_derivatives,
+                     lambda rho: evaluate_on_grid(sol, rho)):
+        with pytest.raises(DomainError):
+            evaluate(bad)
+    with pytest.raises(DomainError):
+        sol.psi_plus.evaluate(float("nan"))
+    with pytest.raises(DomainError):
+        sol.F(float("nan"))
+
+
 def test_physical_norm_of_algebraic_ground():
     # unit x-measure norm translates to integral (F^2+G^2) drho = 2s at m=1
     assert physical_norm_integral(solution(0)) == pytest.approx(
