@@ -60,6 +60,7 @@ from .oracle import (
     matching_determinant,
     matching_scan,
     ode_residual,
+    physical_norm_integral,
     shooting_solution,
     shooting_solve,
     truncated_norms,
@@ -70,7 +71,6 @@ from .radial import (
     build_solution,
     count_radial_nodes,
     evaluate_on_grid,
-    physical_norm_integral,
     physical_normalize,
 )
 from .report import CheckResult, VerificationReport
@@ -92,10 +92,10 @@ __all__ = [
     "component_norm_integral", "divergence_check", "inner_product",
     "laguerre_weighted_integral",
     "matching_determinant", "matching_scan", "ode_residual",
-    "shooting_solution", "shooting_solve", "truncated_norms",
+    "physical_norm_integral", "shooting_solution", "shooting_solve",
+    "truncated_norms",
     "RadialSolution", "WavefunctionTable", "build_solution",
-    "count_radial_nodes", "evaluate_on_grid", "physical_norm_integral",
-    "physical_normalize",
+    "count_radial_nodes", "evaluate_on_grid", "physical_normalize",
     "CheckResult", "VerificationReport",
     "SUITE_NAMES", "run_suite", "run_suites",
 ]

@@ -177,11 +177,6 @@ def _evaluate_q(lam, coeffs, rho):
     return value
 
 
-def _evaluate_dq(lam, coeffs, rho):
-    """dq/drho = -2 * sum_i T_(i+1) L_i, since d/dx L_n^(a) = -sum_(i<n) L_i^(a)."""
-    return -2 * _evaluate_q(lam, _tail_sums(coeffs)[1:], rho)
-
-
 def _check_radius(rho):
     # shared by every evaluator of members and radial solutions; written as
     # all(rho > 0) so that NaN radii are rejected too
@@ -231,21 +226,54 @@ class LadderFunction:
         """q(rho); accepts scalars (float or mpmath) and numpy arrays."""
         return _evaluate_q(self.lam, self.coeffs, rho)
 
-    def evaluate(self, rho):
-        """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight."""
+    def _weight(self, rho):
+        # (rho**(lam - 1/2) * exp(-+rho), the branch sign) after the radius check
         _check_radius(rho)
         sign = -1.0 if self.branch == "positive" else 1.0
         if isinstance(rho, np.ndarray):
             lam = precision.to_float(self.lam)
-            return rho ** (lam - 0.5) * np.exp(sign * rho) * self.polynomial(rho)
-        weight = precision.power(rho, self.lam - 0.5) * precision.exp(sign * rho)
+            return rho ** (lam - 0.5) * np.exp(sign * rho), sign
+        return precision.power(rho, self.lam - 0.5) * precision.exp(sign * rho), sign
+
+    def evaluate(self, rho):
+        """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight."""
+        weight, _ = self._weight(rho)
         return weight * self.polynomial(rho)
+
+    def evaluate_with_derivative(self, rho):
+        """(P, dP/drho) from exact differentiation, with the weight formed once.
+
+        dP/drho = w * (q' + ((lam - 1/2)/rho -+ 1) * q), and
+        q' = -2 * sum_i T_(i+1) L_i since d/dx L_n^(a) = -sum_(i<n) L_i^(a).
+        """
+        weight, sign = self._weight(rho)
+        lam = precision.to_float(self.lam) if isinstance(rho, np.ndarray) else self.lam
+        q = self.polynomial(rho)
+        dq = -2 * _evaluate_q(self.lam, _tail_sums(self.coeffs)[1:], rho)
+        return weight * q, weight * (dq + ((lam - 0.5) / rho + sign) * q)
 
     def norm_squared(self):
         """Exact x-measure norm integral (positive branch only)."""
         if self.branch != "positive":
             raise WrongBranch("negative-branch norms diverge; see divergence_check")
         return _x_norm_sq(self.lam, self.coeffs)
+
+    def rho_norm_squared(self):
+        """Exact rho-measure norm integral P**2 drho (positive branch only).
+
+        The weight rho**(2*lam-1) * exp(-2*rho) is the orthogonality weight of
+        the basis itself, so the integral is the diagonal sum
+        sum_n c_n**2 Gamma(n+a+1) / (n! * 2**(a+1)), a = 2*lam - 1.
+        """
+        if self.branch != "positive":
+            raise WrongBranch("negative-branch norms diverge; see divergence_check")
+        a = 2 * self.lam - 1
+        h = precision.gamma(a + 1)
+        total = self.coeffs[0] * 0
+        for n, c in enumerate(self.coeffs):
+            total += c * c * h
+            h = h * (n + a + 1) / (n + 1)
+        return total / precision.power(2.0, a + 1)
 
 
 def ground_ladder_function(lam) -> LadderFunction:

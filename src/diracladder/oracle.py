@@ -1,10 +1,12 @@
 """Independent numerical checks for every algebraic claim in the package.
 
 Nothing here reuses the ladder recurrences' internals: integrals go through
-generalized Gauss-Laguerre quadrature (with a log-grid trapezoid cross-check),
-the differential equations are checked pointwise from exact derivatives or
-finite differences, and energies are re-derived by two-sided shooting on the
-raw first-order system
+generalized Gauss-Laguerre quadrature (with a log-grid trapezoid cross-check)
+of pointwise polynomial values, which re-checks the exact norms of the
+algebraic side (member norms, and the physical norm that
+radial.physical_normalize sums exactly); the differential equations are
+checked pointwise from exact derivatives or finite differences, and energies
+are re-derived by two-sided shooting on the raw first-order system
 
     F' = -(tau/rho) F + (1/nu + zeta/rho) G
     G' = +(tau/rho) G + (nu  - zeta/rho) F
@@ -59,6 +61,7 @@ __all__ = [
     "laguerre_weighted_integral",
     "component_norm_integral",
     "inner_product",
+    "physical_norm_integral",
     "ode_residual",
     "default_residual_grid",
     "matching_determinant",
@@ -212,6 +215,23 @@ def inner_product(f: LadderFunction, g: LadderFunction,
         return left * left if g == f else left * g.polynomial(rho)
 
     return _weighted_integral(values, 2.0 * lam - 2.0, f.degree + g.degree, scheme)
+
+
+def physical_norm_integral(solution: RadialSolution) -> float:
+    """integral (F^2 + G^2) drho at the solution's amplitude, by quadrature.
+
+    Like inner_product, it reads only the pointwise values of the two
+    components' polynomial parts, squared and summed against the weight
+    rho^(2*lam-1)*exp(-2*rho); radial.physical_normalize gets the same
+    integral as an exact sum, which this re-checks.
+    """
+    f, g = solution.components
+
+    def values(rho):
+        return f.polynomial(rho) ** 2 + g.polynomial(rho) ** 2
+
+    return _weighted_integral(values, 2.0 * precision.to_float(f.lam) - 1.0,
+                              2 * f.degree)
 
 
 # ---------------------------------------------------------------------------

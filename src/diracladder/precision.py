@@ -36,12 +36,6 @@ def exp(x):
     return math.exp(x)
 
 
-def log(x):
-    if is_extended(x):
-        return mpmath.log(x)
-    return math.log(x)
-
-
 def gamma(x):
     if is_extended(x):
         return mpmath.gamma(x)

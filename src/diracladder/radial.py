@@ -17,8 +17,13 @@ For k = 0 there is no lower member: psi_minus vanishes, rel_coeff = 0, and
 F/G = -sqrt((m+E)/(m-E)) pointwise (the constant-ratio nodeless solution,
 which is also why k = 0 only exists for epsilon = -1).
 
-Functions are kept in exact polynomial-times-weight form, so nodes are
-polynomial roots and derivatives are available without differencing.
+Each component is stored as one LadderFunction on the generalized-Laguerre
+basis of the tower, its coefficients already scaled by the amplitude and the
+front factor (A*sqrt(m+E) for F, A*sqrt(m-E) for G).  Evaluation, exact
+derivatives and nodes all go through LadderFunction.  The physical weight
+rho^(2*lam-1)*exp(-2*rho) of integral (F^2 + G^2) drho is the orthogonality
+weight of that basis, so physical_normalize is an exact diagonal sum (no
+quadrature; oracle.physical_norm_integral re-checks it from outside).
 sqrt(m - E) is evaluated as sqrt(m + E)*nu, which does not cancel at small
 zeta.
 """
@@ -35,10 +40,7 @@ from .channels import BoundState
 from .errors import DomainError
 from .ladder import (
     LadderFunction,
-    _check_radius,
     _combine,
-    _evaluate_dq,
-    _evaluate_q,
     apply_raising,
     c_minus,
     ground_ladder_function,
@@ -63,7 +65,7 @@ class RadialSolution:
 
     amplitude rescales both components; normalization records whether it was
     chosen algebraically (unit tower members, amplitude 1) or to make
-    integral (F^2 + G^2) dr equal 1.
+    integral (F^2 + G^2) drho equal 1.
     """
 
     state: BoundState
@@ -73,65 +75,31 @@ class RadialSolution:
     amplitude: float = 1.0
     normalization: str = "algebraic"
 
-    # -- polynomial views ---------------------------------------------------
-
-    def component_polynomials(self):
-        """(u_F, u_G) with F = c_F*w*u_F, G = c_G*w*u_G, as ladder coefficients.
-
-        u_F = rel_coeff*q_minus + q_plus and u_G = rel_coeff*q_minus - q_plus on
-        the ladder's polynomial basis; computed once per solution.
-        """
-        return self._component_coeffs
-
     @cached_property
-    def _component_coeffs(self):
+    def components(self) -> tuple[LadderFunction, LadderFunction]:
+        """(F, G) as ladder-basis functions on the tower of psi_plus.
+
+        F = c_F*(rel_coeff*psi_minus + psi_plus), G = c_G*(rel_coeff*psi_minus
+        - psi_plus) with c_F = amplitude*sqrt(m+E) and c_G = c_F*nu; both carry
+        psi_plus's labels.  Computed once per solution.
+        """
+        c_f = self.amplitude * precision.sqrt(self.state.mass + self.state.energy)
         plus = self.psi_plus.coeffs
         minus = () if self.psi_minus is None else self.psi_minus.coeffs
-        return (tuple(_combine((1, plus), (self.rel_coeff, minus))),
-                tuple(_combine((-1, plus), (self.rel_coeff, minus))))
-
-    def front_factors(self):
-        """(c_F, c_G) = amplitude * sqrt(m+E) * (1, nu); c_G == amplitude*sqrt(m-E)."""
-        c_f = self.amplitude * precision.sqrt(self.state.mass + self.state.energy)
-        return c_f, c_f * self.state.nu
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _weight(self, rho):
-        lam = self.state.channel.lam
-        if isinstance(rho, np.ndarray):
-            return rho ** (precision.to_float(lam) - 0.5) * np.exp(-rho)
-        return precision.power(rho, lam - 0.5) * precision.exp(-rho)
-
-    def _component(self, rho, which):
-        _check_radius(rho)
-        front = self.front_factors()[which]
-        if isinstance(rho, np.ndarray):
-            front = precision.to_float(front)
-        value = _evaluate_q(self.state.channel.lam, self._component_coeffs[which], rho)
-        return front * self._weight(rho) * value
+        return tuple(
+            replace(self.psi_plus, coeffs=tuple(
+                front * u for u in _combine((sign, plus), (self.rel_coeff, minus))))
+            for sign, front in ((1, c_f), (-1, c_f * self.state.nu)))
 
     def F(self, rho):
-        return self._component(rho, 0)
+        return self.components[0].evaluate(rho)
 
     def G(self, rho):
-        return self._component(rho, 1)
+        return self.components[1].evaluate(rho)
 
     def evaluate_with_derivatives(self, rho: np.ndarray):
-        """(F, G, dF/drho, dG/drho) from exact polynomial differentiation.
-
-        dF/drho = c_F * w * (u_F' + ((lam - 1/2)/rho - 1) * u_F).
-        """
-        _check_radius(rho)
-        lam = self.state.channel.lam
-        w = self._weight(rho)
-        log_w_prime = (precision.to_float(lam) - 0.5) / rho - 1.0
-        out = []
-        for coeffs, front in zip(self._component_coeffs, self.front_factors()):
-            u, du = _evaluate_q(lam, coeffs, rho), _evaluate_dq(lam, coeffs, rho)
-            front = precision.to_float(front)
-            out.append((front * w * u, front * w * (du + log_w_prime * u)))
-        (f, fp), (g, gp) = out
+        """(F, G, dF/drho, dG/drho) from exact polynomial differentiation."""
+        (f, fp), (g, gp) = (c.evaluate_with_derivative(rho) for c in self.components)
         return f, g, fp, gp
 
 
@@ -165,32 +133,14 @@ def evaluate_on_grid(solution: RadialSolution, grid) -> WavefunctionTable:
     return WavefunctionTable(rho=rho, F=solution.F(rho), G=solution.G(rho))
 
 
-def physical_norm_integral(solution: RadialSolution):
-    """integral (F^2 + G^2) drho at the solution's current amplitude.
-
-    The integrand is a sum of squared polynomials against the weight
-    rho^(2*lam-1)*exp(-2*rho); the oracle's Gauss-Laguerre rule gets their
-    pointwise values only.
-    """
-    from . import oracle
-
-    lam = solution.state.channel.lam
-    parts = [(precision.to_float(front), coeffs) for front, coeffs
-             in zip(solution.front_factors(), solution.component_polynomials())]
-
-    def values(rho):
-        return sum((front * _evaluate_q(lam, coeffs, rho)) ** 2
-                   for front, coeffs in parts)
-
-    degree = 2 * (len(parts[0][1]) - 1)
-    return oracle._weighted_integral(values, 2.0 * precision.to_float(lam) - 1.0,
-                                     degree)
-
-
 def physical_normalize(solution: RadialSolution) -> RadialSolution:
-    """Rescale so that integral (F^2 + G^2) drho == 1."""
+    """Rescale so that integral (F^2 + G^2) drho == 1, by the exact basis sum.
+
+    Floats and mpmath numbers take the same path, so the amplitude keeps the
+    solution's precision.
+    """
     base = replace(solution, amplitude=1.0)
-    norm = physical_norm_integral(base)
+    norm = sum(c.rho_norm_squared() for c in base.components)
     return replace(solution, amplitude=1.0 / precision.sqrt(norm),
                    normalization="physical")
 

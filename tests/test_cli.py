@@ -120,6 +120,19 @@ def test_wavefunction_grid_and_normalization(capsys):
     assert meta_lines(out)["normalization"] == "physical"
 
 
+def test_wavefunction_physical_amplitude_at_extended_precision(capsys):
+    # the exact normalization sum runs at the working precision, so the
+    # amplitude prints beyond float64 and agrees with the float64 run
+    argv = ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
+            "--k", "1", "--grid", "0.1,10,3", "--normalize", "physical"]
+    _, out, _ = run(argv + ["--precision", "113"], capsys)
+    wide = meta_lines(out)["amplitude"]
+    assert len(wide.replace(".", "").lstrip("0")) > 17
+    _, out, _ = run(argv, capsys)
+    narrow = float(meta_lines(out)["amplitude"])
+    assert float(wide) == pytest.approx(narrow, rel=1e-14)
+
+
 def test_wavefunction_output_file(tmp_path, capsys):
     path = tmp_path / "wf.json"
     code, out, _ = run(["wavefunction", "--zeta", "0.5", "--j", "0.5",

@@ -43,6 +43,8 @@ def test_ground_member():
     assert f.rank == 0
     assert f.coeffs[0] == pytest.approx(C0_REF, abs=1e-14)
     assert f.norm_squared() == pytest.approx(1.0, abs=1e-13)
+    # rho measure: c0^2 Gamma(2 lam) / 2^(2 lam) == lam - 1/2
+    assert f.rho_norm_squared() == pytest.approx(LAM - 0.5, rel=1e-14)
 
 
 def test_ground_requires_lam_above_half():
@@ -193,6 +195,20 @@ def test_negative_branch_shape_and_norm_guard():
         assert f.evaluate(rho) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(WrongBranch):
         f.norm_squared()
+    with pytest.raises(WrongBranch):
+        f.rho_norm_squared()
+
+
+def test_evaluate_with_derivative_both_branches():
+    rho = np.array([0.4, 1.5, 7.0])
+    h = 1e-5
+    for f in (raise_to_rank(ground(), 3), negative_branch_ground(LAM)):
+        value, deriv = f.evaluate_with_derivative(rho)
+        assert np.array_equal(value, f.evaluate(rho))
+        fd = (f.evaluate(rho + h) - f.evaluate(rho - h)) / (2 * h)
+        assert np.allclose(deriv, fd, rtol=1e-7)
+    with pytest.raises(DomainError):
+        ground().evaluate_with_derivative(np.array([1.0, 0.0]))
 
 
 def test_positive_form_frozen_values():

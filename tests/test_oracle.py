@@ -24,6 +24,7 @@ from diracladder import (
     matching_scan,
     negative_branch_ground,
     ode_residual,
+    physical_norm_integral,
     physical_normalize,
     raise_to_rank,
     shooting_solution,
@@ -108,6 +109,15 @@ def test_inner_product_guards():
         inner_product(f, g)
     with pytest.raises(WrongBranch):
         inner_product(f, negative_branch_ground(LAM))
+
+
+def test_physical_norm_quadrature_matches_exact_sum():
+    # the oracle's quadrature re-derives the exact basis sum of radial
+    for j, eps, zeta, k in ((0.5, -1, 1e-4, 0), (1.5, 1, 0.5, 12),
+                            (7.5, -1, 0.9, 40), (20.5, 1, 0.1, 60)):
+        sol = build_solution(bound_energy(make_channel(j, eps, zeta), k))
+        exact = sum(c.rho_norm_squared() for c in sol.components)
+        assert physical_norm_integral(sol) == pytest.approx(exact, rel=1e-12)
 
 
 def test_trapezoid_scheme_cross_checks_gauss():

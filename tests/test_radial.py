@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from diracladder import (
     count_radial_nodes,
     evaluate_on_grid,
     make_channel,
+    ode_residual,
     physical_norm_integral,
     physical_normalize,
 )
@@ -118,6 +120,39 @@ def test_physical_normalize():
     # projective: the input scale cannot matter
     scaled = physical_normalize(replace(solution(3), amplitude=7.0))
     assert scaled.amplitude == pytest.approx(sol.amplitude, rel=1e-12)
+
+
+def test_physical_normalize_past_old_quadrature_ceiling():
+    # the exact basis sum has no node grid, so ranks whose q^2 overflows a
+    # 256-node Gauss-Laguerre rule (k >= 123 here) still normalize
+    sol = physical_normalize(solution(130))
+    assert math.isfinite(sol.amplitude) and sol.amplitude > 0
+    assert ode_residual(sol).all_passed
+
+
+def test_physical_normalize_extended_precision():
+    with mpmath.workdps(40):
+        sol = physical_normalize(build_solution(
+            bound_energy(make_channel(0.5, -1, mpmath.mpf(1) / 2), 3)))
+        assert isinstance(sol.amplitude, mpmath.mpf)
+        exact = sum(c.rho_norm_squared() for c in sol.components)
+        assert abs(exact - 1) < mpmath.mpf("1e-35")
+        # independent 40-digit quadrature of F^2 + G^2 over the mpmath values
+        quad = mpmath.quad(lambda r: sol.F(r) ** 2 + sol.G(r) ** 2,
+                           [0, 1, 5, 20, mpmath.inf])
+        assert abs(quad - 1) < mpmath.mpf("1e-30")
+
+
+def test_components_carry_front_factors():
+    # F and G are the two scaled ladder-basis functions, on psi_plus's tower
+    sol = solution(2)
+    f, g = sol.components
+    assert f.lam == g.lam == sol.psi_plus.lam and f.degree == g.degree == 2
+    rho = np.array([0.3, 2.0, 9.0])
+    assert np.array_equal(sol.F(rho), f.evaluate(rho))
+    assert np.array_equal(sol.G(rho), g.evaluate(rho))
+    doubled = replace(sol, amplitude=2.0)
+    assert np.allclose(doubled.F(rho), 2.0 * sol.F(rho), rtol=1e-15)
 
 
 def test_derivative_evaluation_matches_finite_differences():
