@@ -27,6 +27,7 @@ from .errors import (
     InvalidQuantumNumber,
     NoSignChange,
     NotAnEigenfunction,
+    PrecisionLoss,
     QuadratureFailure,
     StiffnessFailure,
     Supercritical,
@@ -50,21 +51,6 @@ from .ladder import (
     positive_operator_check,
     raise_to_rank,
 )
-from .oracle import (
-    ShootingResult,
-    compare_spectrum,
-    component_norm_integral,
-    divergence_check,
-    inner_product,
-    laguerre_weighted_integral,
-    matching_determinant,
-    matching_scan,
-    ode_residual,
-    physical_norm_integral,
-    shooting_solution,
-    shooting_solve,
-    truncated_norms,
-)
 from .radial import (
     RadialSolution,
     WavefunctionTable,
@@ -81,7 +67,7 @@ __all__ = [
     "BoundState", "Channel", "bound_energy", "make_channel", "mu_from_energy",
     "spectrum_table", "state_from_energy", "zeta_from_charge",
     "DiracLadderError", "DomainError", "InvalidQuantumNumber", "NoSignChange",
-    "NotAnEigenfunction", "QuadratureFailure",
+    "NotAnEigenfunction", "PrecisionLoss", "QuadratureFailure",
     "StiffnessFailure", "Supercritical", "SupercriticalChannelWarning",
     "UnphysicalState", "WrongBranch",
     "LadderFunction", "OperatorMatrix", "apply_casimir", "apply_lowering",
@@ -99,3 +85,13 @@ __all__ = [
     "CheckResult", "VerificationReport",
     "SUITE_NAMES", "run_suite", "run_suites",
 ]
+
+
+def __getattr__(name):
+    # every name in __all__ not bound above is an oracle name; oracle loads
+    # scipy, which the closed-form side never needs, so it is imported on
+    # first use (PEP 562) and `import diracladder` stays scipy-free
+    if name in __all__:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

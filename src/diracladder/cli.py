@@ -29,12 +29,12 @@ from .errors import (
     DiracLadderError,
     DomainError,
     InvalidQuantumNumber,
+    PrecisionLoss,
     Supercritical,
     SupercriticalChannelWarning,
     UnphysicalState,
 )
 from .ladder import negative_branch_ground
-from .oracle import compare_spectrum, divergence_check, truncated_norms
 from .radial import build_solution, evaluate_on_grid, physical_normalize
 
 # The two conventions that differ from a naive reading of the source
@@ -333,6 +333,10 @@ def _cmd_wavefunction(args) -> int:
         lo, hi, n = args.grid
         grid = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
         table = evaluate_on_grid(solution, grid)
+        finite = np.isfinite(table.F) & np.isfinite(table.G)
+        if not finite.all():
+            raise PrecisionLoss(
+                f"F or G is not finite in float64 at rho = {float(table.rho[~finite][0])!r}")
 
         meta = _base_meta(args, bits, source)
         meta.update(coupling_meta)
@@ -373,6 +377,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
+    from .oracle import compare_spectrum     # scipy loads only for oracle commands
+
     bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
     rows = compare_spectrum(precision.to_float(zeta), args.j_max, args.k_max,
@@ -395,6 +401,8 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_demo_divergence(args) -> int:
+    from .oracle import divergence_check, truncated_norms
+
     bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
     channel = make_channel(args.j, args.eps, zeta)

@@ -48,5 +48,10 @@ class StiffnessFailure(DiracLadderError):
     """ODE integration overflowed or was rejected by the stepper."""
 
 
+class PrecisionLoss(DiracLadderError):
+    """Float64 could not carry a closed-form result: a value of F or G went
+    non-finite, or radial nodes failed their sign-change certificate."""
+
+
 class SupercriticalChannelWarning(UserWarning):
     """A channel requested in a sweep was supercritical and was skipped."""

@@ -51,6 +51,7 @@ from . import precision
 from .errors import (
     DomainError,
     NotAnEigenfunction,
+    PrecisionLoss,
     WrongBranch,
 )
 from .report import VerificationReport
@@ -71,6 +72,7 @@ __all__ = [
 ]
 
 _CASIMIR_REL_TOL = 1e-8    # apply_casimir's eigenfunction test
+_NEWTON_STEPS = 3          # cap on the Newton polish in LadderFunction.zeros
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +253,48 @@ class LadderFunction:
         q = self.polynomial(rho)
         dq = -2 * _evaluate_q(self.lam, _tail_sums(self.coeffs)[1:], rho)
         return weight * q, weight * (dq + ((lam - 0.5) / rho + sign) * q)
+
+    def zeros(self, lo, hi) -> np.ndarray:
+        """Zeros of q (hence of P) with lo < rho < hi, ascending, in float64.
+
+        On the orthonormal basis p_n = (-1)**n L_n / h_n, h_n**2 =
+        Gamma(n+a+1)/n!, x = 2*rho acts as the Jacobi matrix with diagonal
+        2n + a + 1 and off-diagonal sqrt(n*(n+a)); reducing x*p_(N-1) modulo q
+        subtracts sqrt(N*(N+a)) * d_m/d_N from the last column, d_m the
+        coefficients of q on p_m.  The real eigenvalues of this comrade matrix
+        (Barnett 1975) inside the window get at most _NEWTON_STEPS Newton steps
+        on q, stopping once every step is below 1e-14*rho; q, not P, because
+        the weight underflows far out.  Certificate: the signs of q at lo,
+        between consecutive zeros and at hi must change once per zero, else
+        PrecisionLoss; an uncertified list is never returned.
+        """
+        coeffs = [precision.to_float(c) for c in self.coeffs]
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        n, a = len(coeffs) - 1, 2 * precision.to_float(self.lam) - 1
+        rho = np.empty(0)
+        if n:
+            i = np.arange(1, n + 1)
+            d = np.array(coeffs) * np.sqrt(np.cumprod(np.r_[1.0, (i + a) / i]))
+            d[1::2] *= -1
+            beta = np.sqrt(i * (i + a))
+            comrade = np.diag(2.0 * i - 1 + a) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+            comrade[:, -1] -= beta[-1] * d[:-1] / d[-1]
+            x = np.linalg.eigvals(comrade)
+            rho = x.real[np.abs(x.imag) <= 1e-8 * np.abs(x.real)] / 2
+            rho = np.sort(rho[(rho > lo) & (rho < hi)])
+        tails = _tail_sums(coeffs)[1:]
+        for _ in range(_NEWTON_STEPS):
+            step = _evaluate_q(self.lam, coeffs, rho) / (-2 * _evaluate_q(self.lam, tails, rho))
+            rho = rho - step
+            if np.all(np.abs(step) <= 1e-14 * rho):
+                break
+        signs = np.sign(_evaluate_q(self.lam, coeffs,
+                                    np.r_[lo, (rho[1:] + rho[:-1]) / 2, hi]))
+        if not (np.all(np.abs(signs) == 1) and np.count_nonzero(np.diff(signs)) == rho.size):
+            raise PrecisionLoss(f"{rho.size} zeros of a degree-{n} polynomial failed "
+                                f"the sign-change certificate on ({lo}, {hi})")
+        return rho
 
     def norm_squared(self):
         """Exact x-measure norm integral (positive branch only)."""

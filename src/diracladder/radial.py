@@ -56,8 +56,6 @@ __all__ = [
     "count_radial_nodes",
 ]
 
-_NODE_SAMPLES = 4000       # scan points in count_radial_nodes
-
 
 @dataclass(frozen=True)
 class RadialSolution:
@@ -146,31 +144,16 @@ def physical_normalize(solution: RadialSolution) -> RadialSolution:
 
 
 def count_radial_nodes(solution: RadialSolution, component: str = "F") -> np.ndarray:
-    """Interior zeros of F or G: dense-grid sign changes, refined in brackets.
+    """Interior zeros of F or G: LadderFunction.zeros of that component.
 
-    The scan grid is log-spaced, _NODE_SAMPLES points from 1e-3 to
-    4*mu + 20, well past the outermost node (polynomial roots sit below the
-    classical turning region).  Double roots do not occur in this family, so
-    sign changes find every node.  Level k has k nodes in G; F has k nodes
-    for epsilon = -1 and k - 1 for epsilon = +1.  Each pass evaluates all
-    brackets at 65 points at once and keeps the first sign change, shrinking
-    them 64-fold.
+    Comrade-matrix roots of the polynomial part, Newton-polished on q and
+    certified by sign changes (PrecisionLoss otherwise), in the window
+    1e-3 < rho < 4*mu + 20.  The window reaches past the outermost node, and
+    its lower edge keeps out the root at rho <= 0 that F has for
+    epsilon = +1 (within rounding of 0 at tiny zeta).  Level k has k nodes
+    in G; F has k for epsilon = -1 and k - 1 for epsilon = +1.
     """
     if component not in ("F", "G"):
         raise DomainError(f"component must be 'F' or 'G', got {component!r}")
-    func = solution.F if component == "F" else solution.G
     rho_max = 4.0 * precision.to_float(solution.state.mu) + 20.0
-    grid = np.geomspace(1e-3, rho_max, _NODE_SAMPLES)
-    sign = np.sign(func(grid))
-    flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
-    lo, hi = grid[flips], grid[flips + 1]
-    rows = np.arange(flips.size)
-    for _ in range(20):
-        if np.all(hi - lo < 1e-13 * (1.0 + hi)):
-            break
-        pts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 65)
-        pts[:, -1] = hi
-        sign = np.sign(func(pts))
-        first = np.argmax(sign[:, 1:] != sign[:, :1], axis=1)
-        lo, hi = pts[rows, first], pts[rows, first + 1]
-    return 0.5 * (lo + hi)
+    return solution.components[component == "G"].zeros(1e-3, rho_max)

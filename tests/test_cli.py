@@ -162,6 +162,17 @@ def test_exit_code_domain(capsys):
     assert "half-odd" in err
 
 
+def test_wavefunction_refuses_non_finite_values(capsys):
+    # at k = 200 the float64 weight underflows at rho = 1500 while q
+    # overflows; the command stops instead of printing nan
+    code, out, err = run(["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
+                          "--k", "200", "--grid", "100,1500,6",
+                          "--normalize", "physical"], capsys)
+    assert code == 1
+    assert "nan" not in out
+    assert err.startswith("error:") and "rho = 1500.0" in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum"])

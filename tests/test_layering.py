@@ -2,10 +2,14 @@
 
 channels, ladder and radial generate every eigenfunction symbolically; the
 oracle checks them from outside.  The split is read from the sources with
-ast, so a lazy import inside a function counts too.
+ast, so a lazy import inside a function counts too.  At run time, importing
+the package and running the closed-form CLI commands leave scipy unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,25 @@ def test_import_scan_sees_lazy_and_relative_imports(tmp_path):
                       "from scipy.special import gamma\n", encoding="utf-8")
     names = imported_modules(source)
     assert ".oracle" in names and "scipy.special" in names
+
+
+CLI = "from diracladder.cli import main\nmain({})"
+COLD_PATHS = {
+    "import": "import diracladder",
+    "spectrum": CLI.format(['spectrum', '--zeta', '0.5', '--j-max', '1.5']),
+    "wavefunction": CLI.format(['wavefunction', '--zeta', '0.5', '--j', '0.5', '--eps', '-1',
+                                '--k', '3', '--normalize', 'physical']),
+}
+
+
+@pytest.mark.parametrize("path", sorted(COLD_PATHS))
+def test_cold_path_leaves_scipy_unloaded(path):
+    script = (f"import sys\n{COLD_PATHS[path]}\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -9,6 +9,8 @@ import pytest
 
 from diracladder import (
     DomainError,
+    LadderFunction,
+    PrecisionLoss,
     bound_energy,
     build_solution,
     count_radial_nodes,
@@ -18,6 +20,7 @@ from diracladder import (
     physical_norm_integral,
     physical_normalize,
 )
+from diracladder.verify import CHANNEL_GRID
 
 S_REF = 0.86602540378443864676
 RATIO_K0 = -3.7320508075688772935     # F/G = -sqrt((1+s)/(1-s)) at k=0
@@ -192,3 +195,99 @@ def test_positive_epsilon_channel_assembles_too():
     assert len(count_radial_nodes(sol, component="G")) == 2
     assert physical_norm_integral(physical_normalize(sol)) == pytest.approx(
         1.0, abs=1e-10)
+
+
+def scan_nodes(solution, component):
+    """Reference: sign changes of F or G on a 4000-point log grid over the
+    node window, each bracket shrunk 64-fold per pass to 1e-13 relative."""
+    func = solution.F if component == "F" else solution.G
+    grid = np.geomspace(1e-3, 4.0 * solution.state.mu + 20.0, 4000)
+    sign = np.sign(func(grid))
+    flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
+    lo, hi = grid[flips], grid[flips + 1]
+    rows = np.arange(flips.size)
+    for _ in range(20):
+        if np.all(hi - lo < 1e-13 * (1.0 + hi)):
+            break
+        pts = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 65)
+        pts[:, -1] = hi
+        sign = np.sign(func(pts))
+        first = np.argmax(sign[:, 1:] != sign[:, :1], axis=1)
+        lo, hi = pts[rows, first], pts[rows, first + 1]
+    return 0.5 * (lo + hi)
+
+
+def expected_nodes(eps, k, component):
+    return k - 1 if component == "F" and eps == 1 else k
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8, 12, 20, 30, 45, 60])
+def test_nodes_match_dense_scan(k):
+    for j, eps, zeta in CHANNEL_GRID:
+        if k == 0 and eps == 1:
+            continue
+        sol = solution(k, eps, zeta, j)
+        for component in "FG":
+            nodes = count_radial_nodes(sol, component)
+            ref = scan_nodes(sol, component)
+            label = (j, eps, zeta, k, component)
+            assert len(nodes) == len(ref) == expected_nodes(eps, k, component), label
+            assert np.all(np.abs(nodes - ref) <= 1e-10 * ref), label
+
+
+@pytest.mark.parametrize("j", [0.5, 20.5])
+def test_node_counts_high_in_the_tower(j):
+    for eps in (-1, 1):
+        for zeta in (1e-6, 0.5):
+            for k in (100, 200):
+                sol = solution(k, eps, zeta, j)
+                for component in "FG":
+                    assert len(count_radial_nodes(sol, component)) == \
+                        expected_nodes(eps, k, component), (j, eps, zeta, k, component)
+
+
+def test_node_counts_at_tiny_coupling():
+    # F of an eps=+1 level has a root at rho <= 0; at zeta=1e-6 it rounds to
+    # about +1e-14, and the window's lower edge keeps it out
+    assert len(count_radial_nodes(solution(1, 1, 1e-6, 20.5), "F")) == 0
+    assert len(count_radial_nodes(solution(100, 1, 1e-6, 1.5), "F")) == 99
+
+
+def test_each_node_is_a_sign_change_of_the_polynomial_part():
+    for j, eps, zeta, k in [(0.5, -1, 0.5, 12), (1.5, 1, 0.1, 40), (20.5, 1, 1e-6, 60),
+                            (0.5, -1, 0.9, 200)]:
+        sol = solution(k, eps, zeta, j)
+        for component, member in zip("FG", sol.components):
+            nodes = count_radial_nodes(sol, component)
+            below = member.polynomial(nodes * (1 - 1e-9))
+            above = member.polynomial(nodes * (1 + 1e-9))
+            assert np.all(np.sign(below) * np.sign(above) < 0), (j, eps, zeta, k, component)
+
+
+def test_zeros_against_numpy_laguerre_roots():
+    # lam = 1/2 puts q on the ordinary Laguerre basis L_n(2*rho), which
+    # numpy.polynomial.laguerre solves independently
+    # (and whose two complex roots must be left out)
+    coeffs = (0.3, -1.2, 0.5, 2.0, -0.7, 0.25)
+    roots = np.polynomial.laguerre.lagroots(coeffs)
+    want = np.sort(roots.real[np.abs(roots.imag) < 1e-9]) / 2
+    got = LadderFunction(lam=0.5, mu=0.5, coeffs=coeffs).zeros(1e-3, 100.0)
+    assert want.size == 3 and np.allclose(got, want, rtol=1e-12)
+    # L_2^(a)(x) vanishes at x = a + 2 -+ sqrt(a + 2)
+    a = 6.0
+    got = LadderFunction(lam=3.5, mu=5.5, coeffs=(0.0, 0.0, 1.0)).zeros(1e-3, 100.0)
+    assert np.allclose(got, (a + 2 + np.array([-1, 1]) * np.sqrt(a + 2)) / 2, rtol=1e-14)
+
+
+def test_zeros_window_and_rootless_polynomial():
+    member = LadderFunction(lam=3.5, mu=5.5, coeffs=(0.0, 0.0, 1.0))
+    assert member.zeros(1e-3, 4.0).size == 1      # the upper root is 5.41
+    # 2 + L_2^(0)(x) = (x^2 - 4x + 6)/2 has no real root
+    assert LadderFunction(lam=0.5, mu=0.5, coeffs=(2.0, 0.0, 1.0)).zeros(1e-3, 50.0).size == 0
+
+
+def test_uncertified_nodes_raise():
+    # at k=300 q overflows float64 at the window's upper edge, so the sign
+    # certificate cannot hold; the count is refused, not guessed
+    with pytest.raises(PrecisionLoss):
+        count_radial_nodes(solution(300), "F")
