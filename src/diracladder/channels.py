@@ -30,6 +30,7 @@ tau + zeta*m/kappa = 0, which requires tau < 0.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -86,9 +87,18 @@ class BoundState:
     nu: float
     mass: float
 
+    @property
+    def window(self) -> tuple[float, float]:
+        """Radii (1e-3, 4*mu + 20) where nodes and residuals are checked: past
+        the outermost node (~2*mu), above F's root at rho <= 0 for epsilon = +1.
+        """
+        return 1e-3, 4.0 * precision.to_float(self.mu) + 20.0
+
 
 def _is_half_odd_integer(j) -> bool:
     twice = precision.to_float(j) * 2.0
+    if not math.isfinite(twice):
+        return False
     nearest = round(twice)
     return abs(twice - nearest) < 1e-9 and nearest % 2 == 1 and nearest > 0
 
@@ -129,8 +139,9 @@ def make_channel(j, epsilon: int, zeta) -> Channel:
 def bound_energy(channel: Channel, k: int, mass=1.0) -> BoundState:
     """Exact level k of a channel, from the closed-form spectrum.
 
-    Raises InvalidQuantumNumber for k not a nonnegative integer and
-    UnphysicalState for the excluded (k = 0, epsilon = +1) combination.
+    Raises InvalidQuantumNumber for k not a nonnegative integer,
+    UnphysicalState for the excluded (k = 0, epsilon = +1) combination and
+    DomainError for a mass outside (0, inf).
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidQuantumNumber(f"k must be a nonnegative integer, got {k!r}")
@@ -138,8 +149,8 @@ def bound_energy(channel: Channel, k: int, mass=1.0) -> BoundState:
         raise UnphysicalState(
             f"k=0 is excluded in channel ({channel.label()}): it would force "
             f"tau = -zeta*m/kappa, but tau = {channel.tau} > 0")
-    if not mass > 0:
-        raise DomainError(f"mass must be positive, got {mass}")
+    if not 0 < mass < math.inf:
+        raise DomainError(f"mass must be positive and finite, got {mass}")
 
     mu = channel.lam + k
     ratio = channel.zeta / (mu - 0.5)          # = zeta/(s + k)

@@ -52,9 +52,9 @@ def _grid_type(text: str):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be 'min,max,count', got {text!r}") from exc
-    if not (0 < lo < hi) or n < 1:
+    if not (0 < lo < hi < math.inf) or n < 1:
         raise argparse.ArgumentTypeError(
-            f"grid needs 0 < min < max and count >= 1, got {text!r}")
+            f"grid needs 0 < min < max < inf and count >= 1, got {text!r}")
     return lo, hi, n
 
 
@@ -258,6 +258,9 @@ def _cmd_spectrum(args) -> int:
             raise Supercritical(
                 f"no subcritical channels with j <= {args.j_max} at zeta = {zeta}")
 
+        if not 0 < args.electron_mass_mev < math.inf:
+            raise DomainError(f"--electron-mass-mev must be positive and finite, "
+                              f"got {args.electron_mass_mev}")
         scale = args.electron_mass_mev if args.si else None
         merged = []
         if args.no_collapse:
@@ -332,7 +335,8 @@ def _cmd_wavefunction(args) -> int:
             solution = physical_normalize(solution)
         lo, hi, n = args.grid
         grid = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
-        table = evaluate_on_grid(solution, grid)
+        with np.errstate(over="ignore", invalid="ignore"):   # judged just below
+            table = evaluate_on_grid(solution, grid)
         finite = np.isfinite(table.F) & np.isfinite(table.G)
         if not finite.all():
             raise PrecisionLoss(

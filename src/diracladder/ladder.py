@@ -146,18 +146,20 @@ def _tail_sums(coeffs):
     return tails
 
 
-def _x_norm_sq(lam, coeffs):
-    # integral rho^(2*lam-2) exp(-2*rho) q^2 drho.  With x = 2*rho and
-    # L_m^(a) = sum_(i<=m) L_i^(a-1), q = sum_i T_i L_i^(a-1), and the
-    # L_i^(a-1) are orthogonal under x^(a-1) e^(-x) with squared norms
-    # Gamma(i+a)/i!.  Every term is nonnegative.
-    a = 2 * lam - 1
-    h = precision.gamma(a)
+def _norm_sq(coeffs, b):
+    """integral rho^b exp(-2*rho) q^2 drho for q = sum_n c_n L_n^(b)(2*rho).
+
+    The L_n^(b)(x) are orthogonal under x^b e^(-x) with squared norms
+    Gamma(n+b+1)/n!, so this is sum_n c_n^2 Gamma(n+b+1) / (n! * 2^(b+1)),
+    every term nonnegative.  Tail sums of coefficients on L_n^(a) are the
+    coefficients on L_n^(a-1), since L_m^(a) = sum_(i<=m) L_i^(a-1).
+    """
+    h = precision.gamma(b + 1)
     total = coeffs[0] * 0
-    for i, t in enumerate(_tail_sums(coeffs)):
-        total += t * t * h
-        h = h * (i + a) / (i + 1)
-    return total / precision.power(2.0, a)
+    for n, c in enumerate(coeffs):
+        total += c * c * h
+        h = h * (n + b + 1) / (n + 1)
+    return total / precision.power(2.0, b + 1)
 
 
 def _evaluate_q(lam, coeffs, rho):
@@ -254,6 +256,7 @@ class LadderFunction:
         dq = -2 * _evaluate_q(self.lam, _tail_sums(self.coeffs)[1:], rho)
         return weight * q, weight * (dq + ((lam - 0.5) / rho + sign) * q)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def zeros(self, lo, hi) -> np.ndarray:
         """Zeros of q (hence of P) with lo < rho < hi, ascending, in float64.
 
@@ -266,7 +269,8 @@ class LadderFunction:
         on q, stopping once every step is below 1e-14*rho; q, not P, because
         the weight underflows far out.  Certificate: the signs of q at lo,
         between consecutive zeros and at hi must change once per zero, else
-        PrecisionLoss; an uncertified list is never returned.
+        PrecisionLoss; an uncertified list is never returned.  numpy's
+        overflow warnings are silenced, because the certificate judges them.
         """
         coeffs = [precision.to_float(c) for c in self.coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -300,24 +304,18 @@ class LadderFunction:
         """Exact x-measure norm integral (positive branch only)."""
         if self.branch != "positive":
             raise WrongBranch("negative-branch norms diverge; see divergence_check")
-        return _x_norm_sq(self.lam, self.coeffs)
+        return _norm_sq(_tail_sums(self.coeffs), 2 * self.lam - 2)
 
     def rho_norm_squared(self):
         """Exact rho-measure norm integral P**2 drho (positive branch only).
 
         The weight rho**(2*lam-1) * exp(-2*rho) is the orthogonality weight of
-        the basis itself, so the integral is the diagonal sum
-        sum_n c_n**2 Gamma(n+a+1) / (n! * 2**(a+1)), a = 2*lam - 1.
+        the basis itself, so the integral is the diagonal sum _norm_sq of the
+        coefficients with b = 2*lam - 1.
         """
         if self.branch != "positive":
             raise WrongBranch("negative-branch norms diverge; see divergence_check")
-        a = 2 * self.lam - 1
-        h = precision.gamma(a + 1)
-        total = self.coeffs[0] * 0
-        for n, c in enumerate(self.coeffs):
-            total += c * c * h
-            h = h * (n + a + 1) / (n + 1)
-        return total / precision.power(2.0, a + 1)
+        return _norm_sq(self.coeffs, 2 * self.lam - 1)
 
 
 def ground_ladder_function(lam) -> LadderFunction:
@@ -474,9 +472,8 @@ def positive_operator_check(f: LadderFunction):
     """
     _require_positive_branch(f)
     lam, mu = f.lam, f.mu
-    nf = _x_norm_sq(lam, f.coeffs)
-    n_up = _x_norm_sq(lam, _raising_action(lam, mu, f.coeffs))
-    n_down = _x_norm_sq(lam, _lowering_action(lam, mu, f.coeffs))
+    nf, n_up, n_down = (_norm_sq(_tail_sums(c), 2 * lam - 2) for c in (
+        f.coeffs, _raising_action(lam, mu, f.coeffs), _lowering_action(lam, mu, f.coeffs)))
     return ((n_up + n_down) / 2 + mu * mu * nf) / nf
 
 

@@ -5,8 +5,9 @@ generalized Gauss-Laguerre quadrature (with a log-grid trapezoid cross-check)
 of pointwise polynomial values, which re-checks the exact norms of the
 algebraic side (member norms, and the physical norm that
 radial.physical_normalize sums exactly); the differential equations are
-checked pointwise from exact derivatives or finite differences, and energies
-are re-derived by two-sided shooting on the raw first-order system
+checked pointwise over BoundState.window, from exact derivatives or finite
+differences, and energies are re-derived by two-sided shooting on the raw
+first-order system
 
     F' = -(tau/rho) F + (1/nu + zeta/rho) G
     G' = +(tau/rho) G + (nu  - zeta/rho) F
@@ -20,14 +21,13 @@ spectrum is used only to seed nu brackets, never as the answer;
 matching_scan offers hint-free root counting.
 
 Quadrature follows one fixed policy per scheme, with no settable knobs:
-Gauss-Laguerre starts at 128 nodes and the log-grid trapezoid at 512, and
-each doubles its nodes, at most 5 times, until two successive estimates
-agree to 1e-10 (Gauss) or 1e-12 (trapezoid) relative to max(1, |estimate|).
-Gauss rules are capped at 360 nodes, where double-precision weights break
-down, so they compare 128 against 256 nodes only; the integrands are
-polynomials against fixed weights, and both rules are exact up to roundoff
-below degree 256.  An integral that has not settled within its policy
-raises QuadratureFailure.
+Gauss-Laguerre compares 128 against 256 nodes (one doubling; scipy's weights
+break down in double precision near 400 nodes), and the log-grid trapezoid
+starts at 512 nodes and doubles at most 5 times.  Two successive estimates
+must agree to 1e-10 (Gauss) or 1e-12 (trapezoid) relative to
+max(1, |estimate|).  The integrands are polynomials against fixed weights,
+and both rules are exact up to roundoff below degree 256.  An integral that
+has not settled within its policy raises QuadratureFailure.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import roots_genlaguerre
@@ -63,7 +64,6 @@ __all__ = [
     "inner_product",
     "physical_norm_integral",
     "ode_residual",
-    "default_residual_grid",
     "matching_determinant",
     "matching_scan",
     "shooting_solve",
@@ -73,15 +73,13 @@ __all__ = [
     "divergence_check",
 ]
 
-# quadrature policy per scheme: (starting nodes, tolerance); see above
+# quadrature policy per scheme: (starting nodes, doublings, tolerance); see above
 _GAUSS = "generalized-gauss-laguerre"
 _TRAPEZOID = "transformed-trapezoid-in-x"
-_POLICY = {_GAUSS: (128, 1e-10), _TRAPEZOID: (512, 1e-12)}
-_DOUBLINGS = 5
+_POLICY = {_GAUSS: (128, 1, 1e-10), _TRAPEZOID: (512, 5, 1e-12)}
 
-# scipy's generalized Gauss-Laguerre weights overflow to NaN near 400 nodes;
-# 360 is the last comfortable power-of-two-ish rung (256 doubled would pass it)
-_MAX_GAUSS_NODES = 360
+# log-grid points of the residual check; the 8th-order fd stencil takes 4x
+_RESIDUAL_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -105,19 +103,10 @@ def _laguerre_rule(n: int, alpha: float):
     return t, w
 
 
-def _poly_eval(coeffs, t):
-    acc = np.full_like(t, float(coeffs[-1]))
-    for c in reversed(coeffs[:-1]):
-        acc = acc * t + float(c)
-    return acc
-
-
-def _converge_by_doubling(rule, scheme: str, max_nodes=None):
-    n, tolerance = _POLICY[scheme]
+def _converge_by_doubling(rule, scheme: str):
+    n, doublings, tolerance = _POLICY[scheme]
     prev = rule(n)
-    for _ in range(_DOUBLINGS):
-        if max_nodes is not None and 2 * n > max_nodes:
-            break
+    for _ in range(doublings):
         n *= 2
         cur = rule(n)
         if not np.isfinite(cur):
@@ -142,7 +131,7 @@ def _weighted_integral(values_fn, alpha: float, degree: int,
             t, w = _laguerre_rule(n, float(alpha))
             return factor * float(np.dot(w, values_fn(t / 2.0)))
 
-        return _converge_by_doubling(gauss, scheme, max_nodes=_MAX_GAUSS_NODES)
+        return _converge_by_doubling(gauss, scheme)
 
     # Same integral under rho = e^x: the x-integrand decays like e^((alpha+1)x)
     # to the left and e^(-2 e^x) to the right, so plain trapezoid on a wide
@@ -169,14 +158,13 @@ def laguerre_weighted_integral(coeffs, alpha: float):
     policy.
     """
     coeffs = [precision.to_float(c) for c in coeffs]
-    return _weighted_integral(lambda rho: _poly_eval(coeffs, rho),
-                              alpha, len(coeffs) - 1)
+    return _weighted_integral(lambda rho: polyval(rho, coeffs), alpha, len(coeffs) - 1)
 
 
 def component_norm_integral(polys, alpha: float) -> float:
     """integral rho^alpha * exp(-2*rho) * sum_j p_j(rho)^2 drho.
 
-    Squares are formed pointwise after Horner evaluation, never by
+    Squares are formed pointwise after Horner evaluation (polyval), never by
     convolving coefficients: the summed integrand is nonnegative, so the
     quadrature sum has no catastrophic cancellation even at high rank.
     """
@@ -184,7 +172,7 @@ def component_norm_integral(polys, alpha: float) -> float:
     degree = 2 * max(len(p) - 1 for p in polys)
 
     def values(rho):
-        return sum(_poly_eval(p, rho) ** 2 for p in polys)
+        return sum(polyval(rho, p) ** 2 for p in polys)
 
     return _weighted_integral(values, alpha, degree)
 
@@ -237,40 +225,33 @@ def physical_norm_integral(solution: RadialSolution) -> float:
 # ---------------------------------------------------------------------------
 # differential-equation residual
 
-def default_residual_grid() -> np.ndarray:
-    return np.geomspace(1e-3, 30.0, 2000)
-
-
 def _fd_first_derivative(values: np.ndarray, h: float) -> np.ndarray:
     # 8th-order central stencil; returns interior values (4 trimmed per side)
     c = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0
     return np.convolve(values, c[::-1], mode="valid") / h
 
 
-def ode_residual(solution: RadialSolution, grid=None, method: str = "exact",
+def ode_residual(solution: RadialSolution, method: str = "exact",
                  tolerance: float = 1e-8) -> VerificationReport:
     """Pointwise residuals of both first-order equations, sup and RMS.
 
-    method 'exact' differentiates the polynomial form analytically; 'fd'
-    rebuilds derivatives by high-order finite differences on a log grid and
-    so also cross-checks the evaluation code.  Residuals are normalized by
-    the local sum of term magnitudes (plus a machine floor).
+    The log grid spans the state's window (BoundState.window, past the
+    outermost node).  method 'exact' differentiates the polynomial form
+    analytically; 'fd' uses 8th-order finite differences on 4x the points
+    and so also cross-checks the evaluation code.  Residuals are normalized
+    by the local sum of term magnitudes (plus a machine floor); NaN fails.
     """
     st = solution.state
     tau = precision.to_float(st.channel.tau)
     zeta = precision.to_float(st.channel.zeta)
     nu = precision.to_float(st.nu)
-
-    if grid is None:
-        grid = default_residual_grid()
-    rho = np.asarray(grid, dtype=float)
-    if rho.size < 2 or np.any(rho <= 0) or np.any(np.diff(rho) <= 0):
-        raise DomainError("grid must be positive, sorted, of length >= 2")
+    lo, hi = st.window
 
     if method == "exact":
+        rho = np.geomspace(lo, hi, _RESIDUAL_POINTS)
         f, g, fp, gp = solution.evaluate_with_derivatives(rho)
     elif method == "fd":
-        x = np.linspace(np.log(rho[0]), np.log(rho[-1]), max(2000, 4 * rho.size))
+        x = np.linspace(np.log(lo), np.log(hi), 4 * _RESIDUAL_POINTS)
         rg = np.exp(x)
         f_all, g_all = solution.F(rg), solution.G(rg)
         h = x[1] - x[0]
@@ -397,8 +378,8 @@ def _shoot(channel: Channel, k: int, mass: float) -> tuple[float, float]:
     # (nu, E) of level k.  The closed form is a hint only: with r_n =
     # zeta/(s + n) (= kappa/E of level n) the walls sit 45% of the way to the
     # neighbouring levels, and nu = r/(1 + sqrt(1 + r^2)) maps them into (0, 1)
-    if not mass > 0:
-        raise DomainError(f"mass must be positive, got {mass}")
+    if not 0 < mass < np.inf:
+        raise DomainError(f"mass must be positive and finite, got {mass}")
     s = precision.to_float(channel.s)
     zeta = precision.to_float(channel.zeta)
     r_k, r_next = zeta / (s + k), zeta / (s + k + 1)
@@ -475,7 +456,8 @@ def truncated_norms(f: LadderFunction, cutoffs) -> np.ndarray:
     if f.branch != "negative":
         raise WrongBranch("truncated norms are a negative-branch diagnostic")
     cuts = np.asarray(list(cutoffs), dtype=float)
-    if cuts.size < 2 or np.any(cuts <= 0) or np.any(np.diff(cuts) <= 0):
+    # written as all(... > 0) so that NaN fails; inf fails the 300 cap
+    if cuts.size < 2 or not (np.all(cuts > 0) and np.all(np.diff(cuts) > 0)):
         raise DomainError("cutoffs must be >= 2 positive increasing radii")
     if cuts[-1] > 300.0:
         raise DomainError("cutoff beyond 300 would overflow e^(2*rho)")

@@ -147,13 +147,11 @@ def count_radial_nodes(solution: RadialSolution, component: str = "F") -> np.nda
     """Interior zeros of F or G: LadderFunction.zeros of that component.
 
     Comrade-matrix roots of the polynomial part, Newton-polished on q and
-    certified by sign changes (PrecisionLoss otherwise), in the window
-    1e-3 < rho < 4*mu + 20.  The window reaches past the outermost node, and
-    its lower edge keeps out the root at rho <= 0 that F has for
-    epsilon = +1 (within rounding of 0 at tiny zeta).  Level k has k nodes
-    in G; F has k for epsilon = -1 and k - 1 for epsilon = +1.
+    certified by sign changes (PrecisionLoss otherwise), inside the state's
+    window 1e-3 < rho < 4*mu + 20 (BoundState.window, which the residual
+    check in oracle.ode_residual reads too).  Level k has k nodes in G; F
+    has k for epsilon = -1 and k - 1 for epsilon = +1.
     """
     if component not in ("F", "G"):
         raise DomainError(f"component must be 'F' or 'G', got {component!r}")
-    rho_max = 4.0 * precision.to_float(solution.state.mu) + 20.0
-    return solution.components[component == "G"].zeros(1e-3, rho_max)
+    return solution.components[component == "G"].zeros(*solution.state.window)

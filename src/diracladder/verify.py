@@ -30,6 +30,9 @@ from .report import VerificationReport
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_suites", "CHANNEL_GRID"]
 
+# deepest rank and tolerance of the oracle-backed suites (quadrature, ode)
+_ORACLE_K_MAX, _ORACLE_TOL = 10, 1e-8
+
 # (j, epsilon, zeta); all subcritical since zeta < 1 <= j + 1/2
 CHANNEL_GRID = [(j, eps, zeta)
                 for zeta in (0.1, 0.5, 0.9)
@@ -139,16 +142,16 @@ def suite_casimir(k_max: int = 20, tolerance: float = 1e-10) -> VerificationRepo
     return report
 
 
-def suite_quadrature(k_max: int = 10, tolerance: float = 1e-8) -> VerificationReport:
+def suite_quadrature() -> VerificationReport:
     from . import oracle       # loads scipy; only the oracle-backed suites need it
     report = VerificationReport("quadrature orthonormality")
     worst_norm = 0.0
     count = 0
     for channel in _grid_towers():
-        for _, f in _chain(channel.lam, k_max):
+        for _, f in _chain(channel.lam, _ORACLE_K_MAX):
             count += 1
             worst_norm = max(worst_norm, abs(oracle.inner_product(f, f) - 1.0))
-    report.add(f"unit norms along towers ({count} members)", worst_norm, tolerance)
+    report.add(f"unit norms along towers ({count} members)", worst_norm, _ORACLE_TOL)
 
     lam = make_channel(0.5, -1, 0.5).lam
     members = dict(_chain(lam, 3))
@@ -164,25 +167,25 @@ def suite_quadrature(k_max: int = 10, tolerance: float = 1e-8) -> VerificationRe
     st = bound_energy(make_channel(0.5, -1, 0.5), 2)
     sol = physical_normalize(build_solution(st))
     report.add("physical normalization integral == 1",
-               abs(oracle.physical_norm_integral(sol) - 1.0), tolerance,
+               abs(oracle.physical_norm_integral(sol) - 1.0), _ORACLE_TOL,
                detail="exact sum vs Gauss-Laguerre")
     return report
 
 
-def suite_ode(k_max: int = 10, tolerance: float = 1e-8) -> VerificationReport:
+def suite_ode() -> VerificationReport:
     from . import oracle
     report = VerificationReport("first-order system residuals")
     worst = 0.0
     count = 0
     for j, eps, zeta in CHANNEL_GRID:
         channel = make_channel(j, eps, zeta)
-        for k in range(k_max + 1):
+        for k in range(_ORACLE_K_MAX + 1):
             if k == 0 and eps == 1:
                 continue
             count += 1
             sol = build_solution(bound_energy(channel, k))
             worst = max(worst, *(abs(c.measured) for c in oracle.ode_residual(sol).checks))
-    report.add(f"sup residual, exact derivatives ({count} states)", worst, tolerance)
+    report.add(f"sup residual, exact derivatives ({count} states)", worst, _ORACLE_TOL)
 
     channel = make_channel(0.5, -1, 0.5)
     sol = build_solution(bound_energy(channel, 2))
@@ -203,7 +206,8 @@ def suite_ode(k_max: int = 10, tolerance: float = 1e-8) -> VerificationReport:
     return report
 
 
-def suite_matrices(K: int = 8, tolerance: float = 1e-12) -> VerificationReport:
+def suite_matrices() -> VerificationReport:
+    K = 8
     report = VerificationReport("truncated matrix representation")
     worst_trace12 = 0.0
     worst_trace3 = 0.0
@@ -232,7 +236,7 @@ def suite_matrices(K: int = 8, tolerance: float = 1e-12) -> VerificationReport:
     report.add("omega1/omega2 traces vanish exactly", worst_trace12, 0.0)
     report.add("omega3 trace vanishes by branch pairing", worst_trace3, 1e-12)
     report.add("symmetry classes (antisym/anti-Hermitian/Hermitian)", worst_sym, 0.0)
-    report.add("interior rows of [omega1, omega2] - i*omega3", worst_comm, tolerance)
+    report.add("interior rows of [omega1, omega2] - i*omega3", worst_comm, 1e-12)
     report.add("towers stay disconnected", worst_block, 0.0)
     return report
 

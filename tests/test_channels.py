@@ -51,9 +51,13 @@ def test_omega_equals_angular_invariant_minus_coupling_squared():
 
 
 def test_j_must_be_half_odd_integer():
-    for bad in (0.6, 1.0, 0.0, -0.5, 2):
+    for bad in (0.6, 1.0, 0.0, -0.5, 2, float("nan"), float("inf"), -float("inf"),
+                mpmath.mpf("nan"), mpmath.inf):
         with pytest.raises(InvalidQuantumNumber):
             make_channel(bad, -1, 0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidQuantumNumber):
+            spectrum_table(0.5, bad, 2)
 
 
 def test_epsilon_and_zeta_validation():
@@ -125,8 +129,9 @@ def test_mass_scaling():
     st2 = bound_energy(ref_channel(), 2, mass=3.5)
     assert st2.energy == pytest.approx(3.5 * st1.energy, rel=1e-15)
     assert st2.nu == pytest.approx(st1.nu, rel=1e-15)
-    with pytest.raises(DomainError):
-        bound_energy(ref_channel(), 2, mass=0.0)
+    for bad in (0.0, -1.0, float("inf"), float("nan"), mpmath.inf):
+        with pytest.raises(DomainError):
+            bound_energy(ref_channel(), 2, mass=bad)
 
 
 def test_mu_from_energy_inverts_spectrum():

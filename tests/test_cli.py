@@ -1,6 +1,7 @@
 """Front-end contract: table shapes, metadata, precision echo, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -164,13 +165,42 @@ def test_exit_code_domain(capsys):
 
 def test_wavefunction_refuses_non_finite_values(capsys):
     # at k = 200 the float64 weight underflows at rho = 1500 while q
-    # overflows; the command stops instead of printing nan
-    code, out, err = run(["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
-                          "--k", "200", "--grid", "100,1500,6",
-                          "--normalize", "physical"], capsys)
+    # overflows; the command stops instead of printing nan.  It judges
+    # finiteness itself, so numpy's overflow warnings are silenced: under
+    # warnings-as-errors it still exits 1, and stderr is one line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["wavefunction", "--zeta", "0.5", "--j", "0.5",
+                              "--eps", "-1", "--k", "200", "--grid", "100,1500,6",
+                              "--normalize", "physical"], capsys)
     assert code == 1
     assert "nan" not in out
     assert err.startswith("error:") and "rho = 1500.0" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--zeta", "0.5", "--j", "nan", "--eps", "-1", "--k", "1"],
+    ["wavefunction", "--zeta", "0.5", "--j", "inf", "--eps", "-1", "--k", "1"],
+    ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1", "--k", "1",
+     "--grid", "0.1,inf,5"],
+    ["spectrum", "--zeta", "0.5", "--j-max", "nan"],
+    ["spectrum", "--zeta", "0.5", "--mass", "inf"],
+    ["spectrum", "--zeta", "0.5", "--mass", "nan"],
+    ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "nan"],
+    ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "inf"],
+    ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "-1"],
+    ["oracle-compare", "--zeta", "0.5", "--mass", "inf"],
+    ["demo-divergence", "--zeta", "0.5", "--cutoffs", "5,nan"],
+])
+def test_non_finite_or_non_positive_inputs_exit_two(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:      # rejected by the argument parser
+        code = exc.code
+    out, _ = capsys.readouterr()
+    assert code == 2
+    assert "nan" not in out
 
 
 def test_usage_errors_exit_two(capsys):

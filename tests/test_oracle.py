@@ -32,7 +32,7 @@ from diracladder import (
     state_from_energy,
     truncated_norms,
 )
-from diracladder.oracle import default_residual_grid
+from diracladder.radial import RadialSolution, count_radial_nodes
 
 LAM = 1.3660254037844386468
 N5_REF = 33075.131063410606081     # integral_0^5 rho^(2lam-2) e^(2rho) drho
@@ -129,13 +129,6 @@ def test_trapezoid_scheme_cross_checks_gauss():
 # ---------------------------------------------------------------------------
 # residuals
 
-def test_default_grid_shape():
-    grid = default_residual_grid()
-    assert grid.size == 2000
-    assert grid[0] == pytest.approx(1e-3)
-    assert grid[-1] == pytest.approx(30.0)
-
-
 def test_ode_residual_exact_solution():
     for k in (0, 1, 4):
         rep = ode_residual(build_solution(bound_energy(ref_channel(), k)))
@@ -159,14 +152,28 @@ def test_ode_residual_detects_detuning():
     assert max(abs(c.measured) for c in rep.checks) > 1e-4
 
 
-def test_ode_residual_grid_validation():
+def test_ode_residual_method_validation():
     sol = build_solution(bound_energy(ref_channel(), 1))
     with pytest.raises(DomainError):
-        ode_residual(sol, grid=[2.0, 1.0])
-    with pytest.raises(DomainError):
-        ode_residual(sol, grid=[0.0, 1.0])
-    with pytest.raises(DomainError):
         ode_residual(sol, method="spectral")
+
+
+@pytest.mark.parametrize("j, k", [(20.5, 10), (0.5, 20), (0.5, 60)])
+def test_ode_residual_grid_reaches_past_every_node(monkeypatch, j, k):
+    # the outermost nodes sit at rho = 45.2, 33.9 and 110.4: past a fixed
+    # grid ending at 30, inside the state's window 4*mu + 20
+    sol = build_solution(bound_energy(make_channel(j, -1, 0.5), k))
+    seen = []
+    evaluate = RadialSolution.evaluate_with_derivatives
+
+    def spy(self, rho):
+        seen.append(np.asarray(rho))
+        return evaluate(self, rho)
+
+    monkeypatch.setattr(RadialSolution, "evaluate_with_derivatives", spy)
+    assert ode_residual(sol).all_passed
+    (rho,) = seen
+    assert rho.max() > max(count_radial_nodes(sol, c)[-1] for c in ("F", "G"))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +215,9 @@ def test_shooting_rejects_bad_input():
     ch = ref_channel()
     with pytest.raises(DomainError):
         shooting_solve(ch, -1)
-    with pytest.raises(DomainError):
-        shooting_solve(ch, 1, mass=0.0)
+    for mass in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            shooting_solve(ch, 1, mass=mass)
     for nu in (0.0, -0.1, 1.0):
         with pytest.raises(DomainError):
             matching_determinant(ch, nu, k=1)
@@ -287,6 +295,9 @@ def test_truncated_norms_guards():
         truncated_norms(f, [10.0, 5.0])
     with pytest.raises(DomainError):
         truncated_norms(f, [5.0, 400.0])
+    for cuts in ([5.0, np.nan], [np.nan, 5.0], [5.0, np.inf]):
+        with pytest.raises(DomainError):
+            truncated_norms(f, cuts)
 
 
 def test_divergence_check_passes_and_beats_bound():
