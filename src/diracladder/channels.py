@@ -10,13 +10,14 @@ the whole package:
     omega  = tau^2 - zeta^2 - 1/4         Casimir eigenvalue
            = lambda*(lambda - 1) = j*(j + 1) - zeta^2
 
+Energies and wavenumbers are in units of the particle mass m (m = 1).
 Bound states carry a radial label k = 0, 1, 2, ... and a phase label
 mu = lambda + k.  Dimensionless radial variable: rho = kappa*r with
-kappa = sqrt(m^2 - E^2), and nu = sqrt((m - E)/(m + E)).
+kappa = sqrt(1 - E^2), and nu = sqrt((1 - E)/(1 + E)).
 
 The closed-form spectrum is
 
-    E = m / sqrt(1 + zeta^2 / (mu - 1/2)^2),      mu - 1/2 = s + k,
+    E = 1 / sqrt(1 + zeta^2 / (mu - 1/2)^2),      mu - 1/2 = s + k,
 
 which coincides with the standard hydrogenic fine-structure series.  Note the
 offset: mu = zeta*E/kappa + 1/2, so the energy identity reads
@@ -25,7 +26,7 @@ kappa = zeta*E / (mu - 1/2); this is the numerically stable way around
 
 The combination k = 0 with epsilon = +1 is rejected: the nodeless solution
 has a single ladder component, and the first-order system then forces
-tau + zeta*m/kappa = 0, which requires tau < 0.
+tau + zeta/kappa = 0, which requires tau < 0.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class Channel:
 class BoundState:
     """A single bound level of a channel.
 
-    energy and wavenumber satisfy energy^2 + wavenumber^2 = mass^2, and
-    mu - 1/2 = zeta*energy/wavenumber.
+    energy and wavenumber, in units of the mass, satisfy
+    energy^2 + wavenumber^2 = 1, and mu - 1/2 = zeta*energy/wavenumber.
     """
 
     channel: Channel
@@ -85,7 +86,6 @@ class BoundState:
     energy: float
     wavenumber: float
     nu: float
-    mass: float
 
     @property
     def window(self) -> tuple[float, float]:
@@ -136,61 +136,55 @@ def make_channel(j, epsilon: int, zeta) -> Channel:
                    lam=lam, omega=omega)
 
 
-def bound_energy(channel: Channel, k: int, mass=1.0) -> BoundState:
+def bound_energy(channel: Channel, k: int) -> BoundState:
     """Exact level k of a channel, from the closed-form spectrum.
 
-    Raises InvalidQuantumNumber for k not a nonnegative integer,
-    UnphysicalState for the excluded (k = 0, epsilon = +1) combination and
-    DomainError for a mass outside (0, inf).
+    Raises InvalidQuantumNumber for k not a nonnegative integer and
+    UnphysicalState for the excluded (k = 0, epsilon = +1) combination.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidQuantumNumber(f"k must be a nonnegative integer, got {k!r}")
     if k == 0 and channel.epsilon == 1:
         raise UnphysicalState(
             f"k=0 is excluded in channel ({channel.label()}): it would force "
-            f"tau = -zeta*m/kappa, but tau = {channel.tau} > 0")
-    if not 0 < mass < math.inf:
-        raise DomainError(f"mass must be positive and finite, got {mass}")
+            f"tau = -zeta/kappa, but tau = {channel.tau} > 0")
 
     mu = channel.lam + k
     ratio = channel.zeta / (mu - 0.5)          # = zeta/(s + k)
-    energy = mass / precision.sqrt(1.0 + ratio * ratio)
+    energy = 1.0 / precision.sqrt(1.0 + ratio * ratio)
     wavenumber = ratio * energy                # kappa = zeta*E/(mu - 1/2)
-    # sqrt((m - E)/(m + E)) rewritten without the cancellation in m - E
+    # sqrt((1 - E)/(1 + E)) rewritten without the cancellation in 1 - E
     nu = ratio / (1.0 + precision.sqrt(1.0 + ratio * ratio))
     return BoundState(channel=channel, k=k, mu=mu, energy=energy,
-                      wavenumber=wavenumber, nu=nu, mass=mass)
+                      wavenumber=wavenumber, nu=nu)
 
 
-def state_from_energy(channel: Channel, k: int, energy, mass=1.0) -> BoundState:
+def state_from_energy(channel: Channel, k: int, energy) -> BoundState:
     """Package an externally supplied energy (e.g. from shooting) as a state.
 
     mu is inferred from the energy, not from lambda + k, so this is also the
     tool for building deliberately detuned states.  nu and mu are formed from
-    m - E of the given float E, so at small zeta they carry a relative error
-    of about 1e-16 * m/(m - E) (4e-4 at zeta = 1e-6); bound_energy is the
-    exact path for spectrum states.
+    1 - E of the given float E, so at small zeta they carry a relative error
+    of about 1e-16/(1 - E) (4e-4 at zeta = 1e-6); bound_energy is the exact
+    path for spectrum states.
     """
-    if not (0 < energy < mass):
-        raise DomainError(f"energy must lie in (0, mass), got {energy}")
-    wavenumber = precision.sqrt((mass - energy) * (mass + energy))
-    nu = precision.sqrt((mass - energy) / (mass + energy))
-    mu = channel.zeta * energy / wavenumber + 0.5
+    mu = mu_from_energy(energy, channel.zeta)
     return BoundState(channel=channel, k=k, mu=mu, energy=energy,
-                      wavenumber=wavenumber, nu=nu, mass=mass)
+                      wavenumber=precision.sqrt((1.0 - energy) * (1.0 + energy)),
+                      nu=precision.sqrt((1.0 - energy) / (1.0 + energy)))
 
 
-def mu_from_energy(energy, zeta, mass=1.0):
-    """Invert the spectrum: the phase label mu of a level with this energy."""
-    if not (0 < energy < mass):
-        raise DomainError(f"energy must lie in (0, mass), got {energy}")
+def mu_from_energy(energy, zeta):
+    """Invert the spectrum: the phase label mu of a level with energy E < 1."""
+    if not (0 < energy < 1):
+        raise DomainError(f"energy must lie in (0, 1), got {energy}")
     if not zeta > 0:
         raise InvalidQuantumNumber(f"zeta must be positive, got {zeta}")
-    wavenumber = precision.sqrt((mass - energy) * (mass + energy))
+    wavenumber = precision.sqrt((1.0 - energy) * (1.0 + energy))
     return zeta * energy / wavenumber + 0.5
 
 
-def spectrum_table(zeta, j_max, k_max: int, mass=1.0) -> list[BoundState]:
+def spectrum_table(zeta, j_max, k_max: int) -> list[BoundState]:
     """All bound states with j <= j_max and k <= k_max, sorted by energy.
 
     Supercritical channels are skipped with a SupercriticalChannelWarning.
@@ -215,7 +209,7 @@ def spectrum_table(zeta, j_max, k_max: int, mass=1.0) -> list[BoundState]:
             for k in range(k_max + 1):
                 if k == 0 and epsilon == 1:
                     continue
-                states.append(bound_energy(channel, k, mass))
+                states.append(bound_energy(channel, k))
     states.sort(key=lambda st: (precision.to_float(st.energy),
                                 precision.to_float(st.channel.j),
                                 st.k, st.channel.epsilon))

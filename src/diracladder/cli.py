@@ -69,14 +69,12 @@ def _cutoffs_type(text: str):
     return cuts
 
 
-def _add_common(parser: argparse.ArgumentParser, mass: bool, extended: bool):
-    # --precision only where the arithmetic honours it, --mass only where used
-    if mass:
-        parser.add_argument("--mass", type=float, default=1.0,
-                            help="particle mass in its own units (default 1)")
+def _add_common(parser: argparse.ArgumentParser, extended: bool):
+    # --precision only where the arithmetic honours it
     if extended:
         parser.add_argument("--precision", type=int, default=None, metavar="BITS",
-                            help="working precision in bits (default 53 or "
+                            help="working precision in bits, 53 to "
+                                 f"{_MAX_PRECISION_BITS} (default 53 or "
                                  "DIRACLADDER_PRECISION)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None, metavar="PATH",
@@ -114,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--electron-mass-mev", type=float,
                    default=precision.ELECTRON_MASS_MEV,
                    help="rest energy used by --si")
-    _add_common(p, mass=True, extended=True)
+    _add_common(p, extended=True)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="evaluate (rho, F, G) on a grid")
@@ -127,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.add_argument("--normalize", choices=("algebraic", "physical"),
                    default="algebraic")
-    _add_common(p, mass=True, extended=True)
+    _add_common(p, extended=True)
     p.set_defaults(func=_cmd_wavefunction)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -140,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coupling(p)
     p.add_argument("--j-max", type=float, default=0.5)
     p.add_argument("--k-max", type=int, default=2)
-    _add_common(p, mass=True, extended=False)
+    _add_common(p, extended=False)
     p.set_defaults(func=_cmd_oracle_compare)
 
     p = sub.add_parser("demo-divergence",
@@ -150,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--cutoffs", type=_cutoffs_type, default=(5.0, 10.0, 20.0, 40.0),
                    metavar="R1,R2,...")
-    _add_common(p, mass=False, extended=False)
+    _add_common(p, extended=False)
     p.set_defaults(func=_cmd_demo_divergence)
     return parser
 
@@ -162,17 +160,28 @@ def build_parser() -> argparse.ArgumentParser:
 # --precision; their metadata says so whatever DIRACLADDER_PRECISION holds
 _FLOAT64_ONLY = (53, "fixed (float64 command)")
 
+# highest --precision / DIRACLADDER_PRECISION: mpmath's cost grows steeply
+# with the bits, and an unbounded value can run for minutes
+_MAX_PRECISION_BITS = 1024
+
 
 def _resolve_precision(args) -> tuple[int, str]:
+    env = os.environ.get("DIRACLADDER_PRECISION")
     if args.precision is not None:
         bits, source = args.precision, "command line"
-    elif os.environ.get("DIRACLADDER_PRECISION"):
-        bits, source = int(os.environ["DIRACLADDER_PRECISION"]), \
-            "environment DIRACLADDER_PRECISION"
+    elif env:
+        bits, source = env, "environment DIRACLADDER_PRECISION"
     else:
         bits, source = 53, "default"
-    if bits < 53:
-        raise DomainError(f"precision below 53 bits is not supported, got {bits}")
+    try:
+        bits = int(bits)
+    except ValueError as exc:
+        # only the environment hands over text; argparse checks the flag
+        raise DomainError(f"DIRACLADDER_PRECISION must be a whole number of bits, "
+                          f"got {bits!r}") from exc
+    if not 53 <= bits <= _MAX_PRECISION_BITS:
+        raise DomainError(f"precision must lie between 53 and {_MAX_PRECISION_BITS} "
+                          f"bits, got {bits}")
     return bits, source
 
 
@@ -190,8 +199,9 @@ def _resolve_zeta(args, bits: int):
             raise InvalidQuantumNumber("--alpha only makes sense with --Z")
         zeta = _parse_real(args.zeta, bits)
         return zeta, {"zeta": _fmt(zeta, bits)}
-    alpha = (_parse_real(alpha_text, bits) if alpha_text is not None
-             else precision.FINE_STRUCTURE_ALPHA)
+    if alpha_text is None:
+        alpha_text = repr(precision.FINE_STRUCTURE_ALPHA)
+    alpha = _parse_real(alpha_text, bits)
     z = _parse_real(args.Z, bits)
     zeta = zeta_from_charge(z, alpha)
     return zeta, {"Z": _fmt(z, bits), "alpha": _fmt(alpha, bits),
@@ -248,10 +258,9 @@ def _cmd_spectrum(args) -> int:
     bits, source = _resolve_precision(args)
     with mpmath.workprec(bits):
         zeta, coupling_meta = _resolve_zeta(args, bits)
-        mass = _parse_real(repr(args.mass), bits)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            states = spectrum_table(zeta, args.j_max, args.k_max, mass=mass)
+            states = spectrum_table(zeta, args.j_max, args.k_max)
         skipped = [str(w.message) for w in caught
                    if issubclass(w.category, SupercriticalChannelWarning)]
         if not states:
@@ -281,8 +290,7 @@ def _cmd_spectrum(args) -> int:
         text_rows, value_rows = [], []
         for st, eps_list in merged:
             eps_list = sorted(eps_list)
-            energy = st.energy / st.mass
-            kappa = st.wavenumber / st.mass
+            energy, kappa = st.energy, st.wavenumber
             if scale is not None:
                 energy, kappa = energy * scale, kappa * scale
             row = {
@@ -304,7 +312,6 @@ def _cmd_spectrum(args) -> int:
         meta = _base_meta(args, bits, source)
         meta.update(coupling_meta)
         meta.update({
-            "mass": _fmt(mass, bits),
             "j_max": args.j_max,
             "k_max": args.k_max,
             "energy_unit": "MeV" if args.si else "units of mass",
@@ -327,9 +334,8 @@ def _cmd_wavefunction(args) -> int:
     bits, source = _resolve_precision(args)
     with mpmath.workprec(bits):
         zeta, coupling_meta = _resolve_zeta(args, bits)
-        mass = _parse_real(repr(args.mass), bits)
         channel = make_channel(args.j, args.eps, zeta)
-        state = bound_energy(channel, args.k, mass=mass)
+        state = bound_energy(channel, args.k)
         solution = build_solution(state)
         if args.normalize == "physical":
             solution = physical_normalize(solution)
@@ -346,11 +352,10 @@ def _cmd_wavefunction(args) -> int:
         meta.update(coupling_meta)
         meta.update({
             "j": args.j, "eps": args.eps, "k": args.k,
-            "mass": _fmt(mass, bits),
             "lambda": _fmt(channel.lam, bits),
             "mu": _fmt(state.mu, bits),
-            "E_over_m": _fmt(state.energy / state.mass, bits),
-            "kappa": _fmt(state.wavenumber / state.mass, bits),
+            "E_over_m": _fmt(state.energy, bits),
+            "kappa": _fmt(state.wavenumber, bits),
             "rel_coeff": _fmt(solution.rel_coeff, bits),
             "normalization": solution.normalization,
             "amplitude": _fmt(solution.amplitude, bits),
@@ -385,8 +390,7 @@ def _cmd_oracle_compare(args) -> int:
 
     bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
-    rows = compare_spectrum(precision.to_float(zeta), args.j_max, args.k_max,
-                            mass=args.mass)
+    rows = compare_spectrum(precision.to_float(zeta), args.j_max, args.k_max)
     if not rows:
         raise Supercritical(
             f"no subcritical channels with j <= {args.j_max} at zeta = {zeta}")
@@ -397,9 +401,8 @@ def _cmd_oracle_compare(args) -> int:
     worst = max(r["rel_delta"] for r in rows)
     meta = _base_meta(args, bits, source)
     meta.update(coupling_meta)
-    meta.update({"mass": repr(args.mass), "j_max": args.j_max,
-                 "k_max": args.k_max, "worst_rel_delta": f"{worst:.3e}",
-                 "agreement_threshold": "1e-06"})
+    meta.update({"j_max": args.j_max, "k_max": args.k_max,
+                 "worst_rel_delta": f"{worst:.3e}", "agreement_threshold": "1e-06"})
     _emit(meta, header, text_rows, rows, args)
     return 0 if worst <= 1e-6 else 1
 

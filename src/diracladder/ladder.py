@@ -387,9 +387,9 @@ def apply_lowering(f: LadderFunction):
 
 
 def raise_to_rank(ground: LadderFunction, k: int) -> LadderFunction:
-    """Climb k rungs from a ground member."""
-    if k < 0:
-        raise DomainError(f"rank must be nonnegative, got {k}")
+    """Climb k rungs from a ground member; k must be a nonnegative int."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise DomainError(f"rank must be a nonnegative integer, got {k!r}")
     f = ground
     for _ in range(k):
         f, _ = apply_raising(f)

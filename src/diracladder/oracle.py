@@ -12,9 +12,9 @@ first-order system
     F' = -(tau/rho) F + (1/nu + zeta/rho) G
     G' = +(tau/rho) G + (nu  - zeta/rho) F
 
-with nu = sqrt((m - E)/(m + E)) and rho = kappa*r.  The shot unknown is nu,
-not E: the system holds no mass, so E = m(1 - nu^2)/(1 + nu^2) is formed only
-from the converged nu.  The domain scales with mu = lambda + k (match point
+with nu = sqrt((1 - E)/(1 + E)) and rho = kappa*r, E and kappa in units of
+the mass.  The shot unknown is nu, not E: E = (1 - nu^2)/(1 + nu^2) is formed
+only from the converged nu.  The domain scales with mu = lambda + k (match point
 max(1, mu - 1/2), outer radius 2*mu + 25), and one helper integrates both
 legs for the determinant and the solution tables alike.  The closed-form
 spectrum is used only to seed nu brackets, never as the answer;
@@ -283,7 +283,7 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
 # two-sided shooting
 #
 # nu, not E, is the unknown: forming nu from a trial E would go through
-# m - E, which cancels at small zeta.
+# 1 - E, which cancels at small zeta.
 
 _RHO_MIN = 1e-4            # outward start
 _RTOL, _ATOL = 1e-11, 1e-14
@@ -374,12 +374,10 @@ def matching_scan(channel: Channel, nus, k: int = 0) -> np.ndarray:
     return np.asarray([matching_determinant(channel, nu, k=k) for nu in nus])
 
 
-def _shoot(channel: Channel, k: int, mass: float) -> tuple[float, float]:
+def _shoot(channel: Channel, k: int) -> tuple[float, float]:
     # (nu, E) of level k.  The closed form is a hint only: with r_n =
     # zeta/(s + n) (= kappa/E of level n) the walls sit 45% of the way to the
     # neighbouring levels, and nu = r/(1 + sqrt(1 + r^2)) maps them into (0, 1)
-    if not 0 < mass < np.inf:
-        raise DomainError(f"mass must be positive and finite, got {mass}")
     s = precision.to_float(channel.s)
     zeta = precision.to_float(channel.zeta)
     r_k, r_next = zeta / (s + k), zeta / (s + k + 1)
@@ -394,26 +392,26 @@ def _shoot(channel: Channel, k: int, mass: float) -> tuple[float, float]:
             f"[{lo:.12g}, {hi:.12g}] for {channel.label()}, k={k}")
     nu = brentq(lambda x: matching_determinant(channel, x, k=k), lo, hi,
                 xtol=_NU_RTOL * lo, rtol=_NU_RTOL)
-    return nu, float(mass * (1.0 - nu * nu) / (1.0 + nu * nu))
+    return nu, float((1.0 - nu * nu) / (1.0 + nu * nu))
 
 
-def shooting_solve(channel: Channel, k: int, mass: float = 1.0) -> float:
+def shooting_solve(channel: Channel, k: int) -> float:
     """Bound-state energy from two-sided shooting alone.
 
     Brackets the matching determinant's sign change in nu (seeded by, but
     never solved from, the closed form), polishes nu with Brent's method and
-    returns E = m(1 - nu^2)/(1 + nu^2).
+    returns E = (1 - nu^2)/(1 + nu^2) in units of the mass.
     """
-    return _shoot(channel, k, mass)[1]
+    return _shoot(channel, k)[1]
 
 
-def shooting_solution(channel: Channel, k: int, mass: float = 1.0) -> ShootingResult:
+def shooting_solution(channel: Channel, k: int) -> ShootingResult:
     """Assembled two-sided solution at the shot nu, with its node count.
 
     The inward piece is rescaled so the dominant component agrees at the
     match point; F's sign changes over the joint table are the radial nodes.
     """
-    nu, energy = _shoot(channel, k, mass)
+    nu, energy = _shoot(channel, k)
     out, inw = _legs(channel, nu, k, table=True)
     f_o, g_o = out.y[:, -1]
     f_i, g_i = inw.y[:, -1]
@@ -427,11 +425,11 @@ def shooting_solution(channel: Channel, k: int, mass: float = 1.0) -> ShootingRe
     return ShootingResult(energy=energy, rho=rho, F=f, G=g, node_count=node_count)
 
 
-def compare_spectrum(zeta, j_max, k_max: int, mass: float = 1.0) -> list[dict]:
+def compare_spectrum(zeta, j_max, k_max: int) -> list[dict]:
     """Algebraic vs shooting energy for every subcritical state in range."""
     rows = []
-    for st in spectrum_table(zeta, j_max, k_max, mass=mass):
-        e_shoot = shooting_solve(st.channel, st.k, mass=mass)
+    for st in spectrum_table(zeta, j_max, k_max):
+        e_shoot = shooting_solve(st.channel, st.k)
         e_alg = precision.to_float(st.energy)
         rows.append({
             "j": precision.to_float(st.channel.j),

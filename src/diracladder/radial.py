@@ -2,29 +2,30 @@
 
 For a bound state with labels (channel, k) the two radial components are
 built from at most two adjacent members of the positive ladder tower,
+with E in units of the mass,
 
-    F(rho) = A*sqrt(m + E) * (psi_minus + psi_plus)(rho)
-    G(rho) = A*sqrt(m - E) * (psi_minus - psi_plus)(rho)
+    F(rho) = A*sqrt(1 + E) * (psi_minus + psi_plus)(rho)
+    G(rho) = A*sqrt(1 - E) * (psi_minus - psi_plus)(rho)
 
 with psi_plus the rank-k member (phase mu = lam + k) and
 psi_minus = rel_coeff * (rank k-1 member).  The mixing coefficient is fixed
 by the first-order system itself:
 
-    rel_coeff = C_minus(mu) / (zeta*m/kappa - tau),
-    zeta*m/kappa = sqrt(zeta^2 + (mu - 1/2)^2).
+    rel_coeff = C_minus(mu) / (zeta/kappa - tau),
+    zeta/kappa = sqrt(zeta^2 + (mu - 1/2)^2).
 
 For k = 0 there is no lower member: psi_minus vanishes, rel_coeff = 0, and
-F/G = -sqrt((m+E)/(m-E)) pointwise (the constant-ratio nodeless solution,
+F/G = -sqrt((1+E)/(1-E)) pointwise (the constant-ratio nodeless solution,
 which is also why k = 0 only exists for epsilon = -1).
 
 Each component is stored as one LadderFunction on the generalized-Laguerre
 basis of the tower, its coefficients already scaled by the amplitude and the
-front factor (A*sqrt(m+E) for F, A*sqrt(m-E) for G).  Evaluation, exact
+front factor (A*sqrt(1+E) for F, A*sqrt(1-E) for G).  Evaluation, exact
 derivatives and nodes all go through LadderFunction.  The physical weight
 rho^(2*lam-1)*exp(-2*rho) of integral (F^2 + G^2) drho is the orthogonality
 weight of that basis, so physical_normalize is an exact diagonal sum (no
 quadrature; oracle.physical_norm_integral re-checks it from outside).
-sqrt(m - E) is evaluated as sqrt(m + E)*nu, which does not cancel at small
+sqrt(1 - E) is evaluated as sqrt(1 + E)*nu, which does not cancel at small
 zeta.
 """
 
@@ -78,10 +79,10 @@ class RadialSolution:
         """(F, G) as ladder-basis functions on the tower of psi_plus.
 
         F = c_F*(rel_coeff*psi_minus + psi_plus), G = c_G*(rel_coeff*psi_minus
-        - psi_plus) with c_F = amplitude*sqrt(m+E) and c_G = c_F*nu; both carry
+        - psi_plus) with c_F = amplitude*sqrt(1+E) and c_G = c_F*nu; both carry
         psi_plus's labels.  Computed once per solution.
         """
-        c_f = self.amplitude * precision.sqrt(self.state.mass + self.state.energy)
+        c_f = self.amplitude * precision.sqrt(1.0 + self.state.energy)
         plus = self.psi_plus.coeffs
         minus = () if self.psi_minus is None else self.psi_minus.coeffs
         return tuple(
@@ -117,9 +118,9 @@ def build_solution(state: BoundState) -> RadialSolution:
                               rel_coeff=channel.lam * 0)
     below = raise_to_rank(ground, state.k - 1)
     top, _ = apply_raising(below)
-    # zeta*m/kappa in stable closed form
-    zm_over_kappa = precision.sqrt(channel.zeta ** 2 + (state.mu - 0.5) ** 2)
-    rel = c_minus(channel.lam, state.mu) / (zm_over_kappa - channel.tau)
+    # zeta/kappa in stable closed form
+    zeta_over_kappa = precision.sqrt(channel.zeta ** 2 + (state.mu - 0.5) ** 2)
+    rel = c_minus(channel.lam, state.mu) / (zeta_over_kappa - channel.tau)
     return RadialSolution(state=state, psi_plus=top, psi_minus=below, rel_coeff=rel)
 
 

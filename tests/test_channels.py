@@ -124,21 +124,17 @@ def test_kinematic_relations():
     assert st.wavenumber == pytest.approx(0.5 * st.energy / (st.mu - 0.5), abs=1e-15)
 
 
-def test_mass_scaling():
-    st1 = bound_energy(ref_channel(), 2, mass=1.0)
-    st2 = bound_energy(ref_channel(), 2, mass=3.5)
-    assert st2.energy == pytest.approx(3.5 * st1.energy, rel=1e-15)
-    assert st2.nu == pytest.approx(st1.nu, rel=1e-15)
-    for bad in (0.0, -1.0, float("inf"), float("nan"), mpmath.inf):
-        with pytest.raises(DomainError):
-            bound_energy(ref_channel(), 2, mass=bad)
-
-
 def test_mu_from_energy_inverts_spectrum():
     ch = ref_channel()
     for k in range(6):
         st = bound_energy(ch, k)
         assert mu_from_energy(st.energy, 0.5) == pytest.approx(st.mu, abs=1e-12)
+    # energies are in units of the mass: a bound level lies in (0, 1)
+    for bad in (0.0, 1.0, float("nan")):
+        with pytest.raises(DomainError):
+            mu_from_energy(bad, 0.5)
+        with pytest.raises(DomainError):
+            state_from_energy(ch, 2, bad)
 
 
 def test_state_from_energy_carries_detuning():

@@ -96,6 +96,23 @@ def test_precision_env_and_flag(capsys, monkeypatch):
     _, out, _ = run(["spectrum", "--zeta", "0.5", "--precision", "64"], capsys)
     assert meta_lines(out)["precision_bits"] == "64"
 
+    # a value that is not a number of bits, or above the cap, is a usage error
+    for value in ("abc", "1025"):
+        monkeypatch.setenv("DIRACLADDER_PRECISION", value)
+        code, out, err = run(["spectrum", "--zeta", "0.5"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+def test_charge_matches_zeta_at_extended_precision(capsys):
+    # --Z takes alpha at the working precision, not float64-rounded: the
+    # same coupling typed as --zeta prints the same numbers
+    tail = ["--k-max", "0", "--precision", "113"]
+    _, by_charge, _ = run(["spectrum", "--Z", "1"] + tail, capsys)
+    _, by_zeta, _ = run(["spectrum", "--zeta", "0.0072973525693"] + tail, capsys)
+    assert meta_lines(by_charge)["zeta"] == meta_lines(by_zeta)["zeta"]
+    assert csv_rows(by_charge)[1][0][4] == csv_rows(by_zeta)[1][0][4]
+
 
 def test_si_units(capsys):
     _, out, _ = run(["spectrum", "--zeta", "0.5", "--j-max", "0.5",
@@ -185,12 +202,14 @@ def test_wavefunction_refuses_non_finite_values(capsys):
     ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1", "--k", "1",
      "--grid", "0.1,inf,5"],
     ["spectrum", "--zeta", "0.5", "--j-max", "nan"],
-    ["spectrum", "--zeta", "0.5", "--mass", "inf"],
-    ["spectrum", "--zeta", "0.5", "--mass", "nan"],
+    ["spectrum", "--Z", "nan"],
     ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "nan"],
     ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "inf"],
     ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "-1"],
-    ["oracle-compare", "--zeta", "0.5", "--mass", "inf"],
+    ["oracle-compare", "--zeta", "nan"],
+    ["spectrum", "--zeta", "0.5", "--precision", "100000000"],
+    ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1", "--k", "1",
+     "--precision", "1025"],
     ["demo-divergence", "--zeta", "0.5", "--cutoffs", "5,nan"],
 ])
 def test_non_finite_or_non_positive_inputs_exit_two(argv, capsys):
@@ -214,9 +233,14 @@ def test_usage_errors_exit_two(capsys):
         main(["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
               "--k", "1", "--grid", "nonsense"])
     assert exc.value.code == 2
-    # flags a command would ignore are not registered: demo-divergence uses
-    # no mass, and the two float64 commands take no precision
-    for argv in (["demo-divergence", "--zeta", "0.5", "--mass", "2"],
+    # flags a command would ignore are not registered: no command takes a
+    # mass (energies are in units of it), and the two float64 commands take
+    # no precision
+    for argv in (["spectrum", "--zeta", "0.5", "--mass", "inf"],
+                 ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
+                  "--k", "1", "--mass", "nan"],
+                 ["oracle-compare", "--zeta", "0.5", "--mass", "inf"],
+                 ["demo-divergence", "--zeta", "0.5", "--mass", "2"],
                  ["demo-divergence", "--zeta", "0.5", "--precision", "200"],
                  ["oracle-compare", "--zeta", "0.5", "--precision", "113"]):
         with pytest.raises(SystemExit) as exc:

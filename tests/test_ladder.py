@@ -101,6 +101,11 @@ def test_raise_to_rank_degree_bookkeeping():
         assert f.rank == k
         assert f.degree == k
         assert f.mu == pytest.approx(LAM + k, abs=1e-12)
+    # k is checked the way bound_energy checks it: a bool or a
+    # non-integer rank is refused, not climbed
+    for bad in (-1, 1.5, True):
+        with pytest.raises(DomainError):
+            raise_to_rank(ground(), bad)
 
 
 def test_float_rank_ceiling():
