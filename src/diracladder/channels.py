@@ -35,6 +35,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import mpmath
+
 from . import precision
 from .errors import (
     DomainError,
@@ -103,10 +105,13 @@ def _is_half_odd_integer(j) -> bool:
     return abs(twice - nearest) < 1e-9 and nearest % 2 == 1 and nearest > 0
 
 
-def zeta_from_charge(Z: float, alpha: float = precision.FINE_STRUCTURE_ALPHA):
+def zeta_from_charge(Z: float, alpha: float | None = None):
     """Coulomb coupling zeta = Z*alpha for a nuclear charge Z."""
     if Z <= 0:
         raise InvalidQuantumNumber(f"nuclear charge must be positive, got {Z}")
+    if alpha is None:   # the constant's digits, at the working precision for mpmath Z
+        alpha = precision.FINE_STRUCTURE_ALPHA
+        alpha = mpmath.mpf(repr(alpha)) if precision.is_extended(Z) else alpha
     return Z * alpha
 
 

@@ -245,10 +245,6 @@ def _emit(meta: dict, header: list[str], text_rows: list[list[str]],
         print(payload)
 
 
-def _json_value(x):
-    return float(x)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -297,10 +293,10 @@ def _cmd_spectrum(args) -> int:
                 "j": precision.to_float(st.channel.j),
                 "eps": eps_list,
                 "k": st.k,
-                "mu": _json_value(st.mu),
-                e_name: _json_value(energy),
-                k_name: _json_value(kappa),
-                "nu": _json_value(st.nu),
+                "mu": precision.to_float(st.mu),
+                e_name: precision.to_float(energy),
+                k_name: precision.to_float(kappa),
+                "nu": precision.to_float(st.nu),
             }
             value_rows.append(row)
             text_rows.append([

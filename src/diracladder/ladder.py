@@ -162,23 +162,23 @@ def _norm_sq(coeffs, b):
     return total / precision.power(2.0, b + 1)
 
 
-def _evaluate_q(lam, coeffs, rho):
-    """q(rho) at a float, an mpmath scalar or a numpy array of radii.
+def _evaluate_q(lam, rows, rho):
+    """q(rho) for each coefficient row, at a float, mpmath scalar or numpy array.
 
-    L_0 .. L_n come from the forward three-term recurrence in x = 2*rho.
+    One forward three-term recurrence in x = 2*rho feeds every row, in order n.
     """
     if isinstance(rho, np.ndarray):
         lam = precision.to_float(lam)
-        coeffs = [precision.to_float(c) for c in coeffs]
+        rows = [[precision.to_float(c) for c in row] for row in rows]
     a = 2 * lam - 1
     x = 2 * rho
     prev, cur = 0, x * 0 + 1
-    value = x * 0
-    for n, c in enumerate(coeffs):
+    values = [x * 0 for _ in rows]
+    for n in range(max(map(len, rows))):
         if n:
             prev, cur = cur, ((2 * n - 1 + a - x) * cur - (n - 1 + a) * prev) / n
-        value = value + c * cur
-    return value
+        values = [v + row[n] * cur if n < len(row) else v for v, row in zip(values, rows)]
+    return values
 
 
 def _check_radius(rho):
@@ -228,7 +228,7 @@ class LadderFunction:
 
     def polynomial(self, rho):
         """q(rho); accepts scalars (float or mpmath) and numpy arrays."""
-        return _evaluate_q(self.lam, self.coeffs, rho)
+        return _evaluate_q(self.lam, (self.coeffs,), rho)[0]
 
     def _weight(self, rho):
         # (rho**(lam - 1/2) * exp(-+rho), the branch sign) after the radius check
@@ -245,16 +245,8 @@ class LadderFunction:
         return weight * self.polynomial(rho)
 
     def evaluate_with_derivative(self, rho):
-        """(P, dP/drho) from exact differentiation, with the weight formed once.
-
-        dP/drho = w * (q' + ((lam - 1/2)/rho -+ 1) * q), and
-        q' = -2 * sum_i T_(i+1) L_i since d/dx L_n^(a) = -sum_(i<n) L_i^(a).
-        """
-        weight, sign = self._weight(rho)
-        lam = precision.to_float(self.lam) if isinstance(rho, np.ndarray) else self.lam
-        q = self.polynomial(rho)
-        dq = -2 * _evaluate_q(self.lam, _tail_sums(self.coeffs)[1:], rho)
-        return weight * q, weight * (dq + ((lam - 0.5) / rho + sign) * q)
+        """(P, dP/drho), exact; q and q' come from one pass (_evaluate_with_derivatives)."""
+        return _evaluate_with_derivatives((self,), rho)[0]
 
     @np.errstate(over="ignore", invalid="ignore")
     def zeros(self, lo, hi) -> np.ndarray:
@@ -289,12 +281,13 @@ class LadderFunction:
             rho = np.sort(rho[(rho > lo) & (rho < hi)])
         tails = _tail_sums(coeffs)[1:]
         for _ in range(_NEWTON_STEPS):
-            step = _evaluate_q(self.lam, coeffs, rho) / (-2 * _evaluate_q(self.lam, tails, rho))
+            q, t = _evaluate_q(self.lam, (coeffs, tails), rho)
+            step = q / (-2 * t)
             rho = rho - step
             if np.all(np.abs(step) <= 1e-14 * rho):
                 break
-        signs = np.sign(_evaluate_q(self.lam, coeffs,
-                                    np.r_[lo, (rho[1:] + rho[:-1]) / 2, hi]))
+        signs = np.sign(_evaluate_q(self.lam, (coeffs,),
+                                    np.r_[lo, (rho[1:] + rho[:-1]) / 2, hi])[0])
         if not (np.all(np.abs(signs) == 1) and np.count_nonzero(np.diff(signs)) == rho.size):
             raise PrecisionLoss(f"{rho.size} zeros of a degree-{n} polynomial failed "
                                 f"the sign-change certificate on ({lo}, {hi})")
@@ -316,6 +309,20 @@ class LadderFunction:
         if self.branch != "positive":
             raise WrongBranch("negative-branch norms diverge; see divergence_check")
         return _norm_sq(self.coeffs, 2 * self.lam - 1)
+
+
+def _evaluate_with_derivatives(members, rho):
+    """(P, dP/drho) of each member; the members share lam and the branch.
+
+    dP/drho = w * (q' + ((lam - 1/2)/rho -+ 1) * q), q' = -2 * sum_i T_(i+1) L_i
+    as d/dx L_n^(a) = -sum_(i<n) L_i^(a); one weight w, one _evaluate_q pass.
+    """
+    weight, sign = members[0]._weight(rho)
+    lam = precision.to_float(members[0].lam) if isinstance(rho, np.ndarray) else members[0].lam
+    rows = [row for f in members for row in (f.coeffs, _tail_sums(f.coeffs)[1:])]
+    values, factor = _evaluate_q(lam, rows, rho), (lam - 0.5) / rho + sign
+    return [(weight * q, weight * (-2 * t + factor * q))
+            for q, t in zip(values[::2], values[1::2])]
 
 
 def ground_ladder_function(lam) -> LadderFunction:

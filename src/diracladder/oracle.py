@@ -21,13 +21,14 @@ spectrum is used only to seed nu brackets, never as the answer;
 matching_scan offers hint-free root counting.
 
 Quadrature follows one fixed policy per scheme, with no settable knobs:
-Gauss-Laguerre compares 128 against 256 nodes (one doubling; scipy's weights
-break down in double precision near 400 nodes), and the log-grid trapezoid
-starts at 512 nodes and doubles at most 5 times.  Two successive estimates
-must agree to 1e-10 (Gauss) or 1e-12 (trapezoid) relative to
-max(1, |estimate|).  The integrands are polynomials against fixed weights,
-and both rules are exact up to roundoff below degree 256.  An integral that
-has not settled within its policy raises QuadratureFailure.
+Gauss-Laguerre compares the smallest rule of 2^m >= 16 nodes that is exact at
+the integrand's degree (2n - 1 >= degree; capped at 128 since scipy's weights
+break down in double precision near 400 nodes) against twice as many, and the
+log-grid trapezoid starts at 512 nodes and doubles at most 5 times.  Two
+successive estimates must agree to 1e-10 (Gauss) or 1e-12 (trapezoid)
+relative to max(1, |estimate|).  The integrands are polynomials against fixed
+weights, and both rules are exact up to roundoff below degree 256.  An
+integral that has not settled within its policy raises QuadratureFailure.
 """
 
 from __future__ import annotations
@@ -103,8 +104,10 @@ def _laguerre_rule(n: int, alpha: float):
     return t, w
 
 
-def _converge_by_doubling(rule, scheme: str):
+def _converge_by_doubling(rule, scheme: str, degree: int):
     n, doublings, tolerance = _POLICY[scheme]
+    if scheme == _GAUSS:    # 2^m >= 16 nodes with 2n - 1 >= degree, capped
+        n = min(n, max(16, 1 << (degree // 2).bit_length()))
     prev = rule(n)
     for _ in range(doublings):
         n *= 2
@@ -131,7 +134,7 @@ def _weighted_integral(values_fn, alpha: float, degree: int,
             t, w = _laguerre_rule(n, float(alpha))
             return factor * float(np.dot(w, values_fn(t / 2.0)))
 
-        return _converge_by_doubling(gauss, scheme)
+        return _converge_by_doubling(gauss, scheme, degree)
 
     # Same integral under rho = e^x: the x-integrand decays like e^((alpha+1)x)
     # to the left and e^(-2 e^x) to the right, so plain trapezoid on a wide
@@ -147,7 +150,7 @@ def _weighted_integral(values_fn, alpha: float, degree: int,
         h = x[1] - x[0]
         return h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
 
-    return _converge_by_doubling(trapezoid, scheme)
+    return _converge_by_doubling(trapezoid, scheme, degree)
 
 
 def laguerre_weighted_integral(coeffs, alpha: float):

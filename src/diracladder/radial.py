@@ -42,6 +42,7 @@ from .errors import DomainError
 from .ladder import (
     LadderFunction,
     _combine,
+    _evaluate_with_derivatives,
     apply_raising,
     c_minus,
     ground_ladder_function,
@@ -97,8 +98,8 @@ class RadialSolution:
         return self.components[1].evaluate(rho)
 
     def evaluate_with_derivatives(self, rho: np.ndarray):
-        """(F, G, dF/drho, dG/drho) from exact polynomial differentiation."""
-        (f, fp), (g, gp) = (c.evaluate_with_derivative(rho) for c in self.components)
+        """(F, G, dF/drho, dG/drho), exact, from one Laguerre pass and one weight."""
+        (f, fp), (g, gp) = _evaluate_with_derivatives(self.components, rho)
         return f, g, fp, gp
 
 

@@ -127,9 +127,7 @@ def suite_casimir(k_max: int = 20, tolerance: float = 1e-10) -> VerificationRepo
                float(abs(eig - neg.lam * (neg.lam - 1)) / abs(neg.lam * (neg.lam - 1))),
                tolerance)
 
-    f3 = None
-    for _, f3 in _chain(make_channel(0.5, -1, 0.5).lam, 3):
-        pass
+    f3 = dict(_chain(make_channel(0.5, -1, 0.5).lam, 3))[3]
     perturbed = replace(f3, coeffs=tuple(c + (1e-3 if i == 0 else 0.0)
                                          for i, c in enumerate(f3.coeffs)))
     try:

@@ -150,6 +150,15 @@ def test_zeta_from_charge():
     assert zeta_from_charge(10, alpha=0.05) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_zeta_from_charge_default_alpha_at_extended_precision():
+    # an mpmath Z takes the default alpha from its digits at the working
+    # precision, not from the float64-rounded constant (off by 3.8e-19)
+    with mpmath.workprec(113):
+        zeta = zeta_from_charge(mpmath.mpf(1))
+        assert isinstance(zeta, mpmath.mpf)
+        assert abs(zeta - mpmath.mpf("0.0072973525693")) < mpmath.mpf("1e-33")
+
+
 def test_spectrum_table_sorted_and_complete():
     states = spectrum_table(0.5, 1.5, 2)
     energies = [st.energy for st in states]

@@ -32,6 +32,7 @@ from diracladder import (
     state_from_energy,
     truncated_norms,
 )
+from diracladder import oracle
 from diracladder.radial import RadialSolution, count_radial_nodes
 
 LAM = 1.3660254037844386468
@@ -77,6 +78,44 @@ def test_unreachable_tolerance_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(QuadratureFailure):
             inner_product(f, f)
+
+
+@pytest.mark.parametrize("rank, sizes", [(3, {16, 32}), (20, {32, 64}), (128, {128, 256})])
+def test_gauss_rule_size_follows_degree(monkeypatch, rank, sizes):
+    # the first rule is the smallest 2^m >= 16 nodes exact at the degree
+    # 2*rank (2n - 1 >= degree), capped at 128, and is compared with 2n
+    built = []
+    build = oracle.roots_genlaguerre
+
+    def recording(n, alpha):
+        built.append(n)
+        return build(n, alpha)
+
+    oracle._laguerre_rule.cache_clear()
+    monkeypatch.setattr(oracle, "roots_genlaguerre", recording)
+    f = raise_to_rank(ground_ladder_function(LAM), rank)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rank < 128:
+            assert inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
+        else:
+            # overflows at the 256-node rule's outer nodes, as rank 130 does
+            with pytest.raises(QuadratureFailure):
+                inner_product(f, f)
+    assert set(built) == sizes
+
+
+@pytest.mark.parametrize("k", [15, 16, 31, 32, 63, 64])
+def test_gauss_rules_exact_at_size_boundaries(k):
+    # degree 2k sits on either side of a rule size's exactness limit 2n - 1
+    sol = build_solution(bound_energy(make_channel(1.5, -1, 0.3), k))
+    f = sol.psi_plus
+    gauss = inner_product(f, f)
+    assert abs(gauss - 1.0) <= 1e-12
+    exact = sum(c.rho_norm_squared() for c in sol.components)
+    assert physical_norm_integral(sol) == pytest.approx(exact, rel=1e-12)
+    if k == 16:
+        trapezoid = inner_product(f, f, scheme="transformed-trapezoid-in-x")
+        assert abs(trapezoid - gauss) <= 1e-9
 
 
 def test_component_norm_matches_plain_integral():

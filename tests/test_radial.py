@@ -169,6 +169,33 @@ def test_derivative_evaluation_matches_finite_differences():
     assert np.allclose(gp, gp_fd, rtol=1e-7, atol=1e-10)
 
 
+@pytest.mark.parametrize("k", [0, 1, 12, 60])
+def test_one_pass_evaluation_matches_each_member(k):
+    # F, G, F' and G' from one Laguerre pass equal the per-member values
+    sol = solution(k)
+    rho = np.geomspace(*sol.state.window, 500)
+    f, g, fp, gp = sol.evaluate_with_derivatives(rho)
+    first, second = sol.components
+    f1, fp1 = first.evaluate_with_derivative(rho)
+    g1, gp1 = second.evaluate_with_derivative(rho)
+    for got, want in ((f, first.evaluate(rho)), (g, second.evaluate(rho)),
+                      (f, f1), (g, g1), (fp, fp1), (gp, gp1)):
+        assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_evaluate_with_derivative_at_extended_precision():
+    with mpmath.workprec(113):
+        sol = build_solution(bound_energy(
+            make_channel(mpmath.mpf(3) / 2, -1, mpmath.mpf("0.3")), 5))
+        rho = mpmath.mpf("2.5")
+        f, g, fp, gp = sol.evaluate_with_derivatives(rho)
+        for member, value, deriv in zip(sol.components, (f, g), (fp, gp)):
+            assert member.evaluate_with_derivative(rho) == (value, deriv)
+            assert value == member.evaluate(rho)
+            want = mpmath.diff(member.evaluate, rho)
+            assert abs(deriv - want) <= mpmath.mpf("1e-28") * abs(want)
+
+
 def test_node_counts_small_k():
     for k in range(4):
         nodes = count_radial_nodes(solution(k))
