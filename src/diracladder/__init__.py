@@ -88,9 +88,9 @@ __all__ = [
 
 
 def __getattr__(name):
-    # every name in __all__ not bound above is an oracle name; oracle loads
-    # scipy, which the closed-form side never needs, so it is imported on
-    # first use (PEP 562) and `import diracladder` stays scipy-free
+    # every name in __all__ not bound above is an oracle name, which the
+    # closed-form side never needs, so oracle is imported on first use (PEP
+    # 562); oracle itself loads scipy only when shooting first runs
     if name in __all__:
         from . import oracle
         return getattr(oracle, name)

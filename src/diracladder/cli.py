@@ -382,7 +382,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    from .oracle import compare_spectrum     # scipy loads only for oracle commands
+    from .oracle import compare_spectrum     # scipy loads on the first shot
 
     bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)

@@ -126,11 +126,12 @@ def build_solution(state: BoundState) -> RadialSolution:
 
 
 def evaluate_on_grid(solution: RadialSolution, grid) -> WavefunctionTable:
-    """Tabulate F and G on a grid of positive radii (order preserved)."""
+    """Tabulate F and G on a grid of positive radii (order preserved), in one pass."""
     rho = np.asarray(grid, dtype=float)
     if rho.ndim != 1:
         raise DomainError("grid must be one-dimensional")
-    return WavefunctionTable(rho=rho, F=solution.F(rho), G=solution.G(rho))
+    f, g, _, _ = solution.evaluate_with_derivatives(rho)
+    return WavefunctionTable(rho=rho, F=f, G=g)
 
 
 def physical_normalize(solution: RadialSolution) -> RadialSolution:

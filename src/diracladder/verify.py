@@ -141,7 +141,7 @@ def suite_casimir(k_max: int = 20, tolerance: float = 1e-10) -> VerificationRepo
 
 
 def suite_quadrature() -> VerificationReport:
-    from . import oracle       # loads scipy; only the oracle-backed suites need it
+    from . import oracle       # only the oracle-backed suites need it
     report = VerificationReport("quadrature orthonormality")
     worst_norm = 0.0
     count = 0

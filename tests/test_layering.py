@@ -3,7 +3,10 @@
 channels, ladder and radial generate every eigenfunction symbolically; the
 oracle checks them from outside.  The split is read from the sources with
 ast, so a lazy import inside a function counts too.  At run time, importing
-the package and running the closed-form CLI commands leave scipy unloaded.
+the package, running the closed-form CLI commands, `verify` and the
+certification checks leave scipy unloaded; only shooting loads its integrator
+and root finder, and it calls them through the oracle's module globals, which
+a tracer can wrap.
 """
 
 import ast
@@ -50,18 +53,28 @@ def test_import_scan_sees_lazy_and_relative_imports(tmp_path):
     assert ".oracle" in names and "scipy.special" in names
 
 
-CLI = "from diracladder.cli import main\nmain({})"
+CLI = "from diracladder.cli import main\nassert main({}) == 0"
 COLD_PATHS = {
     "import": "import diracladder",
     "spectrum": CLI.format(['spectrum', '--zeta', '0.5', '--j-max', '1.5']),
     "wavefunction": CLI.format(['wavefunction', '--zeta', '0.5', '--j', '0.5', '--eps', '-1',
                                 '--k', '3', '--normalize', 'physical']),
+    "verify": CLI.format(['verify']),
+    "certify": "\n".join([
+        "import diracladder as dl",
+        "sol = dl.physical_normalize(dl.build_solution(",
+        "    dl.bound_energy(dl.make_channel(1.5, -1, 0.5), 5)))",
+        "assert abs(dl.inner_product(sol.psi_plus, sol.psi_plus) - 1) < 1e-10",
+        "assert abs(dl.physical_norm_integral(sol) - 1) < 1e-10",
+        "assert dl.ode_residual(sol).all_passed",
+        "assert dl.count_radial_nodes(sol, 'G').size == 5",
+    ]),
 }
 
 
-@pytest.mark.parametrize("path", sorted(COLD_PATHS))
-def test_cold_path_leaves_scipy_unloaded(path):
-    script = (f"import sys\n{COLD_PATHS[path]}\n"
+def scipy_modules_after(code):
+    """Sorted scipy modules loaded once `code` has run in a fresh interpreter."""
+    script = (f"import sys\n{code}\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
@@ -69,4 +82,40 @@ def test_cold_path_leaves_scipy_unloaded(path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("path", sorted(COLD_PATHS))
+def test_cold_path_leaves_scipy_unloaded(path):
+    assert scipy_modules_after(COLD_PATHS[path]) == []
+
+
+def test_shooting_loads_scipy_integrator_on_first_shot():
+    loaded = scipy_modules_after("\n".join([
+        "import diracladder as dl",
+        "channel = dl.make_channel(0.5, -1, 0.5)",
+        "exact = float(dl.bound_energy(channel, 1).energy)",
+        "assert abs(dl.shooting_solve(channel, 1) - exact) < 1e-10",
+    ]))
+    assert "scipy.integrate" in loaded and "scipy.optimize" in loaded
+
+
+def test_shooting_routes_every_leg_through_the_module_integrator(monkeypatch):
+    # a tracer wraps oracle.solve_ivp to count integrations; each determinant
+    # integrates two legs, and both must reach the wrapped binding
+    from diracladder import make_channel, oracle
+
+    counts = {"legs": 0, "determinants": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting("legs", oracle.solve_ivp))
+    monkeypatch.setattr(oracle, "matching_determinant",
+                        counting("determinants", oracle.matching_determinant))
+    oracle.shooting_solve(make_channel(0.5, -1, 0.5), 1)
+    assert counts["determinants"] > 2
+    assert counts["legs"] == 2 * counts["determinants"]

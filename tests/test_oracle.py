@@ -1,5 +1,6 @@
 """Quadrature, residuals, shooting, and the divergence demonstration."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,31 @@ def test_weighted_integral_against_gamma_moments():
     shifted = laguerre_weighted_integral([0.0, 0.0, 1.0], 1.5)
     assert shifted == pytest.approx(
         laguerre_weighted_integral([1.0], 3.5), rel=1e-12)
+
+
+RULE_ALPHAS = [-0.999, -0.5, 0.0, 0.2345, 0.73, 1.99, 6.3, 40.0]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+def test_gauss_laguerre_builder_against_scipy_and_exact_moments(n):
+    # the numpy Golub-Welsch builder reproduces scipy's rule and integrates
+    # t^m against t^alpha e^(-t) to Gamma(alpha + m + 1); the tail weights of
+    # the 256-node rule underflow double precision (to 0, as scipy's do)
+    from scipy.special import roots_genlaguerre
+
+    tol = 1e-13 if n <= 32 else 1e-11
+    moment_tol = 3e-13 if n <= 32 else 1e-11
+    for alpha in RULE_ALPHAS:
+        t, w = oracle.roots_genlaguerre(n, alpha)
+        t_ref, w_ref = roots_genlaguerre(n, alpha)
+        assert np.isfinite(t).all() and np.isfinite(w).all()
+        assert (t > 0).all() and (w >= 0).all()
+        assert np.max(np.abs(t - t_ref) / t_ref) <= tol
+        big = w_ref > 1e-250
+        assert np.max(np.abs(w[big] - w_ref[big]) / w_ref[big]) <= tol
+        for m in range(min(2 * n, 64)):
+            exact = math.exp(math.lgamma(alpha + m + 1.0))
+            assert abs(np.dot(w, t ** m) - exact) <= moment_tol * exact, (alpha, m)
 
 
 def test_weighted_integral_exponent_domain():

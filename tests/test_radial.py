@@ -20,6 +20,7 @@ from diracladder import (
     physical_norm_integral,
     physical_normalize,
 )
+from diracladder.radial import RadialSolution
 from diracladder.verify import CHANNEL_GRID
 
 S_REF = 0.86602540378443864676
@@ -90,6 +91,27 @@ def test_evaluate_on_grid_contract():
         evaluate_on_grid(sol, np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
         evaluate_on_grid(sol, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("k", [0, 3, 12])
+def test_grid_and_fd_residual_values_match_f_and_g_exactly(monkeypatch, k):
+    # evaluate_on_grid and ode_residual(method='fd') take F and G from one
+    # Laguerre pass; the values are F(rho) and G(rho) bit for bit
+    sol = solution(k)
+    lo, hi = sol.state.window
+    rho = np.exp(np.linspace(np.log(lo), np.log(hi), 8000))     # the fd grid
+    table = evaluate_on_grid(sol, rho)
+    assert np.array_equal(table.F, sol.F(rho)) and np.array_equal(table.G, sol.G(rho))
+
+    fd = ode_residual(sol, method="fd", tolerance=1e-9)
+    one_pass = RadialSolution.evaluate_with_derivatives
+
+    def separate(self, rho):
+        _, _, fp, gp = one_pass(self, rho)
+        return self.F(rho), self.G(rho), fp, gp
+
+    monkeypatch.setattr(RadialSolution, "evaluate_with_derivatives", separate)
+    assert ode_residual(sol, method="fd", tolerance=1e-9) == fd
 
 
 def test_nan_radius_rejected_everywhere():
