@@ -16,9 +16,9 @@ from .channels import (
     Channel,
     bound_energy,
     make_channel,
-    mu_from_energy,
     spectrum_table,
     state_from_energy,
+    state_from_nu,
     zeta_from_charge,
 )
 from .errors import (
@@ -64,8 +64,8 @@ from .verify import SUITE_NAMES, run_suite, run_suites
 
 __all__ = [
     "__version__",
-    "BoundState", "Channel", "bound_energy", "make_channel", "mu_from_energy",
-    "spectrum_table", "state_from_energy", "zeta_from_charge",
+    "BoundState", "Channel", "bound_energy", "make_channel", "spectrum_table",
+    "state_from_energy", "state_from_nu", "zeta_from_charge",
     "DiracLadderError", "DomainError", "InvalidQuantumNumber", "NoSignChange",
     "NotAnEigenfunction", "PrecisionLoss", "QuadratureFailure",
     "StiffnessFailure", "Supercritical", "SupercriticalChannelWarning",

@@ -13,7 +13,8 @@ the whole package:
 Energies and wavenumbers are in units of the particle mass m (m = 1).
 Bound states carry a radial label k = 0, 1, 2, ... and a phase label
 mu = lambda + k.  Dimensionless radial variable: rho = kappa*r with
-kappa = sqrt(1 - E^2), and nu = sqrt((1 - E)/(1 + E)).
+kappa = sqrt(1 - E^2), and nu = sqrt((1 - E)/(1 + E)).  Every BoundState is
+built from nu by state_from_nu, the one place that knows these kinematics.
 
 The closed-form spectrum is
 
@@ -52,8 +53,8 @@ __all__ = [
     "make_channel",
     "zeta_from_charge",
     "bound_energy",
+    "state_from_nu",
     "state_from_energy",
-    "mu_from_energy",
     "spectrum_table",
 ]
 
@@ -154,39 +155,34 @@ def bound_energy(channel: Channel, k: int) -> BoundState:
             f"k=0 is excluded in channel ({channel.label()}): it would force "
             f"tau = -zeta/kappa, but tau = {channel.tau} > 0")
 
-    mu = channel.lam + k
-    ratio = channel.zeta / (mu - 0.5)          # = zeta/(s + k)
-    energy = 1.0 / precision.sqrt(1.0 + ratio * ratio)
-    wavenumber = ratio * energy                # kappa = zeta*E/(mu - 1/2)
+    ratio = channel.zeta / (channel.s + k)
     # sqrt((1 - E)/(1 + E)) rewritten without the cancellation in 1 - E
-    nu = ratio / (1.0 + precision.sqrt(1.0 + ratio * ratio))
-    return BoundState(channel=channel, k=k, mu=mu, energy=energy,
-                      wavenumber=wavenumber, nu=nu)
+    return state_from_nu(channel, k, ratio / (1.0 + precision.sqrt(1.0 + ratio * ratio)))
+
+
+def state_from_nu(channel: Channel, k: int, nu) -> BoundState:
+    """Level k of a channel at nu = sqrt((1 - E)/(1 + E)); the one constructor.
+
+    E, kappa and mu = 1/2 + zeta*E/kappa follow from nu without the cancellation
+    in 1 - E, at nu's precision (float or mpmath); a detuned nu detunes mu.
+    """
+    if not 0 < nu < 1:
+        raise DomainError(f"nu must lie in (0, 1), got {nu}")
+    nu2 = nu * nu
+    return BoundState(channel=channel, k=k,
+                      mu=0.5 + channel.zeta * (1.0 - nu2) / (2.0 * nu),
+                      energy=(1.0 - nu2) / (1.0 + nu2),
+                      wavenumber=2.0 * nu / (1.0 + nu2), nu=nu)
 
 
 def state_from_energy(channel: Channel, k: int, energy) -> BoundState:
-    """Package an externally supplied energy (e.g. from shooting) as a state.
+    """State at an energy E in (0, 1), through nu formed from 1 - E.
 
-    mu is inferred from the energy, not from lambda + k, so this is also the
-    tool for building deliberately detuned states.  nu and mu are formed from
-    1 - E of the given float E, so at small zeta they carry a relative error
-    of about 1e-16/(1 - E) (4e-4 at zeta = 1e-6); bound_energy is the exact
-    path for spectrum states.
+    Lossy at small zeta: nu and mu are off by ~1e-16/(1 - E), 4e-4 at zeta = 1e-6.
     """
-    mu = mu_from_energy(energy, channel.zeta)
-    return BoundState(channel=channel, k=k, mu=mu, energy=energy,
-                      wavenumber=precision.sqrt((1.0 - energy) * (1.0 + energy)),
-                      nu=precision.sqrt((1.0 - energy) / (1.0 + energy)))
-
-
-def mu_from_energy(energy, zeta):
-    """Invert the spectrum: the phase label mu of a level with energy E < 1."""
-    if not (0 < energy < 1):
+    if not 0 < energy < 1:
         raise DomainError(f"energy must lie in (0, 1), got {energy}")
-    if not zeta > 0:
-        raise InvalidQuantumNumber(f"zeta must be positive, got {zeta}")
-    wavenumber = precision.sqrt((1.0 - energy) * (1.0 + energy))
-    return zeta * energy / wavenumber + 0.5
+    return state_from_nu(channel, k, precision.sqrt((1.0 - energy) / (1.0 + energy)))
 
 
 def spectrum_table(zeta, j_max, k_max: int) -> list[BoundState]:
@@ -197,7 +193,7 @@ def spectrum_table(zeta, j_max, k_max: int) -> list[BoundState]:
     """
     if not _is_half_odd_integer(j_max):
         raise InvalidQuantumNumber(f"j_max must be half-odd-integer, got {j_max}")
-    if not isinstance(k_max, int) or k_max < 0:
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise InvalidQuantumNumber(f"k_max must be a nonnegative integer, got {k_max!r}")
 
     states: list[BoundState] = []

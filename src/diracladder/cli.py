@@ -398,7 +398,8 @@ def _cmd_oracle_compare(args) -> int:
     meta = _base_meta(args, bits, source)
     meta.update(coupling_meta)
     meta.update({"j_max": args.j_max, "k_max": args.k_max,
-                 "worst_rel_delta": f"{worst:.3e}", "agreement_threshold": "1e-06"})
+                 "worst_rel_delta": f"{worst:.3e}", "agreement_threshold": "1e-06",
+                 "rel_delta_measure": "|nu_shooting - nu_algebraic|/nu_algebraic"})
     _emit(meta, header, text_rows, rows, args)
     return 0 if worst <= 1e-6 else 1
 

@@ -509,7 +509,7 @@ def matrix_representation(which: str, lam, K: int) -> OperatorMatrix:
     """
     if which not in ("omega1", "omega2", "omega3"):
         raise DomainError(f"which must be omega1|omega2|omega3, got {which!r}")
-    if not isinstance(K, int) or K < 1:
+    if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise DomainError(f"K must be a positive integer, got {K!r}")
     lam_f = precision.to_float(lam)
     if lam_f <= 0.5:

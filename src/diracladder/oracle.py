@@ -13,12 +13,14 @@ first-order system
     G' = +(tau/rho) G + (nu  - zeta/rho) F
 
 with nu = sqrt((1 - E)/(1 + E)) and rho = kappa*r, E and kappa in units of
-the mass.  The shot unknown is nu, not E: E = (1 - nu^2)/(1 + nu^2) is formed
-only from the converged nu.  The domain scales with mu = lambda + k (match point
-max(1, mu - 1/2), outer radius 2*mu + 25), and one helper integrates both
-legs for the determinant and the solution tables alike.  The closed-form
-spectrum is used only to seed nu brackets, never as the answer;
-matching_scan offers hint-free root counting.
+the mass.  The shot unknown is nu, not E: channels.state_from_nu packages the
+converged nu (E, kappa and mu without the cancellation in 1 - E) and gives
+each trial nu its range check and tail exponent mu - 1/2.  The domain scales
+with mu = lambda + k (match point max(1, mu - 1/2), outer radius 2*mu + 25),
+and one helper integrates both legs for the determinant and the solution
+tables alike.  The closed form only seeds nu brackets, never the answer;
+matching_scan offers hint-free root counting, and compare_spectrum measures
+agreement in nu.
 
 Quadrature follows one fixed policy per scheme, with no settable knobs:
 Gauss-Laguerre compares the smallest rule of 2^m >= 16 nodes that is exact at
@@ -46,7 +48,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from . import precision
-from .channels import Channel, spectrum_table
+from .channels import BoundState, Channel, spectrum_table, state_from_nu
 from .errors import (
     DomainError,
     NoSignChange,
@@ -100,11 +102,15 @@ def __getattr__(name):
 
 @dataclass(frozen=True)
 class ShootingResult:
-    energy: float
+    state: BoundState          # the level at the shot nu
     rho: np.ndarray
     F: np.ndarray
     G: np.ndarray
     node_count: int
+
+    @property
+    def energy(self) -> float:
+        return self.state.energy
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +351,8 @@ def _outward_ic(tau, zeta, s, nu):
     # system is linear, so rho_min^s is dropped and the start is O(1), which
     # keeps atol from swamping the solution at large s
     f0 = 1.0
-    g0 = (s + tau) / zeta
+    # (s + tau)/zeta cancels at small zeta if tau < 0; s^2 - tau^2 = -zeta^2
+    g0 = (s + tau) / zeta if tau > 0 else -zeta / (s - tau)
     # [[s+1+tau, -zeta], [zeta, s+1-tau]] @ [f1, g1] = [g0/nu, nu*f0]
     det = 2.0 * s + 1.0
     f1 = ((s + 1.0 - tau) * (g0 / nu) + zeta * (nu * f0)) / det
@@ -363,16 +370,14 @@ def _legs(channel: Channel, nu: float, k: int, table: bool = False):
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    if not 0.0 < nu < 1.0:
-        raise DomainError(f"nu must lie in (0, 1), got {nu}")
+    # decaying tail F ~ e^(-rho) rho^q with q = mu(nu) - 1/2 = zeta*E/kappa;
+    # the 1/rho correction enters only through the component ratio G/F
+    q = precision.to_float(state_from_nu(channel, k, nu).mu) - 0.5
     tau = precision.to_float(channel.tau)
     zeta = precision.to_float(channel.zeta)
     s = precision.to_float(channel.s)
     mu = precision.to_float(channel.lam) + k
     rho_match, rho_max = max(1.0, mu - 0.5), 2.0 * mu + 25.0
-    # decaying tail F ~ e^(-rho) rho^q with q = zeta*E/kappa; the 1/rho
-    # correction enters only through the component ratio G/F
-    q = zeta * (1.0 - nu * nu) / (2.0 * nu)
     inward = (1.0, -nu * (1.0 - (tau + zeta * nu + q) / rho_max))
     fun = _rhs(tau, zeta, nu)
     if "solve_ivp" not in globals():    # the first shot binds brentq too
@@ -414,8 +419,8 @@ def matching_scan(channel: Channel, nus, k: int = 0) -> np.ndarray:
     return np.asarray([matching_determinant(channel, nu, k=k) for nu in nus])
 
 
-def _shoot(channel: Channel, k: int) -> tuple[float, float]:
-    # (nu, E) of level k.  The closed form is a hint only: with r_n =
+def _shoot(channel: Channel, k: int) -> float:
+    # nu of level k.  The closed form is a hint only: with r_n =
     # zeta/(s + n) (= kappa/E of level n) the walls sit 45% of the way to the
     # neighbouring levels, and nu = r/(1 + sqrt(1 + r^2)) maps them into (0, 1)
     s = precision.to_float(channel.s)
@@ -430,9 +435,8 @@ def _shoot(channel: Channel, k: int) -> tuple[float, float]:
         raise NoSignChange(
             f"determinant keeps sign {np.sign(w_lo):+.0f} over nu in "
             f"[{lo:.12g}, {hi:.12g}] for {channel.label()}, k={k}")
-    nu = brentq(lambda x: matching_determinant(channel, x, k=k), lo, hi,
-                xtol=_NU_RTOL * lo, rtol=_NU_RTOL)
-    return nu, float((1.0 - nu * nu) / (1.0 + nu * nu))
+    return brentq(lambda x: matching_determinant(channel, x, k=k), lo, hi,
+                  xtol=_NU_RTOL * lo, rtol=_NU_RTOL)
 
 
 def shooting_solve(channel: Channel, k: int) -> float:
@@ -440,9 +444,9 @@ def shooting_solve(channel: Channel, k: int) -> float:
 
     Brackets the matching determinant's sign change in nu (seeded by, but
     never solved from, the closed form), polishes nu with Brent's method and
-    returns E = (1 - nu^2)/(1 + nu^2) in units of the mass.
+    returns the energy of state_from_nu at that nu, in units of the mass.
     """
-    return _shoot(channel, k)[1]
+    return state_from_nu(channel, k, _shoot(channel, k)).energy
 
 
 def shooting_solution(channel: Channel, k: int) -> ShootingResult:
@@ -451,8 +455,8 @@ def shooting_solution(channel: Channel, k: int) -> ShootingResult:
     The inward piece is rescaled so the dominant component agrees at the
     match point; F's sign changes over the joint table are the radial nodes.
     """
-    nu, energy = _shoot(channel, k)
-    out, inw = _legs(channel, nu, k, table=True)
+    state = state_from_nu(channel, k, _shoot(channel, k))
+    out, inw = _legs(channel, state.nu, k, table=True)
     f_o, g_o = out.y[:, -1]
     f_i, g_i = inw.y[:, -1]
     factor = f_o / f_i if abs(f_o) >= abs(g_o) else g_o / g_i
@@ -462,22 +466,21 @@ def shooting_solution(channel: Channel, k: int) -> ShootingResult:
 
     sign = np.sign(f[np.abs(f) > 1e-12 * np.max(np.abs(f))])
     node_count = int(np.sum(sign[1:] * sign[:-1] < 0))
-    return ShootingResult(energy=energy, rho=rho, F=f, G=g, node_count=node_count)
+    return ShootingResult(state=state, rho=rho, F=f, G=g, node_count=node_count)
 
 
 def compare_spectrum(zeta, j_max, k_max: int) -> list[dict]:
-    """Algebraic vs shooting energy for every subcritical state in range."""
+    """Algebraic vs shooting level per subcritical state; rel_delta is in nu."""
     rows = []
     for st in spectrum_table(zeta, j_max, k_max):
-        e_shoot = shooting_solve(st.channel, st.k)
-        e_alg = precision.to_float(st.energy)
+        shot = state_from_nu(st.channel, st.k, _shoot(st.channel, st.k))
         rows.append({
             "j": precision.to_float(st.channel.j),
             "epsilon": st.channel.epsilon,
             "k": st.k,
-            "energy_algebraic": e_alg,
-            "energy_shooting": e_shoot,
-            "rel_delta": abs(e_shoot - e_alg) / e_alg,
+            "energy_algebraic": precision.to_float(st.energy),
+            "energy_shooting": shot.energy,
+            "rel_delta": abs(shot.nu / precision.to_float(st.nu) - 1.0),
         })
     return rows
 

@@ -12,7 +12,7 @@ psi_minus = rel_coeff * (rank k-1 member).  The mixing coefficient is fixed
 by the first-order system itself:
 
     rel_coeff = C_minus(mu) / (zeta/kappa - tau),
-    zeta/kappa = sqrt(zeta^2 + (mu - 1/2)^2).
+    zeta/kappa = (mu - 1/2)/E.
 
 For k = 0 there is no lower member: psi_minus vanishes, rel_coeff = 0, and
 F/G = -sqrt((1+E)/(1-E)) pointwise (the constant-ratio nodeless solution,
@@ -119,8 +119,7 @@ def build_solution(state: BoundState) -> RadialSolution:
                               rel_coeff=channel.lam * 0)
     below = raise_to_rank(ground, state.k - 1)
     top, _ = apply_raising(below)
-    # zeta/kappa in stable closed form
-    zeta_over_kappa = precision.sqrt(channel.zeta ** 2 + (state.mu - 0.5) ** 2)
+    zeta_over_kappa = (state.mu - 0.5) / state.energy
     rel = c_minus(channel.lam, state.mu) / (zeta_over_kappa - channel.tau)
     return RadialSolution(state=state, psi_plus=top, psi_minus=below, rel_coeff=rel)
 

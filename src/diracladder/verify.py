@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channels import bound_energy, make_channel, state_from_energy
+from .channels import bound_energy, make_channel, state_from_nu
 from .errors import NotAnEigenfunction
 from .ladder import (
     _rel_dev,
@@ -195,10 +195,10 @@ def suite_ode() -> VerificationReport:
     for k in (0, 3):
         st = bound_energy(channel, k)
         sol = build_solution(st)
-        st_off = state_from_energy(channel, k, st.energy * (1.0 - 1e-3))
+        st_off = state_from_nu(channel, k, st.nu * (1.0 - 1e-3))
         off = oracle.ode_residual(replace(sol, state=st_off))
         detuned_min = min(detuned_min, max(abs(c.measured) for c in off.checks))
-    report.add("detuned energy (1e-3) is detected", float(detuned_min), 1e-4,
+    report.add("detuned nu (1e-3) is detected", float(detuned_min), 1e-4,
                passed=detuned_min > 1e-4,
                detail="residual must exceed 1e-4")
     return report

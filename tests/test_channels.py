@@ -12,9 +12,9 @@ from diracladder import (
     UnphysicalState,
     bound_energy,
     make_channel,
-    mu_from_energy,
     spectrum_table,
     state_from_energy,
+    state_from_nu,
     zeta_from_charge,
 )
 from diracladder.errors import DomainError
@@ -95,6 +95,8 @@ def test_k_validation():
     for bad in (-1, 1.5, "2", True):
         with pytest.raises(InvalidQuantumNumber):
             bound_energy(ch, bad)
+        with pytest.raises(InvalidQuantumNumber):
+            spectrum_table(0.5, 0.5, bad)
 
 
 def test_nodeless_level_excluded_for_positive_epsilon():
@@ -124,17 +126,33 @@ def test_kinematic_relations():
     assert st.wavenumber == pytest.approx(0.5 * st.energy / (st.mu - 0.5), abs=1e-15)
 
 
-def test_mu_from_energy_inverts_spectrum():
+def test_state_from_energy_inverts_spectrum():
     ch = ref_channel()
     for k in range(6):
         st = bound_energy(ch, k)
-        assert mu_from_energy(st.energy, 0.5) == pytest.approx(st.mu, abs=1e-12)
+        assert state_from_energy(ch, k, st.energy).mu == pytest.approx(st.mu, abs=1e-12)
     # energies are in units of the mass: a bound level lies in (0, 1)
-    for bad in (0.0, 1.0, float("nan")):
-        with pytest.raises(DomainError):
-            mu_from_energy(bad, 0.5)
+    for bad in (0.0, 1.0, float("nan"), -0.5, 1.5):
         with pytest.raises(DomainError):
             state_from_energy(ch, 2, bad)
+
+
+def test_state_from_nu_is_exact_where_energy_rounds():
+    # zeta = 1e-6: 1 - E ~ 1e-13, so nu formed from E is off by 4e-4, and
+    # from k = 67 on E rounds to 1; the state built from nu keeps mu = lam + k
+    ch = make_channel(0.5, -1, 1e-6)
+    st = bound_energy(ch, 2)
+    assert state_from_nu(ch, 2, st.nu) == st
+    assert st.mu == pytest.approx(ch.lam + 2, abs=1e-13)
+    assert abs(state_from_energy(ch, 2, st.energy).mu - st.mu) > 1e-4
+    top = bound_energy(ch, 67)
+    assert top.energy == 1.0
+    assert top.mu == pytest.approx(ch.lam + 67, abs=1e-12)
+    with pytest.raises(DomainError):
+        state_from_energy(ch, 67, top.energy)
+    for bad in (0.0, 1.0, -0.1, float("nan")):
+        with pytest.raises(DomainError):
+            state_from_nu(ch, 2, bad)
 
 
 def test_state_from_energy_carries_detuning():

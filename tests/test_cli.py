@@ -266,6 +266,7 @@ def test_oracle_compare(capsys, monkeypatch):
     assert header[:3] == ["j", "eps", "k"]
     assert len(rows) == 3
     assert float(meta_lines(out)["worst_rel_delta"]) < 1e-6
+    assert meta_lines(out)["rel_delta_measure"].startswith("|nu_shooting")
     assert meta_lines(out)["precision_bits"] == "53"
 
 

@@ -240,6 +240,8 @@ def test_matrix_validation():
     with pytest.raises(DomainError):
         matrix_representation("omega1", LAM, 2.5)
     with pytest.raises(DomainError):
+        matrix_representation("omega1", LAM, True)
+    with pytest.raises(DomainError):
         matrix_representation("omega1", 0.4, 3)
 
 

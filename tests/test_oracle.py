@@ -31,6 +31,7 @@ from diracladder import (
     shooting_solution,
     shooting_solve,
     state_from_energy,
+    state_from_nu,
     truncated_norms,
 )
 from diracladder import oracle
@@ -208,13 +209,28 @@ def test_ode_residual_finite_difference_path():
     assert rep.all_passed
 
 
-def test_ode_residual_detects_detuning():
-    st = bound_energy(ref_channel(), 2)
-    wrong = state_from_energy(ref_channel(), 2, st.energy * (1 - 1e-3))
+@pytest.mark.parametrize("zeta", [0.5, 1e-6])
+def test_ode_residual_detects_detuning(zeta):
+    # a 1e-3 detuning of nu gives a residual of 5.0e-4 at either coupling
+    ch = make_channel(0.5, -1, zeta)
+    st = bound_energy(ch, 2)
+    wrong = state_from_nu(ch, 2, st.nu * (1 - 1e-3))
     sol = replace(build_solution(st), state=wrong)
     rep = ode_residual(sol)
     assert not rep.all_passed
     assert max(abs(c.measured) for c in rep.checks) > 1e-4
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_state_from_nu_passes_residual_at_tiny_coupling(k):
+    # at zeta = 1e-6 the state rebuilt from its nu passes where one rebuilt
+    # from its energy (state_from_energy) fails at 2e-4 or more
+    ch = make_channel(0.5, -1, 1e-6)
+    st = bound_energy(ch, k)
+    sol = build_solution(st)
+    assert ode_residual(replace(sol, state=state_from_nu(ch, k, st.nu))).all_passed
+    lossy = replace(sol, state=state_from_energy(ch, k, st.energy))
+    assert not ode_residual(lossy).all_passed
 
 
 def test_ode_residual_method_validation():
@@ -272,8 +288,13 @@ def test_shooting_high_in_the_tower(j, zeta, k):
 def test_shooting_node_count_at_tiny_coupling(eps, k):
     # at zeta=1e-6, m - E ~ 1e-13 m is below what a float64 E resolves,
     # while nu ~ 1e-7 is carried to full relative precision
-    res = shooting_solution(make_channel(0.5, eps, 1e-6), k)
+    ch = make_channel(0.5, eps, 1e-6)
+    res = shooting_solution(ch, k)
     assert res.node_count == 2
+    exact = bound_energy(ch, k)
+    assert res.state.nu == pytest.approx(exact.nu, rel=1e-9)
+    assert res.state.mu == pytest.approx(ch.lam + k, abs=1e-11)
+    assert ode_residual(replace(build_solution(exact), state=res.state)).all_passed
 
 
 def test_shooting_rejects_bad_input():
@@ -335,6 +356,10 @@ def test_compare_spectrum_rows():
     assert len(rows) == 3
     assert {r["k"] for r in rows} == {0, 1}
     assert max(r["rel_delta"] for r in rows) < 1e-10
+    # at zeta = 1e-6 both energies round to 1 - O(1e-13), so only nu shows
+    # the shot's error
+    rows = compare_spectrum(1e-6, 0.5, 1)
+    assert 0.0 < max(r["rel_delta"] for r in rows) < 1e-10
 
 
 # ---------------------------------------------------------------------------
