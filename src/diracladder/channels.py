@@ -48,14 +48,8 @@ from .errors import (
 )
 
 __all__ = [
-    "Channel",
-    "BoundState",
-    "make_channel",
-    "zeta_from_charge",
-    "bound_energy",
-    "state_from_nu",
-    "state_from_energy",
-    "spectrum_table",
+    "Channel", "BoundState", "make_channel", "zeta_from_charge", "bound_energy",
+    "state_from_nu", "state_from_energy", "spectrum_table",
 ]
 
 
@@ -108,8 +102,8 @@ def _is_half_odd_integer(j) -> bool:
 
 def zeta_from_charge(Z: float, alpha: float | None = None):
     """Coulomb coupling zeta = Z*alpha for a nuclear charge Z."""
-    if Z <= 0:
-        raise InvalidQuantumNumber(f"nuclear charge must be positive, got {Z}")
+    if not 0 < Z < math.inf:
+        raise InvalidQuantumNumber(f"nuclear charge must be positive and finite, got {Z}")
     if alpha is None:   # the constant's digits, at the working precision for mpmath Z
         alpha = precision.FINE_STRUCTURE_ALPHA
         alpha = mpmath.mpf(repr(alpha)) if precision.is_extended(Z) else alpha
@@ -165,7 +159,10 @@ def state_from_nu(channel: Channel, k: int, nu) -> BoundState:
 
     E, kappa and mu = 1/2 + zeta*E/kappa follow from nu without the cancellation
     in 1 - E, at nu's precision (float or mpmath); a detuned nu detunes mu.
+    Raises DomainError for k not a nonnegative integer or nu outside (0, 1).
     """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     if not 0 < nu < 1:
         raise DomainError(f"nu must lie in (0, 1), got {nu}")
     nu2 = nu * nu

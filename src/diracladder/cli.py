@@ -17,6 +17,7 @@ import sys
 import warnings
 
 import mpmath
+import numpy as np
 
 from . import __version__, precision, verify
 from .channels import (
@@ -35,6 +36,7 @@ from .errors import (
     UnphysicalState,
 )
 from .ladder import negative_branch_ground
+from .oracle import compare_spectrum, divergence_check, truncated_norms
 from .radial import build_solution, evaluate_on_grid, physical_normalize
 
 # The two conventions that differ from a naive reading of the source
@@ -187,9 +189,12 @@ def _resolve_precision(args) -> tuple[int, str]:
 
 def _parse_real(text: str, bits: int):
     try:
-        return mpmath.mpf(text) if bits > 53 else float(text)
+        value = mpmath.mpf(text) if bits > 53 else float(text)
     except ValueError as exc:
         raise InvalidQuantumNumber(f"not a number: {text!r}") from exc
+    if not mpmath.isfinite(value):
+        raise InvalidQuantumNumber(f"not a finite number: {text!r}")
+    return value
 
 
 def _resolve_zeta(args, bits: int):
@@ -216,6 +221,23 @@ def _fmt(x, bits: int = 53) -> str:
     if precision.is_extended(x):
         return mpmath.nstr(x, _digits(bits))
     return repr(float(x))
+
+
+def _sweep(table, zeta, args):
+    """table(zeta, j_max, k_max) and the supercritical channels it skipped."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SupercriticalChannelWarning)
+        rows = table(zeta, args.j_max, args.k_max)
+    skipped = []
+    for w in caught:
+        if issubclass(w.category, SupercriticalChannelWarning):
+            skipped.append(str(w.message))
+        else:       # any other warning is shown as it would have been
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if not rows:
+        raise Supercritical(
+            f"no subcritical channels with j <= {args.j_max} at zeta = {zeta}")
+    return rows, skipped
 
 
 def _base_meta(args, bits: int, source: str) -> dict:
@@ -254,14 +276,7 @@ def _cmd_spectrum(args) -> int:
     bits, source = _resolve_precision(args)
     with mpmath.workprec(bits):
         zeta, coupling_meta = _resolve_zeta(args, bits)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            states = spectrum_table(zeta, args.j_max, args.k_max)
-        skipped = [str(w.message) for w in caught
-                   if issubclass(w.category, SupercriticalChannelWarning)]
-        if not states:
-            raise Supercritical(
-                f"no subcritical channels with j <= {args.j_max} at zeta = {zeta}")
+        states, skipped = _sweep(spectrum_table, zeta, args)
 
         if not 0 < args.electron_mass_mev < math.inf:
             raise DomainError(f"--electron-mass-mev must be positive and finite, "
@@ -325,8 +340,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_wavefunction(args) -> int:
-    import numpy as np
-
     bits, source = _resolve_precision(args)
     with mpmath.workprec(bits):
         zeta, coupling_meta = _resolve_zeta(args, bits)
@@ -382,14 +395,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    from .oracle import compare_spectrum     # scipy loads on the first shot
-
     bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
-    rows = compare_spectrum(precision.to_float(zeta), args.j_max, args.k_max)
-    if not rows:
-        raise Supercritical(
-            f"no subcritical channels with j <= {args.j_max} at zeta = {zeta}")
+    rows, skipped = _sweep(compare_spectrum, precision.to_float(zeta), args)
     header = ["j", "eps", "k", "E_algebraic", "E_shooting", "rel_delta"]
     text_rows = [[repr(r["j"]), f"{r['epsilon']:+d}", str(r["k"]),
                   repr(r["energy_algebraic"]), repr(r["energy_shooting"]),
@@ -400,13 +408,13 @@ def _cmd_oracle_compare(args) -> int:
     meta.update({"j_max": args.j_max, "k_max": args.k_max,
                  "worst_rel_delta": f"{worst:.3e}", "agreement_threshold": "1e-06",
                  "rel_delta_measure": "|nu_shooting - nu_algebraic|/nu_algebraic"})
+    if skipped:
+        meta["skipped_channels"] = skipped
     _emit(meta, header, text_rows, rows, args)
     return 0 if worst <= 1e-6 else 1
 
 
 def _cmd_demo_divergence(args) -> int:
-    from .oracle import divergence_check, truncated_norms
-
     bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
     channel = make_channel(args.j, args.eps, zeta)

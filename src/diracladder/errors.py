@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "DiracLadderError", "InvalidQuantumNumber", "Supercritical", "UnphysicalState",
+    "DomainError", "WrongBranch", "NotAnEigenfunction", "QuadratureFailure",
+    "NoSignChange", "StiffnessFailure", "PrecisionLoss",
+    "SupercriticalChannelWarning",
+]
+
 
 class DiracLadderError(Exception):
     """Base class for all package errors."""

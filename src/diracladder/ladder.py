@@ -57,18 +57,10 @@ from .errors import (
 from .report import VerificationReport
 
 __all__ = [
-    "LadderFunction",
-    "OperatorMatrix",
-    "ground_ladder_function",
-    "negative_branch_ground",
-    "apply_raising",
-    "apply_lowering",
-    "apply_omega3",
-    "apply_casimir",
-    "commutator_check",
-    "positive_operator_check",
-    "matrix_representation",
-    "raise_to_rank",
+    "LadderFunction", "OperatorMatrix", "ground_ladder_function",
+    "negative_branch_ground", "c_plus", "c_minus", "apply_raising",
+    "apply_lowering", "apply_omega3", "apply_casimir", "commutator_check",
+    "positive_operator_check", "matrix_representation", "raise_to_rank",
 ]
 
 _CASIMIR_REL_TOL = 1e-8    # apply_casimir's eigenfunction test

@@ -50,12 +50,8 @@ from .ladder import (
 )
 
 __all__ = [
-    "RadialSolution",
-    "WavefunctionTable",
-    "build_solution",
-    "evaluate_on_grid",
-    "physical_normalize",
-    "count_radial_nodes",
+    "RadialSolution", "WavefunctionTable", "build_solution", "evaluate_on_grid",
+    "physical_normalize", "count_radial_nodes",
 ]
 
 

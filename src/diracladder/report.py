@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+__all__ = ["CheckResult", "VerificationReport"]
+
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import oracle
 from .channels import bound_energy, make_channel, state_from_nu
 from .errors import NotAnEigenfunction
 from .ladder import (
@@ -141,7 +142,6 @@ def suite_casimir(k_max: int = 20, tolerance: float = 1e-10) -> VerificationRepo
 
 
 def suite_quadrature() -> VerificationReport:
-    from . import oracle       # only the oracle-backed suites need it
     report = VerificationReport("quadrature orthonormality")
     worst_norm = 0.0
     count = 0
@@ -171,7 +171,6 @@ def suite_quadrature() -> VerificationReport:
 
 
 def suite_ode() -> VerificationReport:
-    from . import oracle
     report = VerificationReport("first-order system residuals")
     worst = 0.0
     count = 0

@@ -153,6 +153,11 @@ def test_state_from_nu_is_exact_where_energy_rounds():
     for bad in (0.0, 1.0, -0.1, float("nan")):
         with pytest.raises(DomainError):
             state_from_nu(ch, 2, bad)
+    # the one constructor checks k too; k=True used to die in build_solution
+    # with a bare ValueError
+    for bad_k in (-1, 1.5, True):
+        with pytest.raises(DomainError):
+            state_from_nu(ch, bad_k, 0.3)
 
 
 def test_state_from_energy_carries_detuning():
@@ -166,6 +171,9 @@ def test_state_from_energy_carries_detuning():
 def test_zeta_from_charge():
     assert zeta_from_charge(1) == pytest.approx(0.0072973525693, abs=1e-16)
     assert zeta_from_charge(10, alpha=0.05) == pytest.approx(0.5, abs=1e-15)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidQuantumNumber):
+            zeta_from_charge(bad)
 
 
 def test_zeta_from_charge_default_alpha_at_extended_precision():

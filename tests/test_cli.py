@@ -211,6 +211,10 @@ def test_wavefunction_refuses_non_finite_values(capsys):
     ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1", "--k", "1",
      "--precision", "1025"],
     ["demo-divergence", "--zeta", "0.5", "--cutoffs", "5,nan"],
+    ["spectrum", "--zeta", "inf"],
+    ["spectrum", "--Z", "inf"],
+    ["spectrum", "--Z", "1", "--alpha", "inf"],
+    ["oracle-compare", "--zeta", "inf"],
 ])
 def test_non_finite_or_non_positive_inputs_exit_two(argv, capsys):
     try:
@@ -268,6 +272,21 @@ def test_oracle_compare(capsys, monkeypatch):
     assert float(meta_lines(out)["worst_rel_delta"]) < 1e-6
     assert meta_lines(out)["rel_delta_measure"].startswith("|nu_shooting")
     assert meta_lines(out)["precision_bits"] == "53"
+
+
+def test_oracle_compare_records_skipped_channels_in_metadata(capsys):
+    # zeta = 1.2 is supercritical at j = 1/2: the skip goes into the metadata,
+    # as in spectrum, and nothing reaches stderr even under warnings-as-errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["oracle-compare", "--zeta", "1.2", "--j-max", "1.5",
+                              "--k-max", "0"], capsys)
+    assert code == 0
+    assert err == ""
+    skipped = json.loads(meta_lines(out)["skipped_channels"])
+    assert len(skipped) == 1 and "j=0.5" in skipped[0]
+    header, rows = csv_rows(out)
+    assert [r[0] for r in rows] == ["1.5"]
 
 
 def test_demo_divergence(capsys, monkeypatch):

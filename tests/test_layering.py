@@ -6,7 +6,8 @@ ast, so a lazy import inside a function counts too.  At run time, importing
 the package, running the closed-form CLI commands, `verify` and the
 certification checks leave scipy unloaded; only shooting loads its integrator
 and root finder, and it calls them through the oracle's module globals, which
-a tracer can wrap.
+a tracer can wrap.  Importing the package binds every public name, each from
+the `__all__` of exactly one module, and loads no numpy.polynomial either.
 """
 
 import ast
@@ -72,10 +73,8 @@ COLD_PATHS = {
 }
 
 
-def scipy_modules_after(code):
-    """Sorted scipy modules loaded once `code` has run in a fresh interpreter."""
-    script = (f"import sys\n{code}\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def run_fresh(script):
+    """The last line `script` prints in a fresh interpreter, as a literal."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                       env.get("PYTHONPATH")]))
@@ -83,6 +82,12 @@ def scipy_modules_after(code):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def scipy_modules_after(code):
+    """Sorted scipy modules loaded once `code` has run in a fresh interpreter."""
+    return run_fresh(f"import sys\n{code}\n"
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
 
 
 @pytest.mark.parametrize("path", sorted(COLD_PATHS))
@@ -119,3 +124,33 @@ def test_shooting_routes_every_leg_through_the_module_integrator(monkeypatch):
     oracle.shooting_solve(make_channel(0.5, -1, 0.5), 1)
     assert counts["determinants"] > 2
     assert counts["legs"] == 2 * counts["determinants"]
+
+
+HOMES = ("channels", "errors", "ladder", "oracle", "radial", "report", "verify")
+
+
+def test_package_binds_each_public_name_from_one_module():
+    # fresh, so that no earlier import binds a name the package left lazy
+    found = run_fresh("\n".join([
+        "import importlib, sys",
+        "import diracladder as dl",
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
+        "                or m.startswith('numpy.polynomial'))",
+        f"homes = {{h: importlib.import_module('diracladder.' + h) for h in {HOMES!r}}}",
+        "print(repr({",
+        "    'loaded': loaded,",
+        "    'all': dl.__all__,",
+        "    'unlisted': [n for n in dl.__all__ if n not in dir(dl)],",
+        "    'owners': {n: [h for h, m in homes.items() if n in m.__all__]",
+        "               for n in dl.__all__},",
+        "    'rebound': [(h, n) for h, m in homes.items() for n in m.__all__",
+        "                if getattr(dl, n, None) is not getattr(m, n)],",
+        "}))",
+    ]))
+    assert found["loaded"] == []
+    assert found["unlisted"] == []
+    assert found["rebound"] == []
+    owners = found["owners"]
+    assert owners.pop("__version__") == []
+    assert all(len(homes) == 1 for homes in owners.values()), owners
+    assert len(found["all"]) == len(set(found["all"]))

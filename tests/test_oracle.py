@@ -15,11 +15,9 @@ from diracladder import (
     bound_energy,
     build_solution,
     compare_spectrum,
-    component_norm_integral,
     divergence_check,
     ground_ladder_function,
     inner_product,
-    laguerre_weighted_integral,
     make_channel,
     matching_determinant,
     matching_scan,
@@ -35,6 +33,7 @@ from diracladder import (
     truncated_norms,
 )
 from diracladder import oracle
+from diracladder.oracle import component_norm_integral, laguerre_weighted_integral
 from diracladder.radial import RadialSolution, count_radial_nodes
 
 LAM = 1.3660254037844386468
