@@ -9,7 +9,8 @@ and a two-sided shooting eigensolver that knows nothing about the algebra.
 `verify` bundles both sides into pass/fail suites, `cli` exposes the lot.
 
 The public names are each module's `__all__`, republished here; the package's
-own `__all__` is their union.  scipy loads on the first shot, not on import.
+own `__all__` is their union.  scipy loads on the first shot, and mpmath with
+the first extended-precision number, not on import.
 """
 
 __version__ = "0.1.0"

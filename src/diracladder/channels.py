@@ -36,8 +36,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import mpmath
-
 from . import precision
 from .errors import (
     DomainError,
@@ -101,12 +99,16 @@ def _is_half_odd_integer(j) -> bool:
 
 
 def zeta_from_charge(Z: float, alpha: float | None = None):
-    """Coulomb coupling zeta = Z*alpha for a nuclear charge Z."""
-    if not 0 < Z < math.inf:
+    """Coulomb coupling zeta = Z*alpha; both positive and finite (nan fails)."""
+    if isinstance(Z, bool) or not 0 < Z < math.inf:
         raise InvalidQuantumNumber(f"nuclear charge must be positive and finite, got {Z}")
-    if alpha is None:   # the constant's digits, at the working precision for mpmath Z
+    if alpha is None:
         alpha = precision.FINE_STRUCTURE_ALPHA
-        alpha = mpmath.mpf(repr(alpha)) if precision.is_extended(Z) else alpha
+        if precision.is_extended(Z):   # the constant's digits, at the working precision
+            import mpmath
+            alpha = mpmath.mpf(repr(alpha))
+    elif not 0 < alpha < math.inf:
+        raise InvalidQuantumNumber(f"alpha must be positive and finite, got {alpha}")
     return Z * alpha
 
 

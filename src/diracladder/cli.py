@@ -10,13 +10,13 @@ and the two convention flags in the metadata.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import warnings
 
-import mpmath
 import numpy as np
 
 from . import __version__, precision, verify
@@ -187,12 +187,26 @@ def _resolve_precision(args) -> tuple[int, str]:
     return bits, source
 
 
+def _working_precision(bits: int):
+    # every mpf creation, operation and formatting must sit inside this, or
+    # mpmath rounds back to its ambient 53 bits; at 53 bits all is float64
+    if bits > 53:
+        import mpmath
+        return mpmath.workprec(bits)
+    return contextlib.nullcontext()
+
+
 def _parse_real(text: str, bits: int):
+    if bits > 53:
+        import mpmath
+        parse, finite = mpmath.mpf, mpmath.isfinite
+    else:
+        parse, finite = float, math.isfinite
     try:
-        value = mpmath.mpf(text) if bits > 53 else float(text)
+        value = parse(text)
     except ValueError as exc:
         raise InvalidQuantumNumber(f"not a number: {text!r}") from exc
-    if not mpmath.isfinite(value):
+    if not finite(value):
         raise InvalidQuantumNumber(f"not a finite number: {text!r}")
     return value
 
@@ -219,6 +233,7 @@ def _digits(bits: int) -> int:
 
 def _fmt(x, bits: int = 53) -> str:
     if precision.is_extended(x):
+        import mpmath
         return mpmath.nstr(x, _digits(bits))
     return repr(float(x))
 
@@ -271,10 +286,8 @@ def _emit(meta: dict, header: list[str], text_rows: list[list[str]],
 # commands
 
 def _cmd_spectrum(args) -> int:
-    # every mpf creation, operation and formatting must sit inside the
-    # precision context or mpmath silently rounds back to the ambient 53 bits
     bits, source = _resolve_precision(args)
-    with mpmath.workprec(bits):
+    with _working_precision(bits):
         zeta, coupling_meta = _resolve_zeta(args, bits)
         states, skipped = _sweep(spectrum_table, zeta, args)
 
@@ -341,7 +354,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_wavefunction(args) -> int:
     bits, source = _resolve_precision(args)
-    with mpmath.workprec(bits):
+    with _working_precision(bits):
         zeta, coupling_meta = _resolve_zeta(args, bits)
         channel = make_channel(args.j, args.eps, zeta)
         state = bound_energy(channel, args.k)

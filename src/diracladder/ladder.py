@@ -43,6 +43,7 @@ nonnegative terms, so float64 and mpmath coefficients share one code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,13 +318,18 @@ def _evaluate_with_derivatives(members, rho):
             for q, t in zip(values[::2], values[1::2])]
 
 
+def _require_lam(lam):
+    # written as 1/2 < lam < inf so that nan fails too
+    if not 0.5 < precision.to_float(lam) < math.inf:
+        raise DomainError(f"lam must be finite and exceed 1/2, got {lam}")
+
+
 def ground_ladder_function(lam) -> LadderFunction:
     """Bottom of the positive tower, mu = lam, exactly unit-normalized.
 
     q is the constant 2**(lam - 1/2) / sqrt(Gamma(2*lam - 1)).
     """
-    if not precision.to_float(lam) > 0.5:
-        raise DomainError(f"lam must exceed 1/2, got {lam}")
+    _require_lam(lam)
     c0 = precision.power(2.0, lam - 0.5) / precision.sqrt(precision.gamma(2 * lam - 1))
     return LadderFunction(lam=lam, mu=lam, coeffs=(c0,), branch="positive")
 
@@ -333,8 +339,7 @@ def negative_branch_ground(lam) -> LadderFunction:
 
     Annihilated by raising, not normalizable; amplitude convention q = 1.
     """
-    if not precision.to_float(lam) > 0.5:
-        raise DomainError(f"lam must exceed 1/2, got {lam}")
+    _require_lam(lam)
     one = lam * 0 + 1.0   # match the scalar type of lam
     return LadderFunction(lam=lam, mu=-lam, coeffs=(one,), branch="negative")
 
@@ -503,9 +508,8 @@ def matrix_representation(which: str, lam, K: int) -> OperatorMatrix:
         raise DomainError(f"which must be omega1|omega2|omega3, got {which!r}")
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise DomainError(f"K must be a positive integer, got {K!r}")
+    _require_lam(lam)
     lam_f = precision.to_float(lam)
-    if lam_f <= 0.5:
-        raise DomainError(f"lam must exceed 1/2, got {lam}")
 
     mus = [-(lam_f + k) for k in range(K, -1, -1)] + [lam_f + k for k in range(K + 1)]
     n = len(mus)

@@ -4,13 +4,17 @@ Every algebraic routine in this package is written against these helpers
 instead of ``math`` so that feeding mpmath numbers in (``mpmath.mpf``) keeps
 the whole computation at ``mpmath.mp.prec`` bits.  Feeding plain floats keeps
 everything in fast float64.
+
+mpmath is needed only for extended precision, and this module never imports
+it: an mpmath number cannot exist before mpmath is loaded, so a value is
+extended only if mpmath is already in ``sys.modules`` and the value is one of
+its numbers.  A float64 caller never pays for loading mpmath.
 """
 
 from __future__ import annotations
 
 import math
-
-import mpmath
+import sys
 
 # CODATA 2018 value; callers may pass their own alpha everywhere it appears.
 FINE_STRUCTURE_ALPHA = 0.0072973525693
@@ -19,33 +23,37 @@ FINE_STRUCTURE_ALPHA = 0.0072973525693
 ELECTRON_MASS_MEV = 0.51099895000
 
 
+def _mpmath_of(x):
+    """The loaded mpmath module when x is one of its numbers, else None."""
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc)):
+        return mpmath
+    return None
+
+
 def is_extended(x) -> bool:
     """True when x carries mpmath extended precision."""
-    return isinstance(x, (mpmath.mpf, mpmath.mpc))
+    return _mpmath_of(x) is not None
 
 
 def sqrt(x):
-    if is_extended(x):
-        return mpmath.sqrt(x)
-    return math.sqrt(x)
+    mpmath = _mpmath_of(x)
+    return mpmath.sqrt(x) if mpmath else math.sqrt(x)
 
 
 def exp(x):
-    if is_extended(x):
-        return mpmath.exp(x)
-    return math.exp(x)
+    mpmath = _mpmath_of(x)
+    return mpmath.exp(x) if mpmath else math.exp(x)
 
 
 def gamma(x):
-    if is_extended(x):
-        return mpmath.gamma(x)
-    return math.gamma(x)
+    mpmath = _mpmath_of(x)
+    return mpmath.gamma(x) if mpmath else math.gamma(x)
 
 
 def power(base, exponent):
-    if is_extended(base) or is_extended(exponent):
-        return mpmath.power(base, exponent)
-    return base ** exponent
+    mpmath = _mpmath_of(base) or _mpmath_of(exponent)
+    return mpmath.power(base, exponent) if mpmath else base ** exponent
 
 
 def to_float(x) -> float:

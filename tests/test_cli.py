@@ -226,6 +226,14 @@ def test_non_finite_or_non_positive_inputs_exit_two(argv, capsys):
     assert "nan" not in out
 
 
+@pytest.mark.parametrize("precision", ["53", "113"])
+def test_negative_alpha_is_a_usage_error_naming_alpha(precision, capsys):
+    code, out, err = run(["spectrum", "--Z", "1", "--alpha=-0.0073",
+                          "--precision", precision], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: alpha must be positive")
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum"])

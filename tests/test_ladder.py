@@ -54,6 +54,19 @@ def test_ground_requires_lam_above_half():
         ground_ladder_function(0.2)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), mpmath.mpf("nan"),
+                                 mpmath.inf])
+def test_non_finite_lam_is_a_domain_error(lam):
+    # inf used to build coeffs=(nan,) and a +-inf matrix diagonal
+    with pytest.raises(DomainError):
+        ground_ladder_function(lam)
+    with pytest.raises(DomainError):
+        negative_branch_ground(lam)
+    for which in ("omega1", "omega2", "omega3"):
+        with pytest.raises(DomainError):
+            matrix_representation(which, lam, 1)
+
+
 def test_lowering_annihilates_ground():
     f = ground()
     zero, coeff = apply_lowering(f)

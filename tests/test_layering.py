@@ -3,14 +3,18 @@
 channels, ladder and radial generate every eigenfunction symbolically; the
 oracle checks them from outside.  The split is read from the sources with
 ast, so a lazy import inside a function counts too.  At run time, importing
-the package, running the closed-form CLI commands, `verify` and the
-certification checks leave scipy unloaded; only shooting loads its integrator
-and root finder, and it calls them through the oracle's module globals, which
-a tracer can wrap.  Importing the package binds every public name, each from
-the `__all__` of exactly one module, and loads no numpy.polynomial either.
+the package, running the closed-form CLI commands at 53 bits, `verify` and
+the certification checks leave both scipy and mpmath unloaded.  Only
+shooting loads scipy's integrator and root finder, and it calls them through
+the oracle's module globals, which a tracer can wrap.  mpmath loads with the
+first extended-precision number (a `--precision 113` call, or a caller's own
+`import mpmath`), and the precision helpers recognise its numbers from then
+on.  Importing the package binds every public name, each from the `__all__`
+of exactly one module, and loads no numpy.polynomial either.
 """
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -84,24 +88,55 @@ def run_fresh(script):
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
-def scipy_modules_after(code):
-    """Sorted scipy modules loaded once `code` has run in a fresh interpreter."""
-    return run_fresh(f"import sys\n{code}\n"
-                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+@functools.lru_cache(maxsize=None)
+def modules_after(code):
+    """Sorted modules loaded once `code` has run in a fresh interpreter."""
+    return run_fresh(f"import sys\n{code}\nprint(sorted(sys.modules))")
+
+
+def package_modules_after(code, package):
+    return [m for m in modules_after(code) if m.split(".")[0] == package]
 
 
 @pytest.mark.parametrize("path", sorted(COLD_PATHS))
 def test_cold_path_leaves_scipy_unloaded(path):
-    assert scipy_modules_after(COLD_PATHS[path]) == []
+    assert package_modules_after(COLD_PATHS[path], "scipy") == []
+
+
+@pytest.mark.parametrize("path", sorted(COLD_PATHS))
+def test_cold_path_leaves_mpmath_unloaded(path):
+    # every number on these paths is a float64; mpmath waits for an mpf
+    assert package_modules_after(COLD_PATHS[path], "mpmath") == []
+
+
+def test_extended_precision_cli_loads_mpmath_and_succeeds():
+    code = CLI.format(['spectrum', '--zeta', '0.5', '--precision', '113'])
+    assert "mpmath" in modules_after(code)
+
+
+def test_precision_helpers_see_mpmath_numbers_made_after_import():
+    # mpmath is not loaded by the package, so its numbers appear only later
+    found = run_fresh("\n".join([
+        "import sys",
+        "from diracladder import precision",
+        "assert 'mpmath' not in sys.modules",
+        "import mpmath",
+        "mpmath.mp.prec = 113",
+        "x = mpmath.mpf(2)",
+        "print(repr([precision.is_extended(x), precision.is_extended(mpmath.mpc(1, 1)),",
+        "            precision.is_extended(2.0), precision.sqrt(x) == mpmath.sqrt(2),",
+        "            isinstance(precision.power(2.0, x / 4), mpmath.mpf)]))",
+    ]))
+    assert found == [True, True, False, True, True]
 
 
 def test_shooting_loads_scipy_integrator_on_first_shot():
-    loaded = scipy_modules_after("\n".join([
+    loaded = package_modules_after("\n".join([
         "import diracladder as dl",
         "channel = dl.make_channel(0.5, -1, 0.5)",
         "exact = float(dl.bound_energy(channel, 1).energy)",
         "assert abs(dl.shooting_solve(channel, 1) - exact) < 1e-10",
-    ]))
+    ]), "scipy")
     assert "scipy.integrate" in loaded and "scipy.optimize" in loaded
 
 
