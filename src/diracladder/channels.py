@@ -123,8 +123,8 @@ def make_channel(j, epsilon: int, zeta) -> Channel:
             f"j must be a positive half-odd-integer (1/2, 3/2, ...), got {j}")
     if epsilon not in (-1, 1):
         raise InvalidQuantumNumber(f"epsilon must be +1 or -1, got {epsilon}")
-    if not zeta > 0:
-        raise InvalidQuantumNumber(f"zeta must be positive, got {zeta}")
+    if isinstance(zeta, bool) or not 0 < zeta < math.inf:
+        raise InvalidQuantumNumber(f"zeta must be positive and finite, got {zeta}")
     if zeta >= precision.to_float(j) + 0.5:
         raise Supercritical(
             f"zeta={zeta} >= j + 1/2 = {precision.to_float(j) + 0.5}: "

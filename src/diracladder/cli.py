@@ -1,10 +1,11 @@
 """Command-line front end: spectrum tables, wavefunction export, verification.
 
-Output contract: CSV with `#`-prefixed metadata lines, or JSON with a single
-{"meta": ..., "rows": ...} object.  Every run echoes the working precision
-and the two convention flags in the metadata.  Exit codes: 0 success,
-1 runtime/verification failure, 2 usage error, 3 physics error
-(supercritical channel or excluded state).
+Each table command builds one list of rows (dicts of raw values) and one
+metadata dict; `_emit` renders them to stdout as CSV with `#`-prefixed
+metadata lines, or as JSON with a single {"meta": ..., "rows": ...} object.
+Every run echoes the working precision and the two convention flags in the
+metadata.  Exit codes: 0 success, 1 runtime/verification failure, 2 usage
+error, 3 physics error (supercritical channel or excluded state).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -76,11 +76,8 @@ def _add_common(parser: argparse.ArgumentParser, extended: bool):
     if extended:
         parser.add_argument("--precision", type=int, default=None, metavar="BITS",
                             help="working precision in bits, 53 to "
-                                 f"{_MAX_PRECISION_BITS} (default 53 or "
-                                 "DIRACLADDER_PRECISION)")
+                                 f"{_MAX_PRECISION_BITS} (default 53)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="write to a file instead of stdout")
 
 
 def _add_coupling(parser: argparse.ArgumentParser):
@@ -159,32 +156,21 @@ def build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 # oracle-compare and demo-divergence compute in float64 only and take no
-# --precision; their metadata says so whatever DIRACLADDER_PRECISION holds
+# --precision; their metadata says so
 _FLOAT64_ONLY = (53, "fixed (float64 command)")
 
-# highest --precision / DIRACLADDER_PRECISION: mpmath's cost grows steeply
-# with the bits, and an unbounded value can run for minutes
+# highest --precision: mpmath's cost grows steeply with the bits, and an
+# unbounded value can run for minutes
 _MAX_PRECISION_BITS = 1024
 
 
 def _resolve_precision(args) -> tuple[int, str]:
-    env = os.environ.get("DIRACLADDER_PRECISION")
-    if args.precision is not None:
-        bits, source = args.precision, "command line"
-    elif env:
-        bits, source = env, "environment DIRACLADDER_PRECISION"
-    else:
-        bits, source = 53, "default"
-    try:
-        bits = int(bits)
-    except ValueError as exc:
-        # only the environment hands over text; argparse checks the flag
-        raise DomainError(f"DIRACLADDER_PRECISION must be a whole number of bits, "
-                          f"got {bits!r}") from exc
-    if not 53 <= bits <= _MAX_PRECISION_BITS:
+    if args.precision is None:
+        return 53, "default"
+    if not 53 <= args.precision <= _MAX_PRECISION_BITS:
         raise DomainError(f"precision must lie between 53 and {_MAX_PRECISION_BITS} "
-                          f"bits, got {bits}")
-    return bits, source
+                          f"bits, got {args.precision}")
+    return args.precision, "command line"
 
 
 def _working_precision(bits: int):
@@ -265,21 +251,28 @@ def _base_meta(args, bits: int, source: str) -> dict:
     }
 
 
-def _emit(meta: dict, header: list[str], text_rows: list[list[str]],
-          value_rows: list[dict], args) -> None:
+def _cell(value, bits: int) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):         # eps labels
+        return "|".join(f"{e:+d}" for e in value)
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value, bits)
+
+
+def _emit(meta: dict, rows: list[dict], args, bits: int) -> None:
+    """Print the rows (dicts of raw values) as CSV or JSON; reals become float in JSON."""
     if args.format == "json":
-        payload = json.dumps({"meta": meta, "rows": value_rows}, indent=2)
-    else:
-        lines = [f"# {key} = {json.dumps(val) if isinstance(val, (list, dict)) else val}"
-                 for key, val in meta.items()]
-        lines.append(",".join(header))
-        lines.extend(",".join(row) for row in text_rows)
-        payload = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+        rows = [{key: val if val is None or isinstance(val, (int, list)) else float(val)
+                 for key, val in row.items()} for row in rows]
+        print(json.dumps({"meta": meta, "rows": rows}, indent=2))
+        return
+    lines = [f"# {key} = {json.dumps(val) if isinstance(val, (list, dict)) else val}"
+             for key, val in meta.items()]
+    lines.append(",".join(rows[0]))
+    lines.extend(",".join(_cell(val, bits) for val in row.values()) for row in rows)
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -294,44 +287,18 @@ def _cmd_spectrum(args) -> int:
         if not 0 < args.electron_mass_mev < math.inf:
             raise DomainError(f"--electron-mass-mev must be positive and finite, "
                               f"got {args.electron_mass_mev}")
-        scale = args.electron_mass_mev if args.si else None
-        merged = []
-        if args.no_collapse:
-            merged = [(st, [st.channel.epsilon]) for st in states]
-        else:
-            index = {}
-            for st in states:
-                key = (precision.to_float(st.channel.j), st.k)
-                if key in index:
-                    merged[index[key]][1].append(st.channel.epsilon)
-                else:
-                    index[key] = len(merged)
-                    merged.append((st, [st.channel.epsilon]))
+        scale = args.electron_mass_mev if args.si else 1
+        # exactly degenerate eps pairs share a (j, k) key unless --no-collapse
+        groups = {}
+        for st in states:
+            key = (st.channel.j, st.k) + ((st.channel.epsilon,) if args.no_collapse else ())
+            groups.setdefault(key, (st, []))[1].append(st.channel.epsilon)
 
         e_name = "E_mev" if args.si else "E_over_m"
         k_name = "kappa_mev" if args.si else "kappa"
-        header = ["j", "eps", "k", "mu", e_name, k_name, "nu"]
-        text_rows, value_rows = [], []
-        for st, eps_list in merged:
-            eps_list = sorted(eps_list)
-            energy, kappa = st.energy, st.wavenumber
-            if scale is not None:
-                energy, kappa = energy * scale, kappa * scale
-            row = {
-                "j": precision.to_float(st.channel.j),
-                "eps": eps_list,
-                "k": st.k,
-                "mu": precision.to_float(st.mu),
-                e_name: precision.to_float(energy),
-                k_name: precision.to_float(kappa),
-                "nu": precision.to_float(st.nu),
-            }
-            value_rows.append(row)
-            text_rows.append([
-                repr(row["j"]), "|".join(f"{e:+d}" for e in eps_list), str(st.k),
-                _fmt(st.mu, bits), _fmt(energy, bits), _fmt(kappa, bits),
-                _fmt(st.nu, bits),
-            ])
+        rows = [{"j": st.channel.j, "eps": sorted(eps), "k": st.k, "mu": st.mu,
+                 e_name: st.energy * scale, k_name: st.wavenumber * scale, "nu": st.nu}
+                for st, eps in groups.values()]
 
         meta = _base_meta(args, bits, source)
         meta.update(coupling_meta)
@@ -340,7 +307,7 @@ def _cmd_spectrum(args) -> int:
             "k_max": args.k_max,
             "energy_unit": "MeV" if args.si else "units of mass",
             "degenerate_eps_pairs_collapsed": not args.no_collapse,
-            "rows": len(merged),
+            "rows": len(rows),
         })
         if args.si:
             meta["electron_mass_mev"] = args.electron_mass_mev
@@ -348,7 +315,7 @@ def _cmd_spectrum(args) -> int:
             meta["skipped_channels"] = skipped
         if bits > 53:
             meta["json_values_are_float64"] = True
-    _emit(meta, header, text_rows, value_rows, args)
+        _emit(meta, rows, args, bits)
     return 0
 
 
@@ -385,12 +352,8 @@ def _cmd_wavefunction(args) -> int:
                     + (" (log)" if args.log else ""),
         })
 
-    header = ["rho", "F", "G"]
-    text_rows = [[repr(float(r)), repr(float(f)), repr(float(g))]
-                 for r, f, g in zip(table.rho, table.F, table.G)]
-    value_rows = [{"rho": float(r), "F": float(f), "G": float(g)}
-                  for r, f, g in zip(table.rho, table.F, table.G)]
-    _emit(meta, header, text_rows, value_rows, args)
+    rows = [{"rho": r, "F": f, "G": g} for r, f, g in zip(table.rho, table.F, table.G)]
+    _emit(meta, rows, args, bits)
     return 0
 
 
@@ -410,11 +373,10 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
-    rows, skipped = _sweep(compare_spectrum, precision.to_float(zeta), args)
-    header = ["j", "eps", "k", "E_algebraic", "E_shooting", "rel_delta"]
-    text_rows = [[repr(r["j"]), f"{r['epsilon']:+d}", str(r["k"]),
-                  repr(r["energy_algebraic"]), repr(r["energy_shooting"]),
-                  f"{r['rel_delta']:.3e}"] for r in rows]
+    found, skipped = _sweep(compare_spectrum, precision.to_float(zeta), args)
+    rows = [{"j": r["j"], "eps": [r["epsilon"]], "k": r["k"],
+             "E_algebraic": r["energy_algebraic"], "E_shooting": r["energy_shooting"],
+             "rel_delta": r["rel_delta"]} for r in found]
     worst = max(r["rel_delta"] for r in rows)
     meta = _base_meta(args, bits, source)
     meta.update(coupling_meta)
@@ -423,7 +385,7 @@ def _cmd_oracle_compare(args) -> int:
                  "rel_delta_measure": "|nu_shooting - nu_algebraic|/nu_algebraic"})
     if skipped:
         meta["skipped_channels"] = skipped
-    _emit(meta, header, text_rows, rows, args)
+    _emit(meta, rows, args, bits)
     return 0 if worst <= 1e-6 else 1
 
 
@@ -436,25 +398,17 @@ def _cmd_demo_divergence(args) -> int:
     norms = truncated_norms(member, cuts)
     report = divergence_check(member, cuts)
 
-    header = ["R", "truncated_norm", "ratio_to_previous", "lower_bound_exp"]
-    text_rows, value_rows = [], []
-    prev = None
-    for r, n in zip(cuts, norms):
-        ratio = "" if prev is None else repr(float(n / prev[1]))
-        bound = "" if prev is None else repr(math.exp(r - prev[0]))
-        text_rows.append([repr(float(r)), repr(float(n)), ratio, bound])
-        value_rows.append({"R": float(r), "truncated_norm": float(n),
-                           "ratio_to_previous": None if prev is None else float(n / prev[1]),
-                           "lower_bound_exp": None if prev is None
-                           else math.exp(r - prev[0])})
-        prev = (r, n)
+    rows = [{"R": r, "truncated_norm": n,
+             "ratio_to_previous": n / norms[i - 1] if i else None,
+             "lower_bound_exp": math.exp(r - cuts[i - 1]) if i else None}
+            for i, (r, n) in enumerate(zip(cuts, norms))]
 
     meta = _base_meta(args, bits, source)
     meta.update(coupling_meta)
     meta.update({"j": args.j, "eps": args.eps,
                  "lambda": _fmt(channel.lam, bits),
                  "mu": _fmt(-channel.lam, bits)})
-    _emit(meta, header, text_rows, value_rows, args)
+    _emit(meta, rows, args, bits)
     for line in report.lines():
         print(f"# {line}")
     return 0 if report.all_passed else 1

@@ -1,5 +1,6 @@
 """Channel construction, validation, and the closed-form spectrum."""
 
+import math
 import warnings
 
 import mpmath
@@ -69,6 +70,14 @@ def test_epsilon_and_zeta_validation():
         make_channel(0.5, -1, 0.0)
     with pytest.raises(InvalidQuantumNumber):
         make_channel(0.5, -1, -0.3)
+    # a bool, nan or inf coupling is rejected as zeta_from_charge rejects them,
+    # not read as zeta = 1 or reported as supercritical
+    for j in (0.5, 1.5):
+        for zeta in (True, math.nan, math.inf):
+            with pytest.raises(InvalidQuantumNumber):
+                make_channel(j, -1, zeta)
+    with mpmath.workprec(113):
+        assert make_channel(0.5, -1, mpmath.mpf("0.5")).zeta == mpmath.mpf("0.5")
 
 
 def test_supercritical_coupling_rejected():

@@ -81,27 +81,58 @@ def test_json_output_shape(capsys):
         make_channel(0.5, -1, 0.5), 0).energy
 
 
-def test_precision_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("DIRACLADDER_PRECISION", "120")
-    _, out, _ = run(["spectrum", "--zeta", "0.5", "--j-max", "0.5",
-                     "--k-max", "0"], capsys)
+def test_precision_flag(capsys, monkeypatch):
+    argv = ["spectrum", "--zeta", "0.5", "--j-max", "0.5", "--k-max", "0"]
+    _, out, _ = run(argv + ["--precision", "120"], capsys)
     meta = meta_lines(out)
     assert meta["precision_bits"] == "120"
-    assert "DIRACLADDER_PRECISION" in meta["precision_source"]
+    assert meta["precision_source"] == "command line"
     # E printed beyond float64: sqrt(3)/2 to ~36 digits
     _, rows = csv_rows(out)
     assert rows[0][4].startswith("0.866025403784438646763723170752936")
 
-    # explicit flag wins over the environment
-    _, out, _ = run(["spectrum", "--zeta", "0.5", "--precision", "64"], capsys)
-    assert meta_lines(out)["precision_bits"] == "64"
+    # the flag is the only way to set the precision: the environment is not read
+    monkeypatch.setenv("DIRACLADDER_PRECISION", "120")
+    _, out, _ = run(argv, capsys)
+    meta = meta_lines(out)
+    assert meta["precision_bits"] == "53"
+    assert meta["precision_source"] == "default"
 
-    # a value that is not a number of bits, or above the cap, is a usage error
-    for value in ("abc", "1025"):
-        monkeypatch.setenv("DIRACLADDER_PRECISION", value)
-        code, out, err = run(["spectrum", "--zeta", "0.5"], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("usage error:") and len(err.splitlines()) == 1
+    # a precision above the cap is a usage error
+    code, out, err = run(argv + ["--precision", "1025"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+def _parse_cell(cell, like):
+    """A CSV cell read back as the type of its JSON counterpart."""
+    if like is None:
+        return None if cell == "" else cell
+    if isinstance(like, list):                  # eps labels, "-1|+1"
+        return [int(e) for e in cell.split("|")]
+    return int(cell) if isinstance(like, int) else float(cell)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--zeta", "0.5", "--j-max", "1.5", "--k-max", "2"],
+    ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1", "--k", "1",
+     "--grid", "0.1,10,7"],
+    ["oracle-compare", "--zeta", "0.5", "--j-max", "0.5", "--k-max", "1"],
+    ["demo-divergence", "--zeta", "0.5", "--cutoffs", "5,10,20"],
+])
+def test_csv_and_json_rows_agree(argv, capsys):
+    # one row list behind both formats: same names in the same order, and
+    # every CSV cell reads back as its JSON value
+    _, csv_out, _ = run(argv, capsys)
+    _, json_out, _ = run(argv + ["--format", "json"], capsys)
+    header, cells = csv_rows(csv_out)
+    # demo-divergence prints its report lines after the JSON object
+    doc, _ = json.JSONDecoder().raw_decode(json_out)
+    assert len(cells) == len(doc["rows"]) > 0
+    for row, values in zip(cells, doc["rows"]):
+        assert header == list(values)
+        assert [_parse_cell(c, v) for c, v in zip(row, values.values())] \
+            == list(values.values())
 
 
 def test_charge_matches_zeta_at_extended_precision(capsys):
@@ -151,15 +182,19 @@ def test_wavefunction_physical_amplitude_at_extended_precision(capsys):
     assert float(wide) == pytest.approx(narrow, rel=1e-14)
 
 
-def test_wavefunction_output_file(tmp_path, capsys):
-    path = tmp_path / "wf.json"
-    code, out, _ = run(["wavefunction", "--zeta", "0.5", "--j", "0.5",
-                        "--eps", "-1", "--k", "0", "--format", "json",
-                        "--output", str(path)], capsys)
+def test_wavefunction_json_to_stdout(tmp_path, capsys):
+    argv = ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
+            "--k", "0", "--format", "json"]
+    code, out, _ = run(argv, capsys)
     assert code == 0
-    assert out == ""
-    doc = json.loads(path.read_text())
-    assert len(doc["rows"]) == 200
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 200
+    assert all(list(row) == ["rho", "F", "G"] for row in rows)
+    # tables go to stdout; a file is a shell redirection, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(tmp_path / "wf.json")])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_exit_code_physics(capsys):
@@ -268,9 +303,8 @@ def test_verify_single_suite(capsys):
     assert "[PASS]" in out
 
 
-def test_oracle_compare(capsys, monkeypatch):
-    # a float64 command reports 53 bits whatever the environment asks for
-    monkeypatch.setenv("DIRACLADDER_PRECISION", "120")
+def test_oracle_compare(capsys):
+    # a float64 command reports 53 bits
     code, out, _ = run(["oracle-compare", "--zeta", "0.5", "--j-max", "0.5",
                         "--k-max", "1"], capsys)
     assert code == 0
@@ -297,8 +331,7 @@ def test_oracle_compare_records_skipped_channels_in_metadata(capsys):
     assert [r[0] for r in rows] == ["1.5"]
 
 
-def test_demo_divergence(capsys, monkeypatch):
-    monkeypatch.setenv("DIRACLADDER_PRECISION", "150")
+def test_demo_divergence(capsys):
     code, out, _ = run(["demo-divergence", "--zeta", "0.5",
                         "--cutoffs", "5,10,20"], capsys)
     assert code == 0
