@@ -87,11 +87,11 @@ class BoundState:
         """Radii (1e-3, 4*mu + 20) where nodes and residuals are checked: past
         the outermost node (~2*mu), above F's root at rho <= 0 for epsilon = +1.
         """
-        return 1e-3, 4.0 * precision.to_float(self.mu) + 20.0
+        return 1e-3, 4.0 * float(self.mu) + 20.0
 
 
 def _is_half_odd_integer(j) -> bool:
-    twice = precision.to_float(j) * 2.0
+    twice = float(j) * 2.0
     if not math.isfinite(twice):
         return False
     nearest = round(twice)
@@ -125,9 +125,9 @@ def make_channel(j, epsilon: int, zeta) -> Channel:
         raise InvalidQuantumNumber(f"epsilon must be +1 or -1, got {epsilon}")
     if isinstance(zeta, bool) or not 0 < zeta < math.inf:
         raise InvalidQuantumNumber(f"zeta must be positive and finite, got {zeta}")
-    if zeta >= precision.to_float(j) + 0.5:
+    if zeta >= float(j) + 0.5:
         raise Supercritical(
-            f"zeta={zeta} >= j + 1/2 = {precision.to_float(j) + 0.5}: "
+            f"zeta={zeta} >= j + 1/2 = {float(j) + 0.5}: "
             f"channel (j={j}, eps={epsilon:+d}) has no bound tower")
 
     tau = epsilon * (j + 0.5)
@@ -196,10 +196,10 @@ def spectrum_table(zeta, j_max, k_max: int) -> list[BoundState]:
         raise InvalidQuantumNumber(f"k_max must be a nonnegative integer, got {k_max!r}")
 
     states: list[BoundState] = []
-    n_half = round(precision.to_float(j_max) * 2)
+    n_half = round(float(j_max) * 2)
     for twice_j in range(1, n_half + 1, 2):
         j = twice_j / 2.0
-        if precision.to_float(zeta) >= j + 0.5:
+        if float(zeta) >= j + 0.5:
             warnings.warn(
                 f"skipping supercritical channels at j={j} (zeta={zeta} >= {j + 0.5})",
                 SupercriticalChannelWarning, stacklevel=2)
@@ -210,7 +210,6 @@ def spectrum_table(zeta, j_max, k_max: int) -> list[BoundState]:
                 if k == 0 and epsilon == 1:
                     continue
                 states.append(bound_energy(channel, k))
-    states.sort(key=lambda st: (precision.to_float(st.energy),
-                                precision.to_float(st.channel.j),
-                                st.k, st.channel.epsilon))
+    states.sort(key=lambda st: (float(st.energy), float(st.channel.j), st.k,
+                                st.channel.epsilon))
     return states

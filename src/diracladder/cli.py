@@ -37,7 +37,7 @@ from .errors import (
 )
 from .ladder import negative_branch_ground
 from .oracle import compare_spectrum, divergence_check, truncated_norms
-from .radial import build_solution, evaluate_on_grid, physical_normalize
+from .radial import build_solution, physical_normalize
 
 # The two conventions that differ from a naive reading of the source
 # relations; echoed in every output so downstream consumers know them.
@@ -47,6 +47,11 @@ CONVENTION_FLAGS = (
 )
 
 
+# most --grid points, 100x the benchmark's 1000-point grids: a huge count
+# would exhaust memory in np.linspace before anything is evaluated
+_MAX_GRID_POINTS = 100_000
+
+
 def _grid_type(text: str):
     try:
         lo_s, hi_s, n_s = text.split(",")
@@ -54,9 +59,9 @@ def _grid_type(text: str):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be 'min,max,count', got {text!r}") from exc
-    if not (0 < lo < hi < math.inf) or n < 1:
-        raise argparse.ArgumentTypeError(
-            f"grid needs 0 < min < max < inf and count >= 1, got {text!r}")
+    if not (0 < lo < hi < math.inf) or not 1 <= n <= _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid needs 0 < min < max < inf and "
+                                         f"1 <= count <= {_MAX_GRID_POINTS}, got {text!r}")
     return lo, hi, n
 
 
@@ -331,11 +336,11 @@ def _cmd_wavefunction(args) -> int:
         lo, hi, n = args.grid
         grid = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
         with np.errstate(over="ignore", invalid="ignore"):   # judged just below
-            table = evaluate_on_grid(solution, grid)
-        finite = np.isfinite(table.F) & np.isfinite(table.G)
+            F, G, _, _ = solution.evaluate_with_derivatives(grid)
+        finite = np.isfinite(F) & np.isfinite(G)
         if not finite.all():
             raise PrecisionLoss(
-                f"F or G is not finite in float64 at rho = {float(table.rho[~finite][0])!r}")
+                f"F or G is not finite in float64 at rho = {float(grid[~finite][0])!r}")
 
         meta = _base_meta(args, bits, source)
         meta.update(coupling_meta)
@@ -352,7 +357,7 @@ def _cmd_wavefunction(args) -> int:
                     + (" (log)" if args.log else ""),
         })
 
-    rows = [{"rho": r, "F": f, "G": g} for r, f, g in zip(table.rho, table.F, table.G)]
+    rows = [{"rho": r, "F": f, "G": g} for r, f, g in zip(grid, F, G)]
     _emit(meta, rows, args, bits)
     return 0
 
@@ -361,9 +366,8 @@ def _cmd_verify(args) -> int:
     names = args.suite or ["all"]
     if "all" in names:
         names = list(verify.SUITE_NAMES)
-    reports = verify.run_suites(names)
     ok = True
-    for report in reports:
+    for report in map(verify.run_suite, names):
         print(report)
         ok = ok and report.all_passed
     print("ALL SUITES PASSED" if ok else "SUITE FAILURES PRESENT")
@@ -373,7 +377,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
-    found, skipped = _sweep(compare_spectrum, precision.to_float(zeta), args)
+    found, skipped = _sweep(compare_spectrum, float(zeta), args)
     rows = [{"j": r["j"], "eps": [r["epsilon"]], "k": r["k"],
              "E_algebraic": r["energy_algebraic"], "E_shooting": r["energy_shooting"],
              "rel_delta": r["rel_delta"]} for r in found]
@@ -407,10 +411,9 @@ def _cmd_demo_divergence(args) -> int:
     meta.update(coupling_meta)
     meta.update({"j": args.j, "eps": args.eps,
                  "lambda": _fmt(channel.lam, bits),
-                 "mu": _fmt(-channel.lam, bits)})
+                 "mu": _fmt(-channel.lam, bits),
+                 "checks": [c.line() for c in report.checks]})
     _emit(meta, rows, args, bits)
-    for line in report.lines():
-        print(f"# {line}")
     return 0 if report.all_passed else 1
 
 

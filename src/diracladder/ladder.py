@@ -82,7 +82,7 @@ def _combine(*terms):
 
 def _rel_dev(a, b, scale) -> float:
     """max |a - b| over zero-padded coefficient vectors, divided by scale."""
-    return precision.to_float(max(abs(c) for c in _combine((1, a), (-1, b))) / scale)
+    return float(max(abs(c) for c in _combine((1, a), (-1, b))) / scale)
 
 
 def _times_rho(lam, coeffs):
@@ -161,8 +161,8 @@ def _evaluate_q(lam, rows, rho):
     One forward three-term recurrence in x = 2*rho feeds every row, in order n.
     """
     if isinstance(rho, np.ndarray):
-        lam = precision.to_float(lam)
-        rows = [[precision.to_float(c) for c in row] for row in rows]
+        lam = float(lam)
+        rows = [[float(c) for c in row] for row in rows]
     a = 2 * lam - 1
     x = 2 * rho
     prev, cur = 0, x * 0 + 1
@@ -213,7 +213,7 @@ class LadderFunction:
     @property
     def rank(self) -> int:
         """k = |mu| - lam rounded to the nearest integer."""
-        return round(abs(precision.to_float(self.mu)) - precision.to_float(self.lam))
+        return round(abs(float(self.mu)) - float(self.lam))
 
     @property
     def is_zero(self) -> bool:
@@ -228,7 +228,7 @@ class LadderFunction:
         _check_radius(rho)
         sign = -1.0 if self.branch == "positive" else 1.0
         if isinstance(rho, np.ndarray):
-            lam = precision.to_float(self.lam)
+            lam = float(self.lam)
             return rho ** (lam - 0.5) * np.exp(sign * rho), sign
         return precision.power(rho, self.lam - 0.5) * precision.exp(sign * rho), sign
 
@@ -257,10 +257,10 @@ class LadderFunction:
         PrecisionLoss; an uncertified list is never returned.  numpy's
         overflow warnings are silenced, because the certificate judges them.
         """
-        coeffs = [precision.to_float(c) for c in self.coeffs]
+        coeffs = [float(c) for c in self.coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        n, a = len(coeffs) - 1, 2 * precision.to_float(self.lam) - 1
+        n, a = len(coeffs) - 1, 2 * float(self.lam) - 1
         rho = np.empty(0)
         if n:
             i = np.arange(1, n + 1)
@@ -311,7 +311,7 @@ def _evaluate_with_derivatives(members, rho):
     as d/dx L_n^(a) = -sum_(i<n) L_i^(a); one weight w, one _evaluate_q pass.
     """
     weight, sign = members[0]._weight(rho)
-    lam = precision.to_float(members[0].lam) if isinstance(rho, np.ndarray) else members[0].lam
+    lam = float(members[0].lam) if isinstance(rho, np.ndarray) else members[0].lam
     rows = [row for f in members for row in (f.coeffs, _tail_sums(f.coeffs)[1:])]
     values, factor = _evaluate_q(lam, rows, rho), (lam - 0.5) / rho + sign
     return [(weight * q, weight * (-2 * t + factor * q))
@@ -320,7 +320,7 @@ def _evaluate_with_derivatives(members, rho):
 
 def _require_lam(lam):
     # written as 1/2 < lam < inf so that nan fails too
-    if not 0.5 < precision.to_float(lam) < math.inf:
+    if not 0.5 < float(lam) < math.inf:
         raise DomainError(f"lam must be finite and exceed 1/2, got {lam}")
 
 
@@ -436,8 +436,7 @@ def commutator_check(f: LadderFunction, tolerance: float = 1e-10) -> Verificatio
     """
     _require_positive_branch(f)
     lam, mu, q = f.lam, f.mu, f.coeffs
-    report = VerificationReport(f"su(2) relations at lam={precision.to_float(lam):.6f}, "
-                                f"mu={precision.to_float(mu):.6f}")
+    report = VerificationReport(f"su(2) relations at lam={float(lam):.6f}, mu={float(mu):.6f}")
     scale = max(abs(c) for c in q)
 
     down = _lowering_action(lam, mu, q)
@@ -492,9 +491,6 @@ class OperatorMatrix:
     basis_mus: tuple
     entries: np.ndarray
 
-    def as_array(self) -> np.ndarray:
-        return self.entries
-
 
 def matrix_representation(which: str, lam, K: int) -> OperatorMatrix:
     """Truncated matrix of omega1|omega2|omega3 on both towers.
@@ -509,7 +505,7 @@ def matrix_representation(which: str, lam, K: int) -> OperatorMatrix:
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise DomainError(f"K must be a positive integer, got {K!r}")
     _require_lam(lam)
-    lam_f = precision.to_float(lam)
+    lam_f = float(lam)
 
     mus = [-(lam_f + k) for k in range(K, -1, -1)] + [lam_f + k for k in range(K + 1)]
     n = len(mus)

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import precision
 from .channels import BoundState, Channel, spectrum_table, state_from_nu
 from .errors import (
     DomainError,
@@ -188,7 +187,7 @@ def laguerre_weighted_integral(coeffs, alpha: float):
     with weight t^alpha * exp(-t), under the module's fixed node-doubling
     policy.
     """
-    coeffs = [precision.to_float(c) for c in coeffs]
+    coeffs = [float(c) for c in coeffs]
     polyval = np.polynomial.polynomial.polyval
     return _weighted_integral(lambda rho: polyval(rho, coeffs), alpha, len(coeffs) - 1)
 
@@ -200,7 +199,7 @@ def component_norm_integral(polys, alpha: float) -> float:
     convolving coefficients: the summed integrand is nonnegative, so the
     quadrature sum has no catastrophic cancellation even at high rank.
     """
-    polys = [[precision.to_float(c) for c in p] for p in polys]
+    polys = [[float(c) for c in p] for p in polys]
     degree = 2 * max(len(p) - 1 for p in polys)
     polyval = np.polynomial.polynomial.polyval
 
@@ -225,10 +224,10 @@ def inner_product(f: LadderFunction, g: LadderFunction,
         raise DomainError(f"scheme must be one of {tuple(_POLICY)}, got {scheme!r}")
     if f.branch != "positive" or g.branch != "positive":
         raise WrongBranch("inner products are defined on the positive branch")
-    lam = precision.to_float(f.lam)
-    if abs(lam - precision.to_float(g.lam)) > 1e-12:
+    lam = float(f.lam)
+    if abs(lam - float(g.lam)) > 1e-12:
         raise DomainError("members from different towers")
-    if abs(precision.to_float(f.mu) - precision.to_float(g.mu)) > 1e-9:
+    if abs(float(f.mu) - float(g.mu)) > 1e-9:
         return 0.0
 
     def values(rho):
@@ -251,8 +250,7 @@ def physical_norm_integral(solution: RadialSolution) -> float:
     def values(rho):
         return f.polynomial(rho) ** 2 + g.polynomial(rho) ** 2
 
-    return _weighted_integral(values, 2.0 * precision.to_float(f.lam) - 1.0,
-                              2 * f.degree)
+    return _weighted_integral(values, 2.0 * float(f.lam) - 1.0, 2 * f.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +273,9 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
     by the local sum of term magnitudes (plus a machine floor); NaN fails.
     """
     st = solution.state
-    tau = precision.to_float(st.channel.tau)
-    zeta = precision.to_float(st.channel.zeta)
-    nu = precision.to_float(st.nu)
+    tau = float(st.channel.tau)
+    zeta = float(st.channel.zeta)
+    nu = float(st.nu)
     lo, hi = st.window
 
     if method == "exact":
@@ -304,7 +302,7 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
     rel1, rel2 = np.abs(r1) / s1, np.abs(r2) / s2
     report = VerificationReport(
         f"radial system residual ({method}) for k={st.k}, "
-        f"j={precision.to_float(st.channel.j)}, eps={st.channel.epsilon:+d}")
+        f"j={float(st.channel.j)}, eps={st.channel.epsilon:+d}")
     report.add("small-component equation sup-residual", float(rel1.max()), tolerance,
                detail=f"rms={float(np.sqrt(np.mean(rel1 ** 2))):.2e}, n={rho.size}")
     report.add("large-component equation sup-residual", float(rel2.max()), tolerance,
@@ -359,11 +357,11 @@ def _legs(channel: Channel, nu: float, k: int, table: bool = False):
     """
     # decaying tail F ~ e^(-rho) rho^q with q = mu(nu) - 1/2 = zeta*E/kappa;
     # the 1/rho correction enters only through the component ratio G/F
-    q = precision.to_float(state_from_nu(channel, k, nu).mu) - 0.5
-    tau = precision.to_float(channel.tau)
-    zeta = precision.to_float(channel.zeta)
-    s = precision.to_float(channel.s)
-    mu = precision.to_float(channel.lam) + k
+    q = float(state_from_nu(channel, k, nu).mu) - 0.5
+    tau = float(channel.tau)
+    zeta = float(channel.zeta)
+    s = float(channel.s)
+    mu = float(channel.lam) + k
     rho_match, rho_max = max(1.0, mu - 0.5), 2.0 * mu + 25.0
     inward = (1.0, -nu * (1.0 - (tau + zeta * nu + q) / rho_max))
     fun = _rhs(tau, zeta, nu)
@@ -410,8 +408,8 @@ def _shoot(channel: Channel, k: int) -> float:
     # nu of level k.  The closed form is a hint only: with r_n =
     # zeta/(s + n) (= kappa/E of level n) the walls sit 45% of the way to the
     # neighbouring levels, and nu = r/(1 + sqrt(1 + r^2)) maps them into (0, 1)
-    s = precision.to_float(channel.s)
-    zeta = precision.to_float(channel.zeta)
+    s = float(channel.s)
+    zeta = float(channel.zeta)
     r_k, r_next = zeta / (s + k), zeta / (s + k + 1)
     r_prev = zeta / (s + k - 1) if k >= 1 else 2.0 * r_k - r_next
     lo, hi = (r / (1.0 + np.sqrt(1.0 + r * r))
@@ -462,12 +460,12 @@ def compare_spectrum(zeta, j_max, k_max: int) -> list[dict]:
     for st in spectrum_table(zeta, j_max, k_max):
         shot = state_from_nu(st.channel, st.k, _shoot(st.channel, st.k))
         rows.append({
-            "j": precision.to_float(st.channel.j),
+            "j": float(st.channel.j),
             "epsilon": st.channel.epsilon,
             "k": st.k,
-            "energy_algebraic": precision.to_float(st.energy),
+            "energy_algebraic": float(st.energy),
             "energy_shooting": shot.energy,
-            "rel_delta": abs(shot.nu / precision.to_float(st.nu) - 1.0),
+            "rel_delta": abs(shot.nu / float(st.nu) - 1.0),
         })
     return rows
 
@@ -490,7 +488,7 @@ def truncated_norms(f: LadderFunction, cutoffs) -> np.ndarray:
     if cuts[-1] > 300.0:
         raise DomainError("cutoff beyond 300 would overflow e^(2*rho)")
 
-    lam = precision.to_float(f.lam)
+    lam = float(f.lam)
     nodes, weights = np.polynomial.legendre.leggauss(max(240, int(4 * cuts[-1])))
 
     def one(r):
@@ -510,8 +508,7 @@ def divergence_check(f: LadderFunction, cutoffs) -> VerificationReport:
     cuts = np.asarray(list(cutoffs), dtype=float)
     norms = truncated_norms(f, cuts)
     report = VerificationReport(
-        f"negative-branch norm growth, lam={precision.to_float(f.lam):.6f}, "
-        f"mu={precision.to_float(f.mu):.6f}")
+        f"negative-branch norm growth, lam={float(f.lam):.6f}, mu={float(f.mu):.6f}")
     increase_margin = float(np.min(np.diff(norms)))
     report.add("truncated norms strictly increase", increase_margin, 0.0,
                passed=increase_margin > 0.0,

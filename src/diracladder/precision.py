@@ -54,8 +54,3 @@ def gamma(x):
 def power(base, exponent):
     mpmath = _mpmath_of(base) or _mpmath_of(exponent)
     return mpmath.power(base, exponent) if mpmath else base ** exponent
-
-
-def to_float(x) -> float:
-    """Collapse to float64 (for export and numpy interop)."""
-    return float(x)

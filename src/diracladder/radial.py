@@ -50,8 +50,7 @@ from .ladder import (
 )
 
 __all__ = [
-    "RadialSolution", "WavefunctionTable", "build_solution", "evaluate_on_grid",
-    "physical_normalize", "count_radial_nodes",
+    "RadialSolution", "build_solution", "physical_normalize", "count_radial_nodes",
 ]
 
 
@@ -99,13 +98,6 @@ class RadialSolution:
         return f, g, fp, gp
 
 
-@dataclass(frozen=True)
-class WavefunctionTable:
-    rho: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-
-
 def build_solution(state: BoundState) -> RadialSolution:
     """Generate the exact solution for a spectrum state by climbing the tower."""
     channel = state.channel
@@ -118,15 +110,6 @@ def build_solution(state: BoundState) -> RadialSolution:
     zeta_over_kappa = (state.mu - 0.5) / state.energy
     rel = c_minus(channel.lam, state.mu) / (zeta_over_kappa - channel.tau)
     return RadialSolution(state=state, psi_plus=top, psi_minus=below, rel_coeff=rel)
-
-
-def evaluate_on_grid(solution: RadialSolution, grid) -> WavefunctionTable:
-    """Tabulate F and G on a grid of positive radii (order preserved), in one pass."""
-    rho = np.asarray(grid, dtype=float)
-    if rho.ndim != 1:
-        raise DomainError("grid must be one-dimensional")
-    f, g, _, _ = solution.evaluate_with_derivatives(rho)
-    return WavefunctionTable(rho=rho, F=f, G=g)
 
 
 def physical_normalize(solution: RadialSolution) -> RadialSolution:

@@ -29,7 +29,7 @@ from .ladder import (
 from .radial import build_solution, physical_normalize
 from .report import VerificationReport
 
-__all__ = ["SUITE_NAMES", "run_suite", "run_suites", "CHANNEL_GRID"]
+__all__ = ["SUITE_NAMES", "run_suite", "CHANNEL_GRID"]
 
 # deepest rank and tolerance of the oracle-backed suites (quadrature, ode)
 _ORACLE_K_MAX, _ORACLE_TOL = 10, 1e-8
@@ -238,8 +238,6 @@ def suite_matrices() -> VerificationReport:
     return report
 
 
-SUITE_NAMES = ("algebra", "casimir", "quadrature", "ode", "matrices")
-
 _SUITES = {
     "algebra": suite_algebra,
     "casimir": suite_casimir,
@@ -247,15 +245,10 @@ _SUITES = {
     "ode": suite_ode,
     "matrices": suite_matrices,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> VerificationReport:
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name]()
-
-
-def run_suites(names=None) -> list[VerificationReport]:
-    if names is None:
-        names = SUITE_NAMES
-    return [run_suite(n) for n in names]

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from diracladder import bound_energy, make_channel
-from diracladder.cli import main
+from diracladder.cli import _grid_type, main
 
 
 def run(argv, capsys):
@@ -126,8 +126,7 @@ def test_csv_and_json_rows_agree(argv, capsys):
     _, csv_out, _ = run(argv, capsys)
     _, json_out, _ = run(argv + ["--format", "json"], capsys)
     header, cells = csv_rows(csv_out)
-    # demo-divergence prints its report lines after the JSON object
-    doc, _ = json.JSONDecoder().raw_decode(json_out)
+    doc = json.loads(json_out)
     assert len(cells) == len(doc["rows"]) > 0
     for row, values in zip(cells, doc["rows"]):
         assert header == list(values)
@@ -276,10 +275,14 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--zeta", "0.5", "--Z", "2"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
-              "--k", "1", "--grid", "nonsense"])
-    assert exc.value.code == 2
+    # a grid count above the cap is refused while parsing, before np.linspace
+    # would allocate it; the cap itself is accepted (only parsed here)
+    for grid in ("nonsense", "0.1,10,100001"):
+        with pytest.raises(SystemExit) as exc:
+            main(["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
+                  "--k", "1", "--grid", grid])
+        assert exc.value.code == 2
+    assert _grid_type("0.1,10,100000") == (0.1, 10.0, 100000)
     # flags a command would ignore are not registered: no command takes a
     # mass (energies are in units of it), and the two float64 commands take
     # no precision
@@ -340,5 +343,8 @@ def test_demo_divergence(capsys):
     assert header[0] == "R"
     norms = [float(r[1]) for r in rows]
     assert norms == sorted(norms)
-    assert "[PASS]" in out
+    # the check lines are one metadata entry, so nothing follows the table
+    checks = json.loads(meta_lines(out)["checks"])
+    assert checks and all(line.startswith("[PASS] ") for line in checks)
+    assert not out.strip().splitlines()[-1].startswith("#")
 

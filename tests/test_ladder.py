@@ -268,7 +268,7 @@ def test_matrix_basis_and_symmetry_classes():
     assert np.all(np.diff(mus) > 0)
     assert np.array_equal(mus, -mus[::-1])
 
-    a1, a2, a3 = m1.as_array(), m2.as_array(), m3.as_array()
+    a1, a2, a3 = m1.entries, m2.entries, m3.entries
     # symmetry classes hold exactly, not just to roundoff
     assert np.array_equal(a1, -a1.T)
     assert np.array_equal(a2, a2.T)
@@ -282,9 +282,9 @@ def test_matrix_basis_and_symmetry_classes():
 
 def test_matrix_commutator_interior_rows():
     K = 8
-    a1 = matrix_representation("omega1", LAM, K).as_array()
-    a2 = matrix_representation("omega2", LAM, K).as_array()
-    a3 = matrix_representation("omega3", LAM, K).as_array()
+    a1 = matrix_representation("omega1", LAM, K).entries
+    a2 = matrix_representation("omega2", LAM, K).entries
+    a3 = matrix_representation("omega3", LAM, K).entries
     comm = a1 @ a2 - a2 @ a1 - 1j * a3
     interior = comm[1:-1, :]
     assert np.abs(interior).max() < 1e-12
@@ -294,7 +294,7 @@ def test_matrix_commutator_interior_rows():
 
 def test_matrix_towers_disconnected():
     K = 4
-    a1 = matrix_representation("omega1", LAM, K).as_array()
+    a1 = matrix_representation("omega1", LAM, K).entries
     n = K + 1
     assert np.all(a1[:n, n:] == 0)
     assert np.all(a1[n:, :n] == 0)
@@ -302,7 +302,7 @@ def test_matrix_towers_disconnected():
 
 def test_nearest_neighbour_element_frozen():
     m1 = matrix_representation("omega1", LAM, 3)
-    a1 = m1.as_array()
+    a1 = m1.entries
     col = m1.basis_mus.index(min(mu for mu in m1.basis_mus if mu > 0))
     # <lam|omega1|lam+1> = -(1/2) sqrt(2 lam)
     assert a1[col, col + 1].real == pytest.approx(-0.82644582514053474005, abs=1e-13)

@@ -1,4 +1,4 @@
-"""Assembly of (F, G), normalization, grids, and node counting."""
+"""Assembly of (F, G), normalization, evaluation, and node counting."""
 
 import math
 from dataclasses import replace
@@ -14,7 +14,6 @@ from diracladder import (
     bound_energy,
     build_solution,
     count_radial_nodes,
-    evaluate_on_grid,
     make_channel,
     ode_residual,
     physical_norm_integral,
@@ -77,31 +76,29 @@ def test_large_rho_component_ratio_tends_to_minus_nu():
     assert dev80 < 0.6 * dev40
 
 
-def test_evaluate_on_grid_contract():
+def test_evaluate_with_derivatives_contract():
     sol = solution(1)
-    table = evaluate_on_grid(sol, np.array([]))
-    assert table.rho.size == 0 and table.F.size == 0 and table.G.size == 0
+    assert all(a.size == 0 for a in sol.evaluate_with_derivatives(np.array([])))
 
     grid = np.array([3.0, 1.0, 2.0])    # order preserved, not sorted
-    table = evaluate_on_grid(sol, grid)
-    assert np.array_equal(table.rho, grid)
-    assert table.F[1] == sol.F(np.array([1.0]))[0]
+    f, g, fp, gp = sol.evaluate_with_derivatives(grid)
+    assert f.shape == g.shape == fp.shape == gp.shape == grid.shape
+    assert f[1] == sol.F(np.array([1.0]))[0]
+    assert g[0] == sol.G(np.array([3.0]))[0]
 
     with pytest.raises(DomainError):
-        evaluate_on_grid(sol, np.array([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        evaluate_on_grid(sol, np.ones((2, 2)))
+        sol.evaluate_with_derivatives(np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("k", [0, 3, 12])
 def test_grid_and_fd_residual_values_match_f_and_g_exactly(monkeypatch, k):
-    # evaluate_on_grid and ode_residual(method='fd') take F and G from one
-    # Laguerre pass; the values are F(rho) and G(rho) bit for bit
+    # evaluate_with_derivatives (the CLI's grid path) and ode_residual(method='fd')
+    # take F and G from one Laguerre pass; the values are F(rho) and G(rho) bit for bit
     sol = solution(k)
     lo, hi = sol.state.window
     rho = np.exp(np.linspace(np.log(lo), np.log(hi), 8000))     # the fd grid
-    table = evaluate_on_grid(sol, rho)
-    assert np.array_equal(table.F, sol.F(rho)) and np.array_equal(table.G, sol.G(rho))
+    f, g, _, _ = sol.evaluate_with_derivatives(rho)
+    assert np.array_equal(f, sol.F(rho)) and np.array_equal(g, sol.G(rho))
 
     fd = ode_residual(sol, method="fd", tolerance=1e-9)
     one_pass = RadialSolution.evaluate_with_derivatives
@@ -115,12 +112,10 @@ def test_grid_and_fd_residual_values_match_f_and_g_exactly(monkeypatch, k):
 
 
 def test_nan_radius_rejected_everywhere():
-    # members, solutions and grids share one check: every rho must be > 0
+    # members and solutions share one check: every rho must be > 0
     sol = solution(1)
     bad = np.array([1.0, np.nan])
-    for evaluate in (sol.psi_plus.evaluate, sol.F, sol.G,
-                     sol.evaluate_with_derivatives,
-                     lambda rho: evaluate_on_grid(sol, rho)):
+    for evaluate in (sol.psi_plus.evaluate, sol.F, sol.G, sol.evaluate_with_derivatives):
         with pytest.raises(DomainError):
             evaluate(bad)
     with pytest.raises(DomainError):
