@@ -5,7 +5,8 @@ Coulomb potential V = -zeta/r with zeta = Z*alpha.  Conventions used across
 the whole package:
 
     tau    = epsilon * (j + 1/2)          signed angular eigenvalue
-    s      = +sqrt(tau^2 - zeta^2)        regular exponent at the origin
+    s      = +sqrt(tau^2 - zeta^2)        regular exponent at the origin,
+                                          formed as sqrt((|tau| - zeta)(|tau| + zeta))
     lambda = s + 1/2                      weight parameter of the ladder family
     omega  = tau^2 - zeta^2 - 1/4         Casimir eigenvalue
            = lambda*(lambda - 1) = j*(j + 1) - zeta^2
@@ -131,7 +132,8 @@ def make_channel(j, epsilon: int, zeta) -> Channel:
             f"channel (j={j}, eps={epsilon:+d}) has no bound tower")
 
     tau = epsilon * (j + 0.5)
-    s = precision.sqrt(tau * tau - zeta * zeta)
+    # factored so that s keeps its relative precision as zeta -> j + 1/2
+    s = precision.sqrt((abs(tau) - zeta) * (abs(tau) + zeta))
     lam = s + 0.5
     omega = tau * tau - zeta * zeta - 0.25
     return Channel(j=j, epsilon=int(epsilon), zeta=zeta, tau=tau, s=s,

@@ -36,9 +36,14 @@ two banded primitives on these coefficients,
     rho * L_n           = ((2n + a + 1) L_n - (n + 1) L_(n+1) - (n + a) L_(n-1)) / 2
     rho * d/drho L_n    = n L_n - (n + a) L_(n-1)
 
-so raising L_n gives (n + 1) L_(n+1) + (mu - lam - n) L_n.  Values come
-from the forward three-term recurrence and the x-measure norm is a sum of
+so raising L_n gives (n + 1) L_(n+1) + (mu - lam - n) L_n.  On the rank-n
+member mu - lam - n = 0, so raise_to_rank climbs on the top coefficient
+alone, c_(n+1) = c_n (n + 1) / C_plus(mu), in O(k); apply_raising keeps the
+full action, which the algebra checks exercise.  Values come from the
+forward three-term recurrence and the x-measure norm is a sum of
 nonnegative terms, so float64 and mpmath coefficients share one code path.
+Zeros come from a comrade matrix, fenced and certified by signs of q from
+the same pass that takes the first Newton step (LadderFunction.zeros).
 """
 
 from __future__ import annotations
@@ -158,19 +163,26 @@ def _norm_sq(coeffs, b):
 def _evaluate_q(lam, rows, rho):
     """q(rho) for each coefficient row, at a float, mpmath scalar or numpy array.
 
-    One forward three-term recurrence in x = 2*rho feeds every row, in order n.
+    One forward three-term recurrence in x = 2*rho feeds every row, in order n;
+    on arrays every step updates its buffers in place.
     """
     if isinstance(rho, np.ndarray):
         lam = float(lam)
         rows = [[float(c) for c in row] for row in rows]
     a = 2 * lam - 1
-    x = 2 * rho
+    x = 2.0 * rho
     prev, cur = 0, x * 0 + 1
     values = [x * 0 for _ in rows]
     for n in range(max(map(len, rows))):
         if n:
-            prev, cur = cur, ((2 * n - 1 + a - x) * cur - (n - 1 + a) * prev) / n
-        values = [v + row[n] * cur if n < len(row) else v for v, row in zip(values, rows)]
+            nxt = (2 * n - 1 + a) - x
+            nxt *= cur
+            nxt -= (n - 1 + a) * prev
+            nxt /= n
+            prev, cur = cur, nxt
+        for i, row in enumerate(rows):
+            if n < len(row):
+                values[i] += row[n] * cur
     return values
 
 
@@ -241,7 +253,6 @@ class LadderFunction:
         """(P, dP/drho), exact; q and q' come from one pass (_evaluate_with_derivatives)."""
         return _evaluate_with_derivatives((self,), rho)[0]
 
-    @np.errstate(over="ignore", invalid="ignore")
     def zeros(self, lo, hi) -> np.ndarray:
         """Zeros of q (hence of P) with lo < rho < hi, ascending, in float64.
 
@@ -250,40 +261,53 @@ class LadderFunction:
         2n + a + 1 and off-diagonal sqrt(n*(n+a)); reducing x*p_(N-1) modulo q
         subtracts sqrt(N*(N+a)) * d_m/d_N from the last column, d_m the
         coefficients of q on p_m.  The real eigenvalues of this comrade matrix
-        (Barnett 1975) inside the window get at most _NEWTON_STEPS Newton steps
-        on q, stopping once every step is below 1e-14*rho; q, not P, because
-        the weight underflows far out.  Certificate: the signs of q at lo,
-        between consecutive zeros and at hi must change once per zero, else
-        PrecisionLoss; an uncertified list is never returned.  numpy's
-        overflow warnings are silenced, because the certificate judges them.
+        (Barnett 1975) inside the window are fenced in by lo, the midpoints
+        between consecutive eigenvalues and hi.  One Laguerre pass over the
+        eigenvalues and the fences gives q and q' for the first Newton step
+        and q's sign at every fence; at most _NEWTON_STEPS steps on q, not P
+        (the weight underflows far out), stop once every step is below
+        1e-14*rho.  Certificate: q's sign must change across every fence
+        interval, and each polished zero must lie strictly inside its own
+        interval, else PrecisionLoss; an uncertified list is never returned.
+        numpy's overflow warnings are silenced, because the certificate
+        judges them.
         """
         coeffs = [float(c) for c in self.coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         n, a = len(coeffs) - 1, 2 * float(self.lam) - 1
         rho = np.empty(0)
-        if n:
-            i = np.arange(1, n + 1)
-            d = np.array(coeffs) * np.sqrt(np.cumprod(np.r_[1.0, (i + a) / i]))
-            d[1::2] *= -1
-            beta = np.sqrt(i * (i + a))
-            comrade = np.diag(2.0 * i - 1 + a) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-            comrade[:, -1] -= beta[-1] * d[:-1] / d[-1]
-            x = np.linalg.eigvals(comrade)
-            rho = x.real[np.abs(x.imag) <= 1e-8 * np.abs(x.real)] / 2
-            rho = np.sort(rho[(rho > lo) & (rho < hi)])
-        tails = _tail_sums(coeffs)[1:]
-        for _ in range(_NEWTON_STEPS):
-            q, t = _evaluate_q(self.lam, (coeffs, tails), rho)
-            step = q / (-2 * t)
-            rho = rho - step
-            if np.all(np.abs(step) <= 1e-14 * rho):
-                break
-        signs = np.sign(_evaluate_q(self.lam, (coeffs,),
-                                    np.r_[lo, (rho[1:] + rho[:-1]) / 2, hi])[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n:
+                i = np.arange(1, n + 1)
+                d = np.array(coeffs) * np.sqrt(np.cumprod(np.concatenate(([1.0], (i + a) / i))))
+                d[1::2] *= -1
+                beta = np.sqrt(i * (i + a))
+                comrade = np.diag(2.0 * i - 1 + a)
+                comrade.flat[1::n + 1] = beta[:-1]     # superdiagonal
+                comrade.flat[n::n + 1] = beta[:-1]     # subdiagonal
+                comrade[:, -1] -= beta[-1] * d[:-1] / d[-1]
+                x = np.linalg.eigvals(comrade)
+                rho = x.real[np.abs(x.imag) <= 1e-8 * np.abs(x.real)] / 2
+                rho = np.sort(rho[(rho > lo) & (rho < hi)])
+            fences = np.concatenate(([lo], (rho[1:] + rho[:-1]) / 2, [hi]))
+            tails = _tail_sums(coeffs)[1:]
+            q, t = _evaluate_q(self.lam, (coeffs, tails), np.concatenate((rho, fences)))
+            signs = np.sign(q[rho.size:])
+            q, t = q[:rho.size], t[:rho.size]
+            for step_number in range(_NEWTON_STEPS):
+                if step_number:
+                    q, t = _evaluate_q(self.lam, (coeffs, tails), rho)
+                step = q / (-2 * t)
+                rho = rho - step
+                if np.all(np.abs(step) <= 1e-14 * rho):
+                    break
         if not (np.all(np.abs(signs) == 1) and np.count_nonzero(np.diff(signs)) == rho.size):
             raise PrecisionLoss(f"{rho.size} zeros of a degree-{n} polynomial failed "
                                 f"the sign-change certificate on ({lo}, {hi})")
+        if not (np.all(fences[:-1] < rho) and np.all(rho < fences[1:])):
+            raise PrecisionLoss(f"Newton polish moved a zero of a degree-{n} polynomial "
+                                f"out of its sign-change interval on ({lo}, {hi})")
         return rho
 
     def norm_squared(self):
@@ -391,13 +415,23 @@ def apply_lowering(f: LadderFunction):
 
 
 def raise_to_rank(ground: LadderFunction, k: int) -> LadderFunction:
-    """Climb k rungs from a ground member; k must be a nonnegative int."""
+    """Climb k rungs from a member c_n L_n; k must be a nonnegative int.
+
+    Each rung maps c_n L_n to c_n (n + 1) / C_plus(mu) L_(n+1) and mu to
+    mu + 1, so only the top coefficient is carried: O(k) work, not the O(k^2)
+    of k apply_raising calls, with the same top coefficient and mu bit for
+    bit.  The lower coefficients, rounding residue in apply_raising, are exact
+    zeros here; a member's lower coefficients are not read.
+    """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"rank must be a nonnegative integer, got {k!r}")
-    f = ground
+    _require_positive_branch(ground)
+    lam, mu, c, n = ground.lam, ground.mu, ground.coeffs[-1], ground.degree
     for _ in range(k):
-        f, _ = apply_raising(f)
-    return f
+        n += 1
+        c = c * n / c_plus(lam, mu)
+        mu = mu + 1
+    return LadderFunction(lam, mu, (c * 0,) * n + (c,), ground.branch)
 
 
 def apply_omega3(f: LadderFunction):

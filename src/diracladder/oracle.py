@@ -266,38 +266,41 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
                  tolerance: float = 1e-8) -> VerificationReport:
     """Pointwise residuals of both first-order equations, sup and RMS.
 
-    The log grid spans the state's window (BoundState.window, past the
-    outermost node).  method 'exact' differentiates the polynomial form
-    analytically; 'fd' uses 8th-order finite differences on 4x the points
-    and so also cross-checks the evaluation code.  Residuals are normalized
+    The grid, uniform in log rho, spans the state's window
+    (BoundState.window, past the outermost node).  method 'exact'
+    differentiates the polynomial form analytically; 'fd' uses 8th-order
+    finite differences on 4x the points and so also cross-checks the
+    evaluation code.  Residuals are normalized
     by the local sum of term magnitudes (plus a machine floor); NaN fails.
     """
+    if method not in ("exact", "fd"):
+        raise DomainError(f"method must be 'exact' or 'fd', got {method!r}")
     st = solution.state
     tau = float(st.channel.tau)
     zeta = float(st.channel.zeta)
     nu = float(st.nu)
     lo, hi = st.window
 
-    if method == "exact":
-        rho = np.geomspace(lo, hi, _RESIDUAL_POINTS)
-        f, g, fp, gp = solution.evaluate_with_derivatives(rho)
-    elif method == "fd":
-        x = np.linspace(np.log(lo), np.log(hi), 4 * _RESIDUAL_POINTS)
-        rg = np.exp(x)
-        f_all, g_all, _, _ = solution.evaluate_with_derivatives(rg)
-        h = x[1] - x[0]
+    x = np.linspace(np.log(lo), np.log(hi), (4 if method == "fd" else 1) * _RESIDUAL_POINTS)
+    rho = np.exp(x)
+    f, g, fp, gp = solution.evaluate_with_derivatives(rho)
+    if method == "fd":
         # d/drho = (1/rho) d/dx on the uniform log grid
-        fp = _fd_first_derivative(f_all, h) / rg[4:-4]
-        gp = _fd_first_derivative(g_all, h) / rg[4:-4]
-        rho, f, g = rg[4:-4], f_all[4:-4], g_all[4:-4]
-    else:
-        raise DomainError(f"method must be 'exact' or 'fd', got {method!r}")
+        h = x[1] - x[0]
+        rho = rho[4:-4]
+        fp = _fd_first_derivative(f, h) / rho
+        gp = _fd_first_derivative(g, h) / rho
+        f, g = f[4:-4], g[4:-4]
 
     floor = 1e-290
-    r1 = gp - (tau / rho) * g - (nu - zeta / rho) * f
-    s1 = np.abs(gp) + np.abs(tau / rho * g) + np.abs(nu * f) + np.abs(zeta / rho * f) + floor
-    r2 = fp + (tau / rho) * f - (1.0 / nu + zeta / rho) * g
-    s2 = np.abs(fp) + np.abs(tau / rho * f) + np.abs(g / nu) + np.abs(zeta / rho * g) + floor
+    tau_rho, zeta_rho = tau / rho, zeta / rho
+    tau_f, tau_g = tau_rho * f, tau_rho * g
+    zeta_f, zeta_g = zeta_rho * f, zeta_rho * g
+    nu_f, g_nu = nu * f, g / nu
+    r1 = gp - tau_g - nu_f + zeta_f
+    s1 = np.abs(gp) + np.abs(tau_g) + np.abs(nu_f) + np.abs(zeta_f) + floor
+    r2 = fp + tau_f - g_nu - zeta_g
+    s2 = np.abs(fp) + np.abs(tau_f) + np.abs(g_nu) + np.abs(zeta_g) + floor
 
     rel1, rel2 = np.abs(r1) / s1, np.abs(r2) / s2
     report = VerificationReport(

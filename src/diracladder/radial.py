@@ -99,7 +99,11 @@ class RadialSolution:
 
 
 def build_solution(state: BoundState) -> RadialSolution:
-    """Generate the exact solution for a spectrum state by climbing the tower."""
+    """Generate the exact solution for a spectrum state by climbing the tower.
+
+    psi_minus is raise_to_rank's one-coefficient climb to rank k - 1; the last
+    rung to psi_plus goes through apply_raising, the full action.
+    """
     channel = state.channel
     ground = ground_ladder_function(channel.lam)
     if state.k == 0:
@@ -115,12 +119,12 @@ def build_solution(state: BoundState) -> RadialSolution:
 def physical_normalize(solution: RadialSolution) -> RadialSolution:
     """Rescale so that integral (F^2 + G^2) drho == 1, by the exact basis sum.
 
-    Floats and mpmath numbers take the same path, so the amplitude keeps the
-    solution's precision.
+    The norm of the solution's own components scales as amplitude**2, so the
+    new amplitude is amplitude / sqrt(norm).  Floats and mpmath numbers take
+    the same path, so the amplitude keeps the solution's precision.
     """
-    base = replace(solution, amplitude=1.0)
-    norm = sum(c.rho_norm_squared() for c in base.components)
-    return replace(solution, amplitude=1.0 / precision.sqrt(norm),
+    norm = sum(c.rho_norm_squared() for c in solution.components)
+    return replace(solution, amplitude=solution.amplitude / precision.sqrt(norm),
                    normalization="physical")
 
 
@@ -128,10 +132,11 @@ def count_radial_nodes(solution: RadialSolution, component: str = "F") -> np.nda
     """Interior zeros of F or G: LadderFunction.zeros of that component.
 
     Comrade-matrix roots of the polynomial part, Newton-polished on q and
-    certified by sign changes (PrecisionLoss otherwise), inside the state's
-    window 1e-3 < rho < 4*mu + 20 (BoundState.window, which the residual
-    check in oracle.ode_residual reads too).  Level k has k nodes in G; F
-    has k for epsilon = -1 and k - 1 for epsilon = +1.
+    certified by sign changes across fences between the roots, each polished
+    root inside its own fence interval (PrecisionLoss otherwise), inside the
+    state's window 1e-3 < rho < 4*mu + 20 (BoundState.window, which the
+    residual check in oracle.ode_residual reads too).  Level k has k nodes
+    in G; F has k for epsilon = -1 and k - 1 for epsilon = +1.
     """
     if component not in ("F", "G"):
         raise DomainError(f"component must be 'F' or 'G', got {component!r}")

@@ -135,6 +135,21 @@ def test_kinematic_relations():
     assert st.wavenumber == pytest.approx(0.5 * st.energy / (st.mu - 0.5), abs=1e-15)
 
 
+@pytest.mark.parametrize("j", [0.5, 2.5])
+def test_exponent_keeps_its_precision_near_critical_coupling(j):
+    # tau^2 - zeta^2 cancels as zeta -> j + 1/2; the factored form does not.
+    # The ground energy goes through nu ~ 1 - E, which costs ~1e-12 more here.
+    zeta = (j + 0.5) * (1 - 1e-9)
+    ch = make_channel(j, -1, zeta)
+    energy = bound_energy(ch, 0).energy
+    with mpmath.workdps(50):
+        z, t = mpmath.mpf(zeta), mpmath.mpf(j) + mpmath.mpf(1) / 2
+        s = mpmath.sqrt(t * t - z * z)
+        want = 1 / mpmath.sqrt(1 + (z / s) ** 2)
+        assert abs(ch.s - s) <= 1e-15 * s, j
+        assert abs(energy - want) <= 1e-11 * want, j
+
+
 def test_state_from_energy_inverts_spectrum():
     ch = ref_channel()
     for k in range(6):

@@ -1,14 +1,16 @@
 """Invariants of the generalized-Laguerre coefficient basis.
 
 The rank-k member's polynomial part is c_k L_k^(2*lam-1)(2*rho), so the
-raising chain produces a single basis vector, float64 stays accurate far up
-the tower, and nu is computed without the cancellation in m - E.
+raising chain produces a single basis vector (raise_to_rank climbs on its
+top coefficient alone), float64 stays accurate far up the tower, and nu is
+computed without the cancellation in m - E.
 """
 
 import mpmath
 import pytest
 
 from diracladder import (
+    apply_raising,
     bound_energy,
     build_solution,
     count_radial_nodes,
@@ -28,13 +30,39 @@ def _worst_residual(sol):
 
 
 def test_raising_chain_is_a_single_basis_vector():
+    # the full raising action leaves only rounding residue below the top
     for j, eps, zeta in CHANNEL_GRID:
         f = ground_ladder_function(make_channel(j, eps, zeta).lam)
         for k in range(1, 21):
-            f = raise_to_rank(f, 1)
+            f, _ = apply_raising(f)
             assert len(f.coeffs) == k + 1
             top = abs(f.coeffs[-1])
             assert max(abs(c) for c in f.coeffs[:-1]) <= 1e-14 * top, (j, zeta, k)
+
+
+def test_one_coefficient_climb_matches_the_raising_chain():
+    # raise_to_rank carries the top coefficient alone: it and mu equal the
+    # apply_raising chain's bit for bit, from the ground or one rung at a time
+    for j, eps, zeta in CHANNEL_GRID:
+        ground = ground_ladder_function(make_channel(j, eps, zeta).lam)
+        chain = climbed = ground
+        for k in range(1, 21):
+            chain, _ = apply_raising(chain)
+            climbed = raise_to_rank(climbed, 1)
+            for f in (climbed, raise_to_rank(ground, k)):
+                assert (f.coeffs[-1], f.mu) == (chain.coeffs[-1], chain.mu), (j, zeta, k)
+                assert len(f.coeffs) == k + 1 and not any(f.coeffs[:-1])
+
+
+def test_one_coefficient_climb_matches_the_raising_chain_at_113_bits():
+    with mpmath.workprec(113):
+        ground = ground_ladder_function(make_channel(mpmath.mpf(3) / 2, -1, mpmath.mpf("0.3")).lam)
+        chain = ground
+        for _ in range(60):
+            chain, _ = apply_raising(chain)
+        f = raise_to_rank(ground, 60)
+        assert mpmath.mp.prec == 113 and isinstance(f.coeffs[-1], mpmath.mpf)
+        assert (f.coeffs[-1], f.mu) == (chain.coeffs[-1], chain.mu)
 
 
 @pytest.mark.parametrize("k", [16, 20, 40, 60])

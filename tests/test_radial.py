@@ -19,6 +19,7 @@ from diracladder import (
     physical_norm_integral,
     physical_normalize,
 )
+from diracladder import ladder, radial
 from diracladder.radial import RadialSolution
 from diracladder.verify import CHANNEL_GRID
 
@@ -328,6 +329,55 @@ def test_zeros_window_and_rootless_polynomial():
     assert member.zeros(1e-3, 4.0).size == 1      # the upper root is 5.41
     # 2 + L_2^(0)(x) = (x^2 - 4x + 6)/2 has no real root
     assert LadderFunction(lam=0.5, mu=0.5, coeffs=(2.0, 0.0, 1.0)).zeros(1e-3, 50.0).size == 0
+
+
+def test_newton_steps_that_leave_their_fences_raise(monkeypatch):
+    # a derivative row scaled by 1e-6 makes every Newton step 1e6 times too
+    # long; the sign certificate still holds, so the containment check must
+    # refuse the zeros (at 1e-3, three steps from a comrade eigenvalue stay
+    # inside the fences)
+    sol = solution(12)
+    evaluate = ladder._evaluate_q
+
+    def short_derivative(lam, rows, rho):
+        values = evaluate(lam, rows, rho)
+        if len(rows) == 2:
+            values[1] = values[1] * 1e-6
+        return values
+
+    monkeypatch.setattr(ladder, "_evaluate_q", short_derivative)
+    for component in "FG":
+        with pytest.raises(PrecisionLoss, match="out of its sign-change interval"):
+            count_radial_nodes(sol, component)
+
+
+def test_zeros_make_one_laguerre_pass(monkeypatch):
+    # one _evaluate_q call gives the first Newton step and the fence signs;
+    # G's comrade eigenvalues need no second step (F's here need one more)
+    sol = solution(12)
+    calls = []
+    evaluate = ladder._evaluate_q
+    monkeypatch.setattr(ladder, "_evaluate_q",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    assert len(count_radial_nodes(sol, "G")) == 12
+    assert len(calls) == 1
+
+
+def test_build_solution_takes_one_raising_step(monkeypatch):
+    # raise_to_rank climbs on one coefficient; only the last rung is a full action
+    calls = []
+    raising = ladder.apply_raising
+
+    def counted(f):
+        calls.append(f.rank)
+        return raising(f)
+
+    for module in (ladder, radial):
+        monkeypatch.setattr(module, "apply_raising", counted)
+    for k in (1, 2, 12, 60):
+        calls.clear()
+        assert build_solution(bound_energy(make_channel(0.5, -1, 0.5), k)).psi_plus.rank == k
+        assert calls == [k - 1], k
 
 
 def test_uncertified_nodes_raise():
