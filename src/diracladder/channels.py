@@ -99,17 +99,15 @@ def _is_half_odd_integer(j) -> bool:
     return abs(twice - nearest) < 1e-9 and nearest % 2 == 1 and nearest > 0
 
 
-def zeta_from_charge(Z: float, alpha: float | None = None):
-    """Coulomb coupling zeta = Z*alpha; both positive and finite (nan fails)."""
+def zeta_from_charge(Z: float):
+    """Coulomb coupling zeta = Z*alpha at the fixed CODATA 2018 alpha; Z
+    positive and finite (nan fails)."""
     if isinstance(Z, bool) or not 0 < Z < math.inf:
         raise InvalidQuantumNumber(f"nuclear charge must be positive and finite, got {Z}")
-    if alpha is None:
-        alpha = precision.FINE_STRUCTURE_ALPHA
-        if precision.is_extended(Z):   # the constant's digits, at the working precision
-            import mpmath
-            alpha = mpmath.mpf(repr(alpha))
-    elif not 0 < alpha < math.inf:
-        raise InvalidQuantumNumber(f"alpha must be positive and finite, got {alpha}")
+    alpha = precision.FINE_STRUCTURE_ALPHA
+    if precision.is_extended(Z):   # the constant's digits, at the working precision
+        import mpmath
+        alpha = mpmath.mpf(repr(alpha))
     return Z * alpha
 
 

@@ -90,10 +90,8 @@ def _add_coupling(parser: argparse.ArgumentParser):
     group.add_argument("--zeta", type=str, default=None,
                        help="Coulomb coupling zeta = Z*alpha, directly")
     group.add_argument("--Z", type=str, default=None,
-                       help="nuclear charge; zeta = Z*alpha")
-    parser.add_argument("--alpha", type=str, default=None,
-                        help="fine-structure constant used with --Z "
-                             f"(default {precision.FINE_STRUCTURE_ALPHA})")
+                       help="nuclear charge; zeta = Z*alpha with the CODATA 2018 "
+                            f"alpha = {precision.FINE_STRUCTURE_ALPHA}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,10 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one row per (j, eps, k) state instead of merging "
                         "exactly degenerate eps pairs")
     p.add_argument("--si", action="store_true",
-                   help="print energies in MeV instead of units of mass")
-    p.add_argument("--electron-mass-mev", type=float,
-                   default=precision.ELECTRON_MASS_MEV,
-                   help="rest energy used by --si")
+                   help="energies in MeV instead of units of mass, at the CODATA "
+                        f"2018 electron rest energy {precision.ELECTRON_MASS_MEV} MeV")
     _add_common(p, extended=True)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -203,17 +199,12 @@ def _parse_real(text: str, bits: int):
 
 
 def _resolve_zeta(args, bits: int):
-    alpha_text = args.alpha
     if args.zeta is not None:
-        if alpha_text is not None:
-            raise InvalidQuantumNumber("--alpha only makes sense with --Z")
         zeta = _parse_real(args.zeta, bits)
         return zeta, {"zeta": _fmt(zeta, bits)}
-    if alpha_text is None:
-        alpha_text = repr(precision.FINE_STRUCTURE_ALPHA)
-    alpha = _parse_real(alpha_text, bits)
     z = _parse_real(args.Z, bits)
-    zeta = zeta_from_charge(z, alpha)
+    zeta = zeta_from_charge(z)
+    alpha = _parse_real(repr(precision.FINE_STRUCTURE_ALPHA), bits)
     return zeta, {"Z": _fmt(z, bits), "alpha": _fmt(alpha, bits),
                   "zeta": _fmt(zeta, bits)}
 
@@ -289,10 +280,7 @@ def _cmd_spectrum(args) -> int:
         zeta, coupling_meta = _resolve_zeta(args, bits)
         states, skipped = _sweep(spectrum_table, zeta, args)
 
-        if not 0 < args.electron_mass_mev < math.inf:
-            raise DomainError(f"--electron-mass-mev must be positive and finite, "
-                              f"got {args.electron_mass_mev}")
-        scale = args.electron_mass_mev if args.si else 1
+        scale = precision.ELECTRON_MASS_MEV if args.si else 1
         # exactly degenerate eps pairs share a (j, k) key unless --no-collapse
         groups = {}
         for st in states:
@@ -315,7 +303,7 @@ def _cmd_spectrum(args) -> int:
             "rows": len(rows),
         })
         if args.si:
-            meta["electron_mass_mev"] = args.electron_mass_mev
+            meta["electron_mass_mev"] = precision.ELECTRON_MASS_MEV
         if skipped:
             meta["skipped_channels"] = skipped
         if bits > 53:
@@ -377,10 +365,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     bits, source = _FLOAT64_ONLY
     zeta, coupling_meta = _resolve_zeta(args, bits)
-    found, skipped = _sweep(compare_spectrum, float(zeta), args)
-    rows = [{"j": r["j"], "eps": [r["epsilon"]], "k": r["k"],
-             "E_algebraic": r["energy_algebraic"], "E_shooting": r["energy_shooting"],
-             "rel_delta": r["rel_delta"]} for r in found]
+    rows, skipped = _sweep(compare_spectrum, float(zeta), args)
     worst = max(r["rel_delta"] for r in rows)
     meta = _base_meta(args, bits, source)
     meta.update(coupling_meta)

@@ -15,8 +15,10 @@ class DiracLadderError(Exception):
 
 
 class InvalidQuantumNumber(DiracLadderError):
-    """j is not a positive half-odd-integer, epsilon is not +-1, or k is not a
-    nonnegative integer."""
+    """A label or coupling is bad: j not a positive half-odd-integer, epsilon
+    not +-1, Z or zeta not positive and finite, a CLI number that does not
+    parse, or k not a nonnegative integer in bound_energy or spectrum_table
+    (state_from_nu, raise_to_rank and shooting raise DomainError for it)."""
 
 
 class Supercritical(DiracLadderError):
@@ -31,7 +33,7 @@ class UnphysicalState(DiracLadderError):
 
 class DomainError(DiracLadderError):
     """Arguments are outside the mathematical domain of an operation
-    (nonpositive radius, energy outside (0, m), mismatched channels, ...)."""
+    (nonpositive radius, energy outside (0, 1), mismatched channels, ...)."""
 
 
 class WrongBranch(DiracLadderError):
@@ -56,8 +58,9 @@ class StiffnessFailure(DiracLadderError):
 
 
 class PrecisionLoss(DiracLadderError):
-    """Float64 could not carry a closed-form result: a value of F or G went
-    non-finite, or radial nodes failed their sign-change certificate."""
+    """Float64 could not carry a closed-form result: a value of F or G, a
+    Gamma value, an exact norm sum or a truncated norm went non-finite, or
+    radial nodes failed their sign-change certificate."""
 
 
 class SupercriticalChannelWarning(UserWarning):

@@ -157,7 +157,9 @@ def _norm_sq(coeffs, b):
     for n, c in enumerate(coeffs):
         total += c * c * h
         h = h * (n + b + 1) / (n + 1)
-    return total / precision.power(2.0, b + 1)
+    if not total < math.inf:    # nan fails too: an overflowed h times c = 0
+        raise PrecisionLoss(f"norm sum overflows float64 at b = {float(b)!r}")
+    return total / 2.0 ** (b + 1)
 
 
 def _evaluate_q(lam, rows, rho):
@@ -184,16 +186,6 @@ def _evaluate_q(lam, rows, rho):
             if n < len(row):
                 values[i] += row[n] * cur
     return values
-
-
-def _check_radius(rho):
-    # shared by every evaluator of members and radial solutions; written as
-    # all(rho > 0) so that NaN radii are rejected too
-    if isinstance(rho, np.ndarray):
-        if not np.all(rho > 0):
-            raise DomainError("rho must be positive")
-    elif not rho > 0:
-        raise DomainError(f"rho must be positive, got {rho}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +228,17 @@ class LadderFunction:
         return _evaluate_q(self.lam, (self.coeffs,), rho)[0]
 
     def _weight(self, rho):
-        # (rho**(lam - 1/2) * exp(-+rho), the branch sign) after the radius check
-        _check_radius(rho)
+        # (rho**(lam - 1/2) * exp(-+rho), the branch sign); every evaluator of
+        # members and radial solutions checks its radii here, written as
+        # all(rho > 0) so that NaN radii are rejected too
         sign = -1.0 if self.branch == "positive" else 1.0
         if isinstance(rho, np.ndarray):
-            lam = float(self.lam)
-            return rho ** (lam - 0.5) * np.exp(sign * rho), sign
-        return precision.power(rho, self.lam - 0.5) * precision.exp(sign * rho), sign
+            if not np.all(rho > 0):
+                raise DomainError("rho must be positive")
+            return rho ** (float(self.lam) - 0.5) * np.exp(sign * rho), sign
+        if not rho > 0:
+            raise DomainError(f"rho must be positive, got {rho}")
+        return rho ** (self.lam - 0.5) * precision.exp(sign * rho), sign
 
     def evaluate(self, rho):
         """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight."""
@@ -354,7 +350,7 @@ def ground_ladder_function(lam) -> LadderFunction:
     q is the constant 2**(lam - 1/2) / sqrt(Gamma(2*lam - 1)).
     """
     _require_lam(lam)
-    c0 = precision.power(2.0, lam - 0.5) / precision.sqrt(precision.gamma(2 * lam - 1))
+    c0 = 2.0 ** (lam - 0.5) / precision.sqrt(precision.gamma(2 * lam - 1))
     return LadderFunction(lam=lam, mu=lam, coeffs=(c0,), branch="positive")
 
 
@@ -529,7 +525,8 @@ class OperatorMatrix:
 def matrix_representation(which: str, lam, K: int) -> OperatorMatrix:
     """Truncated matrix of omega1|omega2|omega3 on both towers.
 
-    Basis: mu in {-(lam+K), ..., -lam, lam, ..., lam+K}, ascending.  The two
+    Basis: mu in {-(lam+K), ..., -lam, lam, ..., lam+K}, ascending.  The
+    element between adjacent labels mu and mu + 1 is C_plus(mu)/2.  The two
     towers stay disconnected because the raising element out of mu = -lam
     vanishes identically.  omega1 comes out real antisymmetric, omega2
     purely imaginary symmetric (both anti-Hermitian), omega3 real diagonal.
@@ -542,27 +539,15 @@ def matrix_representation(which: str, lam, K: int) -> OperatorMatrix:
     lam_f = float(lam)
 
     mus = [-(lam_f + k) for k in range(K, -1, -1)] + [lam_f + k for k in range(K + 1)]
-    n = len(mus)
-    omega = lam_f * (lam_f - 1.0)
-
     if which == "omega3":
         entries = np.diag(np.asarray(mus, dtype=complex))
         return OperatorMatrix(which, lam_f, tuple(mus), entries)
 
     # One amplitude per adjacent pair, written into both mirror entries, so
     # the advertised symmetry classes hold exactly and not just to roundoff.
-    # Pairs straddling the tower gap get amplitude 0: the raising element out
-    # of mu = -lam vanishes (its argument is again omega - omega).
-    entries = np.zeros((n, n), dtype=complex)
-    for b in range(n - 1):
-        mu = mus[b]
-        if abs(mus[b + 1] - (mu + 1)) > 1e-9:
-            continue
-        amp = 0.5 * np.sqrt(max(mu * (mu + 1) - omega, 0.0))
-        if which == "omega1":
-            entries[b + 1, b] = amp
-            entries[b, b + 1] = -amp
-        else:
-            entries[b + 1, b] = -1j * amp
-            entries[b, b + 1] = -1j * amp
+    # Out of mu = -lam the radicand of C_plus, (-lam)*(-lam + 1) - lam*(lam - 1),
+    # is exactly 0 in float64: the two products round to the same number.
+    amps = [0.5 * c_plus(lam_f, mu) for mu in mus[:-1]]
+    below = np.diag(np.array(amps, dtype=complex), -1)
+    entries = below - below.T if which == "omega1" else -1j * (below + below.T)
     return OperatorMatrix(which, lam_f, tuple(mus), entries)

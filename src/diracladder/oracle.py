@@ -18,9 +18,8 @@ converged nu (E, kappa and mu without the cancellation in 1 - E) and gives
 each trial nu its range check and tail exponent mu - 1/2.  The domain scales
 with mu = lambda + k (match point max(1, mu - 1/2), outer radius 2*mu + 25),
 and one helper integrates both legs for the determinant and the solution
-tables alike.  The closed form only seeds nu brackets, never the answer;
-matching_scan offers hint-free root counting, and compare_spectrum measures
-agreement in nu.
+tables alike.  The closed form only seeds nu brackets, never the answer, and
+compare_spectrum measures agreement in nu.
 
 Quadrature follows one fixed policy per scheme, with no settable knobs:
 Gauss-Laguerre compares the smallest rule of 2^m >= 16 nodes that is exact at
@@ -49,6 +48,7 @@ from .channels import BoundState, Channel, spectrum_table, state_from_nu
 from .errors import (
     DomainError,
     NoSignChange,
+    PrecisionLoss,
     QuadratureFailure,
     StiffnessFailure,
     WrongBranch,
@@ -59,7 +59,7 @@ from .report import VerificationReport
 
 __all__ = [
     "ShootingResult", "inner_product", "physical_norm_integral", "ode_residual",
-    "matching_determinant", "matching_scan", "shooting_solve", "shooting_solution",
+    "matching_determinant", "shooting_solve", "shooting_solution",
     "compare_spectrum", "truncated_norms", "divergence_check",
 ]
 
@@ -402,13 +402,8 @@ def matching_determinant(channel: Channel, nu: float, k: int = 0) -> float:
     return float(w / ((abs(f_o) + abs(g_o)) * (abs(f_i) + abs(g_i))))
 
 
-def matching_scan(channel: Channel, nus, k: int = 0) -> np.ndarray:
-    """Determinant sampled over a list of nu values (hint-free root counting)."""
-    return np.asarray([matching_determinant(channel, nu, k=k) for nu in nus])
-
-
-def _shoot(channel: Channel, k: int) -> float:
-    # nu of level k.  The closed form is a hint only: with r_n =
+def _shoot(channel: Channel, k: int) -> BoundState:
+    # the level k at its shot nu.  The closed form is a hint only: with r_n =
     # zeta/(s + n) (= kappa/E of level n) the walls sit 45% of the way to the
     # neighbouring levels, and nu = r/(1 + sqrt(1 + r^2)) maps them into (0, 1)
     s = float(channel.s)
@@ -423,8 +418,9 @@ def _shoot(channel: Channel, k: int) -> float:
         raise NoSignChange(
             f"determinant keeps sign {np.sign(w_lo):+.0f} over nu in "
             f"[{lo:.12g}, {hi:.12g}] for {channel.label()}, k={k}")
-    return brentq(lambda x: matching_determinant(channel, x, k=k), lo, hi,
-                  xtol=_NU_RTOL * lo, rtol=_NU_RTOL)
+    nu = brentq(lambda x: matching_determinant(channel, x, k=k), lo, hi,
+                xtol=_NU_RTOL * lo, rtol=_NU_RTOL)
+    return state_from_nu(channel, k, nu)
 
 
 def shooting_solve(channel: Channel, k: int) -> float:
@@ -434,7 +430,7 @@ def shooting_solve(channel: Channel, k: int) -> float:
     never solved from, the closed form), polishes nu with Brent's method and
     returns the energy of state_from_nu at that nu, in units of the mass.
     """
-    return state_from_nu(channel, k, _shoot(channel, k)).energy
+    return _shoot(channel, k).energy
 
 
 def shooting_solution(channel: Channel, k: int) -> ShootingResult:
@@ -443,7 +439,7 @@ def shooting_solution(channel: Channel, k: int) -> ShootingResult:
     The inward piece is rescaled so the dominant component agrees at the
     match point; F's sign changes over the joint table are the radial nodes.
     """
-    state = state_from_nu(channel, k, _shoot(channel, k))
+    state = _shoot(channel, k)
     out, inw = _legs(channel, state.nu, k, table=True)
     f_o, g_o = out.y[:, -1]
     f_i, g_i = inw.y[:, -1]
@@ -458,16 +454,16 @@ def shooting_solution(channel: Channel, k: int) -> ShootingResult:
 
 
 def compare_spectrum(zeta, j_max, k_max: int) -> list[dict]:
-    """Algebraic vs shooting level per subcritical state; rel_delta is in nu."""
+    """oracle-compare's rows: algebraic vs shot level per state; rel_delta is in nu."""
     rows = []
     for st in spectrum_table(zeta, j_max, k_max):
-        shot = state_from_nu(st.channel, st.k, _shoot(st.channel, st.k))
+        shot = _shoot(st.channel, st.k)
         rows.append({
             "j": float(st.channel.j),
-            "epsilon": st.channel.epsilon,
+            "eps": [st.channel.epsilon],
             "k": st.k,
-            "energy_algebraic": float(st.energy),
-            "energy_shooting": shot.energy,
+            "E_algebraic": float(st.energy),
+            "E_shooting": shot.energy,
             "rel_delta": abs(shot.nu / float(st.nu) - 1.0),
         })
     return rows
@@ -480,7 +476,8 @@ def truncated_norms(f: LadderFunction, cutoffs) -> np.ndarray:
     """N(R) = integral_0^R rho^(2*lam-2) e^(+2*rho) q^2 drho, per cutoff.
 
     Gauss-Legendre on [0, R]; only meaningful (and only allowed) for the
-    negative branch, whose weight grows like e^(+rho).
+    negative branch, whose weight grows like e^(+rho).  PrecisionLoss when a
+    norm overflows float64 (large lam or R).
     """
     if f.branch != "negative":
         raise WrongBranch("truncated norms are a negative-branch diagnostic")
@@ -499,7 +496,11 @@ def truncated_norms(f: LadderFunction, cutoffs) -> np.ndarray:
         vals = rho ** (2.0 * lam - 2.0) * np.exp(2.0 * rho) * f.polynomial(rho) ** 2
         return 0.5 * r * float(np.dot(weights, vals))
 
-    return np.asarray([one(r) for r in cuts])
+    with np.errstate(over="ignore", invalid="ignore"):   # judged just below
+        norms = np.asarray([one(r) for r in cuts])
+    if not np.all(np.isfinite(norms)):
+        raise PrecisionLoss(f"truncated norm overflows float64 by R = {float(cuts[-1])!r}")
+    return norms
 
 
 def divergence_check(f: LadderFunction, cutoffs) -> VerificationReport:

@@ -16,10 +16,12 @@ from __future__ import annotations
 import math
 import sys
 
-# CODATA 2018 value; callers may pass their own alpha everywhere it appears.
+from .errors import PrecisionLoss
+
+# CODATA 2018 (Rev. Mod. Phys. 93, 025010), fixed; for another alpha give zeta.
 FINE_STRUCTURE_ALPHA = 0.0072973525693
 
-# Electron rest energy in MeV, used only for CLI unit conversion.
+# Electron rest energy in MeV, used only for CLI unit conversion (--si).
 ELECTRON_MASS_MEV = 0.51099895000
 
 
@@ -48,9 +50,7 @@ def exp(x):
 
 def gamma(x):
     mpmath = _mpmath_of(x)
-    return mpmath.gamma(x) if mpmath else math.gamma(x)
-
-
-def power(base, exponent):
-    mpmath = _mpmath_of(base) or _mpmath_of(exponent)
-    return mpmath.power(base, exponent) if mpmath else base ** exponent
+    try:
+        return mpmath.gamma(x) if mpmath else math.gamma(x)
+    except OverflowError:      # float64 ends at x ~ 171.6
+        raise PrecisionLoss(f"Gamma({x!r}) overflows float64") from None

@@ -194,22 +194,13 @@ def test_state_from_energy_carries_detuning():
 
 def test_zeta_from_charge():
     assert zeta_from_charge(1) == pytest.approx(0.0072973525693, abs=1e-16)
-    assert zeta_from_charge(10, alpha=0.05) == pytest.approx(0.5, abs=1e-15)
     for bad in (0.0, -1.0, float("nan"), float("inf"), True):
         with pytest.raises(InvalidQuantumNumber):
             zeta_from_charge(bad)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -1.0, -0.0073, float("nan"), float("inf"),
-                                   mpmath.mpf("nan"), mpmath.mpf(-1)])
-def test_zeta_from_charge_rejects_non_finite_or_non_positive_alpha(alpha):
-    # used to return nan for alpha = nan and a negative coupling for alpha < 0
-    with pytest.raises(InvalidQuantumNumber, match="alpha"):
-        zeta_from_charge(1, alpha)
-
-
 def test_zeta_from_charge_default_alpha_at_extended_precision():
-    # an mpmath Z takes the default alpha from its digits at the working
+    # an mpmath Z takes alpha from its digits at the working
     # precision, not from the float64-rounded constant (off by 3.8e-19)
     with mpmath.workprec(113):
         zeta = zeta_from_charge(mpmath.mpf(1))

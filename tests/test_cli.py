@@ -231,15 +231,36 @@ def test_wavefunction_refuses_non_finite_values(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    # the exact norm sum overflows float64 (inf at k = 1, nan at k = 20)
+    ["wavefunction", "--j", "84.5", "--eps", "-1", "--k", "1", "--normalize", "physical"],
+    ["wavefunction", "--j", "79.5", "--eps", "-1", "--k", "20", "--normalize", "physical"],
+    # Gamma(2*lam - 1) of the ground member overflows float64
+    ["wavefunction", "--j", "85.5", "--eps", "-1", "--k", "0"],
+    # the truncated norm at R = 40 overflows float64
+    ["demo-divergence", "--j", "85.5"],
+])
+def test_channels_float64_cannot_carry_exit_one(argv, capsys):
+    # they used to print zeros or inf and exit 0, or end in a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv + ["--zeta", "0.5"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    if argv[0] == "wavefunction":      # extended precision carries them
+        code, out, _ = run(argv + ["--zeta", "0.5", "--precision", "113"], capsys)
+        assert code == 0 and "nan" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize("argv", [
     ["wavefunction", "--zeta", "0.5", "--j", "nan", "--eps", "-1", "--k", "1"],
     ["wavefunction", "--zeta", "0.5", "--j", "inf", "--eps", "-1", "--k", "1"],
     ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1", "--k", "1",
      "--grid", "0.1,inf,5"],
     ["spectrum", "--zeta", "0.5", "--j-max", "nan"],
     ["spectrum", "--Z", "nan"],
-    ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "nan"],
-    ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "inf"],
-    ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "-1"],
+    ["spectrum", "--Z=-1", "--precision", "113"],
+    ["spectrum", "--zeta", "0", "--si"],
+    ["demo-divergence", "--zeta", "nan"],
     ["oracle-compare", "--zeta", "nan"],
     ["spectrum", "--zeta", "0.5", "--precision", "100000000"],
     ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1", "--k", "1",
@@ -247,7 +268,8 @@ def test_wavefunction_refuses_non_finite_values(capsys):
     ["demo-divergence", "--zeta", "0.5", "--cutoffs", "5,nan"],
     ["spectrum", "--zeta", "inf"],
     ["spectrum", "--Z", "inf"],
-    ["spectrum", "--Z", "1", "--alpha", "inf"],
+    ["wavefunction", "--Z", "inf", "--j", "0.5", "--eps", "-1", "--k", "1",
+     "--precision", "113"],
     ["oracle-compare", "--zeta", "inf"],
 ])
 def test_non_finite_or_non_positive_inputs_exit_two(argv, capsys):
@@ -258,14 +280,6 @@ def test_non_finite_or_non_positive_inputs_exit_two(argv, capsys):
     out, _ = capsys.readouterr()
     assert code == 2
     assert "nan" not in out
-
-
-@pytest.mark.parametrize("precision", ["53", "113"])
-def test_negative_alpha_is_a_usage_error_naming_alpha(precision, capsys):
-    code, out, err = run(["spectrum", "--Z", "1", "--alpha=-0.0073",
-                          "--precision", precision], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("usage error: alpha must be positive")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -284,9 +298,14 @@ def test_usage_errors_exit_two(capsys):
         assert exc.value.code == 2
     assert _grid_type("0.1,10,100000") == (0.1, 10.0, 100000)
     # flags a command would ignore are not registered: no command takes a
-    # mass (energies are in units of it), and the two float64 commands take
-    # no precision
+    # mass (energies are in units of it), alpha and the electron rest energy
+    # are fixed constants, and the two float64 commands take no precision
     for argv in (["spectrum", "--zeta", "0.5", "--mass", "inf"],
+                 ["spectrum", "--Z", "1", "--alpha", "inf"],
+                 ["wavefunction", "--Z", "1", "--alpha", "0.0073", "--j", "0.5",
+                  "--eps", "-1", "--k", "1"],
+                 ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "nan"],
+                 ["spectrum", "--zeta", "0.5", "--si", "--electron-mass-mev", "-1"],
                  ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
                   "--k", "1", "--mass", "nan"],
                  ["oracle-compare", "--zeta", "0.5", "--mass", "inf"],

@@ -9,6 +9,7 @@ import pytest
 from diracladder import (
     DomainError,
     NotAnEigenfunction,
+    PrecisionLoss,
     WrongBranch,
     apply_casimir,
     apply_lowering,
@@ -52,6 +53,17 @@ def test_ground_requires_lam_above_half():
         ground_ladder_function(0.5)
     with pytest.raises(DomainError):
         ground_ladder_function(0.2)
+
+
+def test_ground_past_float64_gamma_raises():
+    # Gamma(2*lam - 1) overflows float64 from lam ~ 86.3 (j = 85.5 at
+    # zeta = 0.5); it used to escape as OverflowError
+    lam = make_channel(85.5, -1, 0.5).lam
+    with pytest.raises(PrecisionLoss, match="Gamma"):
+        ground_ladder_function(lam)
+    with mpmath.workprec(113):
+        f = ground_ladder_function(mpmath.mpf(lam))
+        assert abs(f.norm_squared() - 1) < mpmath.mpf("1e-30")
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), mpmath.mpf("nan"),
@@ -298,6 +310,25 @@ def test_matrix_towers_disconnected():
     n = K + 1
     assert np.all(a1[:n, n:] == 0)
     assert np.all(a1[n:, :n] == 0)
+
+
+@pytest.mark.parametrize("lam", [
+    make_channel(0.5, -1, 1 - 1e-9).lam,
+    make_channel(2.5, -1, 3 * (1 - 1e-9)).lam,
+    0.5 + 1e-12,
+])
+def test_matrix_near_half_keeps_towers_apart_and_classes_exact(lam):
+    # near critical coupling lam -> 1/2 and the labels -lam and lam nearly
+    # touch; the element out of mu = -lam is still exactly 0
+    K = 8
+    n = K + 1
+    a1 = matrix_representation("omega1", lam, K).entries
+    a2 = matrix_representation("omega2", lam, K).entries
+    for a in (a1, a2):
+        assert np.all(a[:n, n:] == 0) and np.all(a[n:, :n] == 0)
+        assert np.all(np.diag(a, -1)[np.arange(2 * n - 1) != K] != 0)
+    assert np.array_equal(a1, -a1.T) and np.all(a1.imag == 0)
+    assert np.array_equal(a2, a2.T) and np.all(a2.real == 0)
 
 
 def test_nearest_neighbour_element_frozen():

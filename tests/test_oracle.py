@@ -1,6 +1,7 @@
 """Quadrature, residuals, shooting, and the divergence demonstration."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from diracladder import (
     DomainError,
     NoSignChange,
+    PrecisionLoss,
     QuadratureFailure,
     StiffnessFailure,
     WrongBranch,
@@ -20,7 +22,6 @@ from diracladder import (
     inner_product,
     make_channel,
     matching_determinant,
-    matching_scan,
     negative_branch_ground,
     ode_residual,
     physical_norm_integral,
@@ -262,7 +263,7 @@ def test_ode_residual_grid_reaches_past_every_node(monkeypatch, j, k):
 def test_matching_determinant_brackets_the_level():
     ch = ref_channel()
     nu0 = bound_energy(ch, 1).nu
-    vals = matching_scan(ch, [nu0 * 0.99, nu0 * 1.01], k=1)
+    vals = [matching_determinant(ch, nu, k=1) for nu in (nu0 * 0.99, nu0 * 1.01)]
     assert vals[0] * vals[1] < 0
     assert abs(matching_determinant(ch, nu0, k=1)) < 1e-8
 
@@ -303,13 +304,11 @@ def test_shooting_rejects_bad_input():
     for nu in (0.0, -0.1, 1.0):
         with pytest.raises(DomainError):
             matching_determinant(ch, nu, k=1)
-    # one k check serves all four entry points; without it k=-20 overflows
+    # one k check serves all three entry points; without it k=-20 overflows
     # into StiffnessFailure and k=-1, k=1.5 return values
     for k in (-1, 1.5, -20):
         with pytest.raises(DomainError):
             matching_determinant(ch, 0.2, k=k)
-        with pytest.raises(DomainError):
-            matching_scan(ch, [0.2], k=k)
         with pytest.raises(DomainError):
             shooting_solve(ch, k)
         with pytest.raises(DomainError):
@@ -369,6 +368,18 @@ def test_truncated_norms_frozen_value():
     norms = truncated_norms(f, [5.0, 10.0])
     assert norms[0] == pytest.approx(N5_REF, rel=1e-8)
     assert norms[1] == pytest.approx(1260314345.4555258, rel=1e-8)
+
+
+def test_truncated_norms_past_float64_raise():
+    # at lam ~ 86.5 the integrand overflows by R = 40; the norm used to come
+    # out inf, with numpy's overflow warning, and the growth checks passed
+    f = negative_branch_ground(make_channel(85.5, -1, 0.5).lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionLoss, match="R = 40.0"):
+            truncated_norms(f, [5.0, 10.0, 20.0, 40.0])
+        with pytest.raises(PrecisionLoss):
+            divergence_check(f, [5.0, 10.0, 20.0, 40.0])
 
 
 def test_truncated_norms_guards():

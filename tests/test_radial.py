@@ -151,6 +151,19 @@ def test_physical_normalize_past_old_quadrature_ceiling():
     assert ode_residual(sol).all_passed
 
 
+@pytest.mark.parametrize("j, k", [(84.5, 1), (79.5, 20)])
+def test_norm_sum_past_float64_raises(j, k):
+    # the exact sum used to come out inf (k = 1) or nan (k = 20, an
+    # overflowed Gamma ratio times a zero coefficient); a nan amplitude sent
+    # count_radial_nodes into numpy's LinAlgError
+    sol = build_solution(bound_energy(make_channel(j, -1, 0.5), k))
+    with pytest.raises(PrecisionLoss, match="norm sum"):
+        physical_normalize(sol)
+    with mpmath.workprec(113):
+        sol = build_solution(bound_energy(make_channel(j, -1, mpmath.mpf(1) / 2), k))
+        assert mpmath.isfinite(physical_normalize(sol).amplitude)
+
+
 def test_physical_normalize_extended_precision():
     with mpmath.workdps(40):
         sol = physical_normalize(build_solution(
