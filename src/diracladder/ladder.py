@@ -40,8 +40,11 @@ so raising L_n gives (n + 1) L_(n+1) + (mu - lam - n) L_n.  On the rank-n
 member mu - lam - n = 0, so raise_to_rank climbs on the top coefficient
 alone, c_(n+1) = c_n (n + 1) / C_plus(mu), in O(k); apply_raising keeps the
 full action, which the algebra checks exercise.  Values come from the
-forward three-term recurrence and the x-measure norm is a sum of
-nonnegative terms, so float64 and mpmath coefficients share one code path.
+forward three-term recurrence: at a scalar radius (float or mpmath) it adds
+each term as it goes, and on an array it fills a table of basis values, in
+column blocks of bounded size, against which each coefficient row is one
+dot product.  The x-measure norm is a sum of nonnegative terms, so float64
+and mpmath coefficients share one code path for it.
 Zeros come from a comrade matrix, fenced and certified by signs of q from
 the same pass that takes the first Newton step (LadderFunction.zeros).
 """
@@ -71,6 +74,7 @@ __all__ = [
 
 _CASIMIR_REL_TOL = 1e-8    # apply_casimir's eigenfunction test
 _NEWTON_STEPS = 3          # cap on the Newton polish in LadderFunction.zeros
+_TABLE_CELLS = 1 << 19     # cap on _evaluate_q's basis table (4 MiB of float64)
 
 
 # ---------------------------------------------------------------------------
@@ -165,27 +169,52 @@ def _norm_sq(coeffs, b):
 def _evaluate_q(lam, rows, rho):
     """q(rho) for each coefficient row, at a float, mpmath scalar or numpy array.
 
-    One forward three-term recurrence in x = 2*rho feeds every row, in order n;
-    on arrays every step updates its buffers in place.
+    The forward three-term recurrence in x = 2*rho gives L_n(x) in order n.  A
+    scalar rho adds row[n] * L_n to every row as it goes.  An array rho is
+    taken in blocks of columns: the recurrence, in place, writes L_n(x) into
+    row n of one basis table of at most _TABLE_CELLS float64 values, and each
+    row's q is one dot product of its float64 coefficients with the table's
+    first len(row) rows.  One dot per row, not one matrix product for all, so
+    a row's values are the same bits with or without other rows of no greater
+    length (the longest row sets the block width).  A point's value can move
+    in its last bit with the grid it comes in, since the dot's rounding may
+    depend on where its column sits in the block.
     """
-    if isinstance(rho, np.ndarray):
-        lam = float(lam)
-        rows = [[float(c) for c in row] for row in rows]
-    a = 2 * lam - 1
-    x = 2.0 * rho
-    prev, cur = 0, x * 0 + 1
-    values = [x * 0 for _ in rows]
-    for n in range(max(map(len, rows))):
-        if n:
-            nxt = (2 * n - 1 + a) - x
-            nxt *= cur
-            nxt -= (n - 1 + a) * prev
-            nxt /= n
-            prev, cur = cur, nxt
-        for i, row in enumerate(rows):
-            if n < len(row):
-                values[i] += row[n] * cur
-    return values
+    if not isinstance(rho, np.ndarray):
+        a = 2 * lam - 1
+        x = 2.0 * rho
+        prev, cur = 0, x * 0 + 1
+        values = [x * 0 for _ in rows]
+        for n in range(max(map(len, rows))):
+            if n:
+                prev, cur = cur, (((2 * n - 1 + a) - x) * cur - (n - 1 + a) * prev) / n
+            for i, row in enumerate(rows):
+                if n < len(row):
+                    values[i] += row[n] * cur
+        return values
+    a = 2 * float(lam) - 1
+    rows = [np.array(row, dtype=float) for row in rows]
+    terms = max(row.size for row in rows)
+    x = 2.0 * rho.ravel()
+    width = max(1, _TABLE_CELLS // terms)
+    cells = np.empty(terms * min(width, x.size))
+    values = [np.empty(x.size) for _ in rows]
+    for start in range(0, x.size, width):
+        block = x[start:start + width]
+        table = cells[:terms * block.size].reshape(terms, block.size)
+        cur = table[0]          # views: in-place steps write the table
+        np.multiply(block, 0, out=cur)
+        cur += 1
+        for n in range(1, terms):
+            prev, cur = cur, table[n]
+            np.subtract(2 * n - 1 + a, block, out=cur)
+            cur *= prev
+            if n > 1:
+                cur -= (n - 1 + a) * table[n - 2]
+            cur /= n
+        for row, value in zip(rows, values):
+            np.dot(row, table[:row.size], out=value[start:start + block.size])
+    return [value.reshape(rho.shape) for value in values]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from diracladder import (
     apply_lowering,
     apply_omega3,
     apply_raising,
+    bound_energy,
+    build_solution,
     c_minus,
     c_plus,
     commutator_check,
@@ -25,7 +27,9 @@ from diracladder import (
     positive_operator_check,
     raise_to_rank,
 )
+from diracladder import ladder
 from diracladder.ladder import LadderFunction
+from diracladder.verify import CHANNEL_GRID
 
 LAM = 1.3660254037844386468           # zeta=0.5, j=1/2 channel
 C0_REF = 1.9053062883085296678        # 2^(lam-1/2)/sqrt(Gamma(2*lam-1))
@@ -239,6 +243,43 @@ def test_evaluate_with_derivative_both_branches():
         assert np.allclose(deriv, fd, rtol=1e-7)
     with pytest.raises(DomainError):
         ground().evaluate_with_derivative(np.array([1.0, 0.0]))
+
+
+def _rows_and_tails(solution):
+    # F, G and their tail sums: the four rows the residual evaluates together
+    rows = [f.coeffs for f in solution.components]
+    return rows + [ladder._tail_sums(row)[1:] for row in rows]
+
+
+def _assert_array_path_matches_scalar(lam, rows, rho):
+    # at the same float64 points, the basis-table path (array rho) and the
+    # scalar recurrence (one float rho at a time, float64 coefficients) agree
+    # to 1e-15 of max|q|
+    table = ladder._evaluate_q(lam, rows, rho)
+    floats = [[float(c) for c in row] for row in rows]
+    for i, r in enumerate(rho):
+        scalar = ladder._evaluate_q(float(lam), floats, float(r))
+        for values, want in zip(table, scalar):
+            assert abs(values[i] - want) <= 1e-15 * np.max(np.abs(values)), (i, r)
+
+
+def test_array_path_matches_scalar_recurrence_on_channel_grid():
+    for j, eps, zeta in CHANNEL_GRID:
+        for k in range(eps == 1, 61):
+            sol = build_solution(bound_energy(make_channel(j, eps, zeta), k))
+            rho = np.geomspace(*sol.state.window, 12)
+            _assert_array_path_matches_scalar(sol.psi_plus.lam, _rows_and_tails(sol), rho)
+
+
+def test_array_path_takes_113_bit_rows_as_float64():
+    # mpmath rows passed with an ndarray are rounded to float64 row by row
+    with mpmath.workprec(113):
+        for j, eps, zeta in CHANNEL_GRID:
+            channel = make_channel(mpmath.mpf(j), eps, mpmath.mpf(zeta))
+            for k in (1, 7, 20, 41, 60):
+                sol = build_solution(bound_energy(channel, k))
+                rho = np.geomspace(*(float(r) for r in sol.state.window), 8)
+                _assert_array_path_matches_scalar(sol.psi_plus.lam, _rows_and_tails(sol), rho)
 
 
 def test_positive_form_frozen_values():

@@ -1,6 +1,7 @@
 """Assembly of (F, G), normalization, evaluation, and node counting."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -91,15 +92,24 @@ def test_evaluate_with_derivatives_contract():
         sol.evaluate_with_derivatives(np.array([1.0, 0.0]))
 
 
-@pytest.mark.parametrize("k", [0, 3, 12])
+@pytest.mark.parametrize("k", [0, 3, 12, 60])
 def test_grid_and_fd_residual_values_match_f_and_g_exactly(monkeypatch, k):
     # evaluate_with_derivatives (the CLI's grid path) and ode_residual(method='fd')
-    # take F and G from one Laguerre pass; the values are F(rho) and G(rho) bit for bit
+    # take F and G from one Laguerre pass; the values are F(rho) and G(rho) bit
+    # for bit, in one basis-table block and across block edges (a cap that
+    # cuts the grid into blocks of 3001, 3001 and 1998 columns)
     sol = solution(k)
     lo, hi = sol.state.window
     rho = np.exp(np.linspace(np.log(lo), np.log(hi), 8000))     # the fd grid
-    f, g, _, _ = sol.evaluate_with_derivatives(rho)
-    assert np.array_equal(f, sol.F(rho)) and np.array_equal(g, sol.G(rho))
+    terms = len(sol.components[0].coeffs)
+    for cells in (ladder._TABLE_CELLS, 3001 * terms):
+        with monkeypatch.context() as patch:
+            patch.setattr(ladder, "_TABLE_CELLS", cells)
+            f, g, fp, gp = sol.evaluate_with_derivatives(rho)
+            assert np.array_equal(f, sol.F(rho)) and np.array_equal(g, sol.G(rho))
+            for member, value, deriv in zip(sol.components, (f, g), (fp, gp)):
+                alone = member.evaluate_with_derivative(rho)
+                assert np.array_equal(alone[0], value) and np.array_equal(alone[1], deriv)
 
     fd = ode_residual(sol, method="fd", tolerance=1e-9)
     one_pass = RadialSolution.evaluate_with_derivatives
@@ -212,6 +222,21 @@ def test_one_pass_evaluation_matches_each_member(k):
     for got, want in ((f, first.evaluate(rho)), (g, second.evaluate(rho)),
                       (f, f1), (g, g1), (fp, fp1), (gp, gp1)):
         assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_grid_evaluation_memory_is_bounded():
+    # the basis table is filled one column block of at most _TABLE_CELLS
+    # values at a time; the whole table at k = 200 on 100 000 points would be
+    # 201 * 100 000 float64 (161 MB), the four outputs take 3.2 MB
+    sol = solution(200)
+    rho = np.geomspace(*sol.state.window, 100_000)
+    tracemalloc.start()
+    try:
+        sol.evaluate_with_derivatives(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak
 
 
 def test_evaluate_with_derivative_at_extended_precision():
