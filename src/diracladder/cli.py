@@ -4,7 +4,8 @@ Each table command builds one list of rows (dicts of raw values) and one
 metadata dict; `_emit` renders them to stdout as CSV with `#`-prefixed
 metadata lines, or as JSON with a single {"meta": ..., "rows": ...} object.
 Every run echoes the working precision and the two convention flags in the
-metadata.  Exit codes: 0 success, 1 runtime/verification failure, 2 usage
+metadata.  Exit codes: 0 success, 1 runtime/verification failure (or a
+reader that closed the pipe early, which ends the run quietly), 2 usage
 error, 3 physics error (supercritical channel or excluded state).
 """
 
@@ -14,6 +15,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -406,7 +408,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (| head, say): end quietly, with stdout on
+        # devnull so that the interpreter's own flush at exit finds no pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (Supercritical, UnphysicalState) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3

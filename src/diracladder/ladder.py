@@ -39,11 +39,14 @@ two banded primitives on these coefficients,
 so raising L_n gives (n + 1) L_(n+1) + (mu - lam - n) L_n.  On the rank-n
 member mu - lam - n = 0, so raise_to_rank climbs on the top coefficient
 alone, c_(n+1) = c_n (n + 1) / C_plus(mu), in O(k); apply_raising keeps the
-full action, which the algebra checks exercise.  Values come from the
-forward three-term recurrence: at a scalar radius (float or mpmath) it adds
-each term as it goes, and on an array it fills a table of basis values, in
-column blocks of bounded size, against which each coefficient row is one
-dot product.  The x-measure norm is a sum of nonnegative terms, so float64
+full action, which the algebra checks exercise.  A member's raw raising,
+lowering and Casimir actions at its own mu are each computed once per member,
+on first read, and kept with it: apply_raising, apply_lowering, apply_casimir,
+commutator_check and positive_operator_check all read these.  Values come
+from the forward three-term recurrence: at a scalar radius (float or mpmath)
+it adds each term as it goes, and on an array it fills a table of basis
+values, in column blocks of bounded size, against which each coefficient row
+is one dot product.  The x-measure norm is a sum of nonnegative terms, so float64
 and mpmath coefficients share one code path for it.
 Zeros come from a comrade matrix, fenced and certified by signs of q from
 the same pass that takes the first Newton step (LadderFunction.zeros).
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,14 +175,15 @@ def _evaluate_q(lam, rows, rho):
 
     The forward three-term recurrence in x = 2*rho gives L_n(x) in order n.  A
     scalar rho adds row[n] * L_n to every row as it goes.  An array rho is
-    taken in blocks of columns: the recurrence, in place, writes L_n(x) into
-    row n of one basis table of at most _TABLE_CELLS float64 values, and each
-    row's q is one dot product of its float64 coefficients with the table's
-    first len(row) rows.  One dot per row, not one matrix product for all, so
-    a row's values are the same bits with or without other rows of no greater
-    length (the longest row sets the block width).  A point's value can move
-    in its last bit with the grid it comes in, since the dot's rounding may
-    depend on where its column sits in the block.
+    taken in blocks of columns: the recurrence writes L_n(x) into row n of one
+    basis table of at most _TABLE_CELLS float64 values, in place on row views
+    split once per block, with one scratch row for its (n - 1 + a) L_(n-2)
+    term; each row's q is one dot product of its float64 coefficients with the
+    table's first len(row) rows.  One dot per row, not one matrix product for
+    all, so a row's values are the same bits with or without other rows of no
+    greater length (the longest row sets the block width).  A point's value
+    can move in its last bit with the grid it comes in, since the dot's
+    rounding may depend on where its column sits in the block.
     """
     if not isinstance(rho, np.ndarray):
         a = 2 * lam - 1
@@ -198,19 +203,22 @@ def _evaluate_q(lam, rows, rho):
     x = 2.0 * rho.ravel()
     width = max(1, _TABLE_CELLS // terms)
     cells = np.empty(terms * min(width, x.size))
+    spare = np.empty(min(width, x.size))
     values = [np.empty(x.size) for _ in rows]
     for start in range(0, x.size, width):
         block = x[start:start + width]
         table = cells[:terms * block.size].reshape(terms, block.size)
-        cur = table[0]          # views: in-place steps write the table
-        np.multiply(block, 0, out=cur)
-        cur += 1
+        basis = list(table)     # row views, split once: in-place steps write the table
+        scratch = spare[:block.size]
+        np.multiply(block, 0, out=basis[0])
+        basis[0] += 1
         for n in range(1, terms):
-            prev, cur = cur, table[n]
+            cur = basis[n]
             np.subtract(2 * n - 1 + a, block, out=cur)
-            cur *= prev
+            cur *= basis[n - 1]
             if n > 1:
-                cur -= (n - 1 + a) * table[n - 2]
+                np.multiply(n - 1 + a, basis[n - 2], out=scratch)
+                cur -= scratch
             cur /= n
         for row, value in zip(rows, values):
             np.dot(row, table[:row.size], out=value[start:start + block.size])
@@ -227,7 +235,9 @@ class LadderFunction:
     coeffs holds q on the generalized Laguerre basis, q = sum_n c_n L_n with
     L_n = L_n^(2*lam-1)(2*rho); a member of rank k has k + 1 coefficients.
     lam and mu may be floats or mpmath scalars (the latter keeps every
-    derived quantity at extended precision).
+    derived quantity at extended precision).  The raw actions at the member's
+    own mu (_raised, _lowered, _casimir) are computed once, on first read, at
+    the working precision of that read, and kept with the member.
     """
 
     lam: float
@@ -251,6 +261,21 @@ class LadderFunction:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    @cached_property
+    def _raised(self) -> tuple:
+        """Coefficients of the raw raising action at mu (one more than coeffs)."""
+        return tuple(_raising_action(self.lam, self.mu, self.coeffs))
+
+    @cached_property
+    def _lowered(self) -> tuple:
+        """Coefficients of the raw lowering action at mu (as many as coeffs)."""
+        return tuple(_lowering_action(self.lam, self.mu, self.coeffs))
+
+    @cached_property
+    def _casimir(self) -> tuple:
+        """Coefficients of the raw Casimir action at mu, on the member's branch."""
+        return tuple(_casimir_action(self.lam, self.mu, self.coeffs, self.branch))
 
     def polynomial(self, rho):
         """q(rho); accepts scalars (float or mpmath) and numpy arrays."""
@@ -417,7 +442,7 @@ def apply_raising(f: LadderFunction):
     """
     _require_positive_branch(f)
     coeff = c_plus(f.lam, f.mu)
-    new = tuple(c / coeff for c in _raising_action(f.lam, f.mu, f.coeffs))
+    new = tuple(c / coeff for c in f._raised)
     return LadderFunction(f.lam, f.mu + 1, new, f.branch), coeff
 
 
@@ -435,7 +460,7 @@ def apply_lowering(f: LadderFunction):
         zero = tuple(c * 0 for c in f.coeffs)
         return LadderFunction(f.lam, f.mu - 1, zero, f.branch), f.lam * 0
     coeff = c_minus(f.lam, f.mu)
-    new = tuple(c / coeff for c in _lowering_action(f.lam, f.mu, f.coeffs)[:-1])
+    new = tuple(c / coeff for c in f._lowered[:-1])
     return LadderFunction(f.lam, f.mu - 1, new, f.branch), coeff
 
 
@@ -468,11 +493,13 @@ def apply_casimir(f: LadderFunction):
     """Apply the quadratic invariant; returns (f, measured eigenvalue).
 
     Raises NotAnEigenfunction when the residual against omega*q exceeds
-    _CASIMIR_REL_TOL (1e-8) relative to the largest coefficient of q.
+    _CASIMIR_REL_TOL (1e-8) relative to the largest coefficient of q.  The
+    raw action is the member's own, computed once (commutator_check reads it
+    too).
     """
     if f.is_zero:
         raise DomainError("casimir eigenvalue of the zero function is undefined")
-    raw = _casimir_action(f.lam, f.mu, f.coeffs, f.branch)
+    raw = f._casimir
     omega = f.lam * (f.lam - 1)
     deviation = _rel_dev(raw, _combine((omega, f.coeffs)),
                          max(abs(c) for c in f.coeffs))
@@ -492,15 +519,20 @@ def commutator_check(f: LadderFunction, tolerance: float = 1e-10) -> Verificatio
       1. (raise.lower - lower.raise) q == 2*mu*q
       2. lower.raise q == -(mu*(mu+1) - omega)*q
       3. casimir q == (lower.raise + mu^2 + mu) q
+
+    The raising, lowering and Casimir actions on q at mu are the member's
+    own, computed once per member and shared with apply_casimir and
+    positive_operator_check; the second rung of each product is computed
+    here.
     """
     _require_positive_branch(f)
     lam, mu, q = f.lam, f.mu, f.coeffs
     report = VerificationReport(f"su(2) relations at lam={float(lam):.6f}, mu={float(mu):.6f}")
     scale = max(abs(c) for c in q)
 
-    down = _lowering_action(lam, mu, q)
+    down = f._lowered
     up_down = _raising_action(lam, mu - 1, down)
-    up = _raising_action(lam, mu, q)
+    up = f._raised
     down_up = _lowering_action(lam, mu + 1, up)
 
     comm = _combine((1, up_down), (-1, down_up))
@@ -517,7 +549,7 @@ def commutator_check(f: LadderFunction, tolerance: float = 1e-10) -> Verificatio
     report.add("lower.raise acts as -(mu*(mu+1) - omega)",
                _rel_dev(down_up, _combine((eigen, q)), scale), tolerance)
 
-    casimir = _casimir_action(lam, mu, q, f.branch)
+    casimir = f._casimir
     ladder_side = _combine((1, down_up), (mu * mu + mu, q))
     report.add("casimir == lower.raise + weight*(weight+1)",
                _rel_dev(casimir, ladder_side, scale), tolerance)
@@ -530,12 +562,14 @@ def positive_operator_check(f: LadderFunction):
     Returns (|raise f|^2 + |lower f|^2)/2 + mu^2*|f|^2 normalized by |f|^2,
     each norm exact in the Laguerre basis.  For family members this equals
     the sum of the three squared generator norms, whose label value
-    2*mu^2 - omega is strictly positive (it bounds mu away from zero).
+    2*mu^2 - omega is strictly positive (it bounds mu away from zero).  The
+    raising and lowering actions are the member's own, computed once per
+    member (commutator_check reads them too).
     """
     _require_positive_branch(f)
     lam, mu = f.lam, f.mu
-    nf, n_up, n_down = (_norm_sq(_tail_sums(c), 2 * lam - 2) for c in (
-        f.coeffs, _raising_action(lam, mu, f.coeffs), _lowering_action(lam, mu, f.coeffs)))
+    nf, n_up, n_down = (_norm_sq(_tail_sums(c), 2 * lam - 2)
+                        for c in (f.coeffs, f._raised, f._lowered))
     return ((n_up + n_down) / 2 + mu * mu * nf) / nf
 
 

@@ -1,10 +1,15 @@
 """Front-end contract: table shapes, metadata, precision echo, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import diracladder
 from diracladder import bound_energy, make_channel
 from diracladder.cli import _grid_type, main
 
@@ -212,6 +217,30 @@ def test_exit_code_domain(capsys):
                         "--eps", "-1", "--k", "1"], capsys)
     assert code == 2
     assert "half-odd" in err
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader stops after one line, as `| head -1` does; the table (about
+    # 250 kB) outgrows the pipe's buffer, so the CLI is still writing when the
+    # pipe closes: exit 1, and nothing on stderr
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(diracladder.__file__).parent.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diracladder.cli", "wavefunction", "--zeta", "0.5",
+         "--j", "2.5", "--eps", "1", "--k", "12", "--grid", "0.01,60,4000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().startswith(b"# generator = diracladder")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_wavefunction_refuses_non_finite_values(capsys):

@@ -191,6 +191,30 @@ def test_commutator_report():
     assert len(rep.checks) == 4
 
 
+def test_algebra_checks_compute_each_action_once(monkeypatch):
+    # commutator_check, apply_casimir and positive_operator_check share the
+    # member's own raising, lowering and Casimir actions: one of each at mu
+    calls = []
+    for name in ("_raising_action", "_lowering_action", "_casimir_action"):
+        def recording(lam, mu, *rest, name=name, action=getattr(ladder, name)):
+            calls.append((name, mu))
+            return action(lam, mu, *rest)
+        monkeypatch.setattr(ladder, name, recording)
+    f = raise_to_rank(ground_ladder_function(LAM), 12)
+    assert commutator_check(f).all_passed
+    _, eigenvalue = apply_casimir(f)
+    form = positive_operator_check(f)
+    assert calls.count(("_raising_action", f.mu)) == 1
+    assert calls.count(("_lowering_action", f.mu)) == 1
+    assert [name for name, _ in calls].count("_casimir_action") == 1
+    # and a second round reads the same actions without computing them again
+    calls.clear()
+    assert commutator_check(f).all_passed
+    assert apply_casimir(f)[1] == eigenvalue and positive_operator_check(f) == form
+    assert ("_casimir_action", f.mu) not in calls
+    assert ("_raising_action", f.mu) not in calls and ("_lowering_action", f.mu) not in calls
+
+
 def test_recurrences_match_numerical_differentiation():
     # raising acts on the full function as rho*d/drho - rho + mu + 1/2,
     # lowering as rho*d/drho + rho - mu + 1/2; check both against five-point

@@ -33,7 +33,7 @@ from diracladder import (
     state_from_nu,
     truncated_norms,
 )
-from diracladder import oracle
+from diracladder import ladder, oracle
 from diracladder.oracle import component_norm_integral, laguerre_weighted_integral
 from diracladder.radial import RadialSolution, count_radial_nodes
 
@@ -103,8 +103,39 @@ def test_unreachable_tolerance_raises():
     # rule, past what the fixed policy can settle: it fails loudly
     f = raise_to_rank(ground_ladder_function(LAM), 130)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(QuadratureFailure):
+        with pytest.raises(QuadratureFailure, match="256 nodes"):
             inner_product(f, f)
+
+
+@pytest.mark.parametrize("rank", [0, 12, 40])
+def test_inner_product_evaluates_members_once(monkeypatch, rank):
+    # both Gauss rules' nodes go through one Laguerre pass
+    passes = []
+    evaluate = ladder._evaluate_q
+
+    def counting(lam, rows, rho):
+        passes.append(np.size(rho))
+        return evaluate(lam, rows, rho)
+
+    monkeypatch.setattr(ladder, "_evaluate_q", counting)
+    f = raise_to_rank(ground_ladder_function(LAM), rank)
+    assert inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
+    n = max(16, 1 << rank.bit_length())
+    assert passes == [3 * n]
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+def test_gauss_rule_reads_the_lower_triangle_only(monkeypatch, n):
+    # the builder writes only the diagonal and subdiagonal of the Jacobi
+    # matrix; the rule is the same, bit for bit, as from the full symmetric one
+    eigvalsh = np.linalg.eigvalsh
+    for alpha in RULE_ALPHAS:
+        t, w = oracle.roots_genlaguerre(n, alpha)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh",
+                          lambda m: eigvalsh(np.tril(m) + np.tril(m, -1).T))
+            t_full, w_full = oracle.roots_genlaguerre(n, alpha)
+        assert np.array_equal(t, t_full) and np.array_equal(w, w_full), alpha
 
 
 @pytest.mark.parametrize("rank, sizes", [(3, {16, 32}), (20, {32, 64}), (128, {128, 256})])
