@@ -1,8 +1,8 @@
 """Bound states of the radial Dirac-Coulomb problem by ladder operators.
 
 The closed-form solution lives in `channels` (quantum numbers and energies),
-`ladder` (the operator algebra acting on generalized-Laguerre coefficient
-vectors) and `radial` (assembly of the physical two-component wavefunction).
+`ladder` (the operator algebra acting on coefficient vectors on the
+orthonormal Laguerre functions) and `radial` (assembly of the physical two-component wavefunction).
 `oracle` re-derives everything numerically: high-order quadrature for norms
 and inner products, direct substitution into the coupled first-order system,
 and a two-sided shooting eigensolver that knows nothing about the algebra.

@@ -34,6 +34,7 @@ tau + zeta/kappa = 0, which requires tau < 0.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ from . import precision
 from .errors import (
     DomainError,
     InvalidQuantumNumber,
+    PrecisionLoss,
     Supercritical,
     SupercriticalChannelWarning,
     UnphysicalState,
@@ -92,11 +94,10 @@ class BoundState:
 
 
 def _is_half_odd_integer(j) -> bool:
-    twice = float(j) * 2.0
-    if not math.isfinite(twice):
-        return False
-    nearest = round(twice)
-    return abs(twice - nearest) < 1e-9 and nearest % 2 == 1 and nearest > 0
+    # 2j exactly an odd positive integer, at j's own precision; written as
+    # 0 < twice < inf so that nan fails too
+    twice = 2 * j
+    return 0 < twice < math.inf and twice == int(twice) and int(twice) % 2 == 1
 
 
 def zeta_from_charge(Z: float):
@@ -161,12 +162,16 @@ def state_from_nu(channel: Channel, k: int, nu) -> BoundState:
 
     E, kappa and mu = 1/2 + zeta*E/kappa follow from nu without the cancellation
     in 1 - E, at nu's precision (float or mpmath); a detuned nu detunes mu.
-    Raises DomainError for k not a nonnegative integer or nu outside (0, 1).
+    Raises DomainError for k not a nonnegative integer or nu outside (0, 1),
+    and PrecisionLoss for a float nu below the smallest normal float64, whose
+    few significant bits would detune mu and kappa.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     if not 0 < nu < 1:
         raise DomainError(f"nu must lie in (0, 1), got {nu}")
+    if not (precision.is_extended(nu) or nu >= sys.float_info.min):
+        raise PrecisionLoss(f"nu = {nu!r} is subnormal in float64 (level k = {k})")
     nu2 = nu * nu
     return BoundState(channel=channel, k=k,
                       mu=0.5 + channel.zeta * (1.0 - nu2) / (2.0 * nu),

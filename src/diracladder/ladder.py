@@ -28,33 +28,35 @@ Reduced to the polynomial part q, the operators act as
 and the Casimir as D1(D1 q) + 2*mu*rho*q - rho^2*q - q/4 with
 D1 = rho*d/drho + (lam - 1/2 -+ rho) (sign tied to the branch).
 
-q is stored as its coefficients c_n on the generalized Laguerre polynomials
-L_n = L_n^(a)(2*rho), a = 2*lam - 1 (DLMF 18.9, 18.18).  The rank-k member
-is a single basis vector, q = c_k L_k.  Every action above is composed from
-two banded primitives on these coefficients,
+q is stored as its coefficients e_n on the orthonormal Laguerre functions
+b_n = 2**(a/2) L_n^(a)(2*rho) / h_n, a = 2*lam - 1, h_n**2 = Gamma(n+a+1)/n!
+(DLMF 18.9), each of squared norm 1/2 under rho**a exp(-2*rho).  Every action
+above is composed from two banded primitives, with beta_n = sqrt(n*(n + a)),
 
-    rho * L_n           = ((2n + a + 1) L_n - (n + 1) L_(n+1) - (n + a) L_(n-1)) / 2
-    rho * d/drho L_n    = n L_n - (n + a) L_(n-1)
+    rho * b_n           = ((2n + a + 1) b_n - beta_(n+1) b_(n+1) - beta_n b_(n-1)) / 2
+    rho * d/drho b_n    = n b_n - beta_n b_(n-1)
 
-so raising L_n gives (n + 1) L_(n+1) + (mu - lam - n) L_n.  On the rank-n
-member mu - lam - n = 0, so raise_to_rank climbs on the top coefficient
-alone, c_(n+1) = c_n (n + 1) / C_plus(mu), in O(k); apply_raising keeps the
-full action, which the algebra checks exercise.  A member's raw raising,
-lowering and Casimir actions at its own mu are each computed once per member,
-on first read, and kept with it: apply_raising, apply_lowering, apply_casimir,
-commutator_check and positive_operator_check all read these.  Values come
-from the forward three-term recurrence: at a scalar radius (float or mpmath)
-it adds each term as it goes, and on an array it fills a table of basis
-values, in column blocks of bounded size, against which each coefficient row
-is one dot product.  The x-measure norm is a sum of nonnegative terms, so float64
-and mpmath coefficients share one code path for it.
-Zeros come from a comrade matrix, fenced and certified by signs of q from
-the same pass that takes the first Newton step (LadderFunction.zeros).
+so raising b_n gives beta_(n+1) b_(n+1) + (mu - lam - n) b_n.  On the rank-n
+member mu - lam - n = 0 and C_plus(lam + n) = beta_(n+1), so normalized
+raising is the basis shift: the rank-k unit member is sqrt(a) b_k, and
+raise_to_rank climbs on the top coefficient alone, e_(n+1) = e_n beta_(n+1) /
+C_plus(mu), in O(k); apply_raising keeps the full action, which the algebra
+checks exercise.  A member's raw raising, lowering and Casimir actions at its
+own mu are each computed once per member, on first read, and kept with it:
+apply_raising, apply_lowering, apply_casimir, commutator_check and
+positive_operator_check all read these.  Both norms are sums of nonnegative
+terms of order one (rho measure: sum e_n**2 / 2; x measure: _x_norm_sq), so
+float64 and mpmath coefficients share one code path.  Values come from the
+recurrence beta_n b_n = (2n - 1 + a - x) b_(n-1) - beta_(n-1) b_(n-2) in
+x = 2*rho (_evaluate_q), whose start b_0 is the one place Gamma and 2**a
+enter.  Zeros come from a comrade matrix, fenced and certified by signs of q
+from the same pass that takes the first Newton step (LadderFunction.zeros).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,7 +84,7 @@ _TABLE_CELLS = 1 << 19     # cap on _evaluate_q's basis table (4 MiB of float64)
 
 
 # ---------------------------------------------------------------------------
-# coefficient vectors on L_n^(a)(2*rho), a = 2*lam - 1
+# coefficient vectors on b_n, a = 2*lam - 1
 
 def _combine(*terms):
     """Sum of factor * coeffs over (factor, coeffs) pairs, zero-padded."""
@@ -98,130 +100,137 @@ def _rel_dev(a, b, scale) -> float:
     return float(max(abs(c) for c in _combine((1, a), (-1, b))) / scale)
 
 
-def _times_rho(lam, coeffs):
-    # rho*L_n = ((2n + a + 1) L_n - (n + 1) L_(n+1) - (n + a) L_(n-1)) / 2
+def _betas(lam, size):
+    """[beta_0, ..., beta_(size-1)], beta_n = sqrt(n*(n + a)), at lam's precision."""
+    a = 2 * lam - 1
+    return [precision.sqrt(n * (n + a)) for n in range(size)]
+
+
+def _times_rho(lam, beta, coeffs):
+    # rho*b_n = ((2n + a + 1) b_n - beta_(n+1) b_(n+1) - beta_n b_(n-1)) / 2
     a = 2 * lam - 1
     out = [coeffs[0] * 0] * (len(coeffs) + 1)
     for n, c in enumerate(coeffs):
         out[n] += (2 * n + a + 1) * c / 2
-        out[n + 1] -= (n + 1) * c / 2
+        out[n + 1] -= beta[n + 1] * c / 2
         if n:
-            out[n - 1] -= (n + a) * c / 2
+            out[n - 1] -= beta[n] * c / 2
     return out
 
 
-def _rho_d(lam, coeffs):
-    # rho * d/drho L_n = n L_n - (n + a) L_(n-1)
-    a = 2 * lam - 1
+def _rho_d(beta, coeffs):
+    # rho * d/drho b_n = n b_n - beta_n b_(n-1)
     out = [n * c for n, c in enumerate(coeffs)]
     for n in range(1, len(coeffs)):
-        out[n - 1] -= (n + a) * coeffs[n]
+        out[n - 1] -= beta[n] * coeffs[n]
     return out
 
 
 def _raising_action(lam, mu, coeffs):
     # rho*q' - 2*rho*q + (lam + mu)*q
-    return _combine((1, _rho_d(lam, coeffs)), (-2, _times_rho(lam, coeffs)),
+    beta = _betas(lam, len(coeffs) + 1)
+    return _combine((1, _rho_d(beta, coeffs)), (-2, _times_rho(lam, beta, coeffs)),
                     (lam + mu, coeffs))
 
 
 def _lowering_action(lam, mu, coeffs):
     # rho*q' + (lam - mu)*q
-    return _combine((1, _rho_d(lam, coeffs)), (lam - mu, coeffs))
+    return _combine((1, _rho_d(_betas(lam, len(coeffs)), coeffs)), (lam - mu, coeffs))
 
 
-def _weighted_derivative_action(lam, coeffs, branch_sign):
+def _weighted_derivative_action(lam, beta, coeffs, branch_sign):
     # D1 q = rho*q' + (lam - 1/2)*q + branch_sign*rho*q
-    return _combine((1, _rho_d(lam, coeffs)), (lam - 0.5, coeffs),
-                    (branch_sign, _times_rho(lam, coeffs)))
+    return _combine((1, _rho_d(beta, coeffs)), (lam - 0.5, coeffs),
+                    (branch_sign, _times_rho(lam, beta, coeffs)))
 
 
 def _casimir_action(lam, mu, coeffs, branch):
     sign = -1.0 if branch == "positive" else 1.0
-    d1 = _weighted_derivative_action(lam, coeffs, sign)
-    rho_q = _times_rho(lam, coeffs)
-    return _combine((1, _weighted_derivative_action(lam, d1, sign)), (2 * mu, rho_q),
-                    (-1, _times_rho(lam, rho_q)), (-0.25, coeffs))
+    beta = _betas(lam, len(coeffs) + 2)
+    d1 = _weighted_derivative_action(lam, beta, coeffs, sign)
+    rho_q = _times_rho(lam, beta, coeffs)
+    return _combine((1, _weighted_derivative_action(lam, beta, d1, sign)), (2 * mu, rho_q),
+                    (-1, _times_rho(lam, beta, rho_q)), (-0.25, coeffs))
 
 
-def _tail_sums(coeffs):
-    """T_i = sum_(n >= i) c_n for i = 0 .. len(coeffs) - 1."""
-    tails = list(coeffs)
-    for i in range(len(tails) - 2, -1, -1):
-        tails[i] = tails[i] + tails[i + 1]
+def _tails(lam, coeffs):
+    """W_i = sum_(n > i) e_n h_i/h_n = sqrt((i+1)/(i+1+a)) (e_(i+1) + W_(i+1)).
+
+    q' = -2 sum_i W_i b_i, as d/dx L_n^(a) = -sum_(i<n) L_i^(a).  As L_m^(a) =
+    sum_(i<=m) L_i^(a-1), V_i / sqrt(i + a), V_i = e_i + W_i, are q's
+    coefficients on the functions orthonormal under rho**(a-1) exp(-2*rho).
+    """
+    a = 2 * lam - 1
+    tails = [coeffs[0] * 0] * len(coeffs)
+    for i in range(len(coeffs) - 2, -1, -1):
+        tails[i] = precision.sqrt((i + 1) / (i + 1 + a)) * (coeffs[i + 1] + tails[i + 1])
     return tails
 
 
-def _norm_sq(coeffs, b):
-    """integral rho^b exp(-2*rho) q^2 drho for q = sum_n c_n L_n^(b)(2*rho).
+def _x_norm_sq(lam, coeffs):
+    """integral rho**(a-1) exp(-2*rho) q**2 drho = sum_i V_i**2 / (i + a) (_tails)."""
+    a, tails = 2 * lam - 1, _tails(lam, coeffs)
+    return sum((c + t) ** 2 / (i + a) for i, (c, t) in enumerate(zip(coeffs, tails)))
 
-    The L_n^(b)(x) are orthogonal under x^b e^(-x) with squared norms
-    Gamma(n+b+1)/n!, so this is sum_n c_n^2 Gamma(n+b+1) / (n! * 2^(b+1)),
-    every term nonnegative.  Tail sums of coefficients on L_n^(a) are the
-    coefficients on L_n^(a-1), since L_m^(a) = sum_(i<=m) L_i^(a-1).
+
+def _ground_value(lam):
+    """b_0 = 2**(a/2) / sqrt(Gamma(a + 1)) = pi**(1/4) / sqrt(Gamma(lam) Gamma(lam + 1/2)),
+    from log Gamma.  PrecisionLoss when a float64 b_0 is not a normal number
+    (lam >~ 171.5): every b_n would be built on a start that has lost its digits.
     """
-    h = precision.gamma(b + 1)
-    total = coeffs[0] * 0
-    for n, c in enumerate(coeffs):
-        total += c * c * h
-        h = h * (n + b + 1) / (n + 1)
-    if not total < math.inf:    # nan fails too: an overflowed h times c = 0
-        raise PrecisionLoss(f"norm sum overflows float64 at b = {float(b)!r}")
-    return total / 2.0 ** (b + 1)
+    b0 = precision.exp((precision.lgamma(lam * 0 + 0.5) - precision.lgamma(lam)
+                        - precision.lgamma(lam + 0.5)) / 2)
+    if not (precision.is_extended(b0) or b0 >= sys.float_info.min):
+        raise PrecisionLoss(f"b_0 = {b0!r} at lam = {float(lam)!r} is not a normal float64")
+    return b0
 
 
 def _evaluate_q(lam, rows, rho):
     """q(rho) for each coefficient row, at a float, mpmath scalar or numpy array.
 
-    The forward three-term recurrence in x = 2*rho gives L_n(x) in order n.  A
-    scalar rho adds row[n] * L_n to every row as it goes.  An array rho is
-    taken in blocks of columns: the recurrence writes L_n(x) into row n of one
-    basis table of at most _TABLE_CELLS float64 values, in place on row views
-    split once per block, with one scratch row for its (n - 1 + a) L_(n-2)
-    term; each row's q is one dot product of its float64 coefficients with the
-    table's first len(row) rows.  One dot per row, not one matrix product for
-    all, so a row's values are the same bits with or without other rows of no
-    greater length (the longest row sets the block width).  A point's value
-    can move in its last bit with the grid it comes in, since the dot's
-    rounding may depend on where its column sits in the block.
+    rho is taken in blocks of columns: the forward recurrence in x = 2*rho,
+    from b_0 (_ground_value), writes b_n(x) into row n of one basis table of
+    at most _TABLE_CELLS values, in place on row views split once per block,
+    with one scratch row for its beta_(n-1) b_(n-2) term; each row's q is one
+    dot product of its coefficients with the table's first len(row) rows.  An
+    array rho is float64 throughout (lam and rows rounded to it); a scalar rho
+    is one column of dtype object, so float and mpmath scalars keep their own
+    arithmetic.  One dot per row, not one matrix product for all, so a row's
+    values are the same bits with or without other rows of no greater length
+    (the longest row sets the block width).  A point's value can move in its
+    last bit with the grid it comes in, since the dot's rounding may depend
+    on where its column sits in the block.
     """
-    if not isinstance(rho, np.ndarray):
-        a = 2 * lam - 1
-        x = 2.0 * rho
-        prev, cur = 0, x * 0 + 1
-        values = [x * 0 for _ in rows]
-        for n in range(max(map(len, rows))):
-            if n:
-                prev, cur = cur, (((2 * n - 1 + a) - x) * cur - (n - 1 + a) * prev) / n
-            for i, row in enumerate(rows):
-                if n < len(row):
-                    values[i] += row[n] * cur
-        return values
-    a = 2 * float(lam) - 1
-    rows = [np.array(row, dtype=float) for row in rows]
+    if isinstance(rho, np.ndarray):
+        dtype, lam, x = float, float(lam), 2.0 * rho.ravel()
+    else:
+        dtype, x = object, np.array([2.0 * rho], dtype=object)
+    a, b0 = 2 * lam - 1, _ground_value(lam)
+    rows = [np.array(row, dtype=dtype) for row in rows]
     terms = max(row.size for row in rows)
-    x = 2.0 * rho.ravel()
+    beta = _betas(lam, terms)
     width = max(1, _TABLE_CELLS // terms)
-    cells = np.empty(terms * min(width, x.size))
-    spare = np.empty(min(width, x.size))
-    values = [np.empty(x.size) for _ in rows]
+    cells = np.empty(terms * min(width, x.size), dtype)
+    spare = np.empty(min(width, x.size), dtype)
+    values = [np.empty(x.size, dtype) for _ in rows]
     for start in range(0, x.size, width):
         block = x[start:start + width]
         table = cells[:terms * block.size].reshape(terms, block.size)
         basis = list(table)     # row views, split once: in-place steps write the table
         scratch = spare[:block.size]
-        np.multiply(block, 0, out=basis[0])
-        basis[0] += 1
+        basis[0][:] = b0
         for n in range(1, terms):
             cur = basis[n]
             np.subtract(2 * n - 1 + a, block, out=cur)
             cur *= basis[n - 1]
             if n > 1:
-                np.multiply(n - 1 + a, basis[n - 2], out=scratch)
+                np.multiply(beta[n - 1], basis[n - 2], out=scratch)
                 cur -= scratch
-            cur /= n
+            cur /= beta[n]
         for row, value in zip(rows, values):
             np.dot(row, table[:row.size], out=value[start:start + block.size])
+    if dtype is object:
+        return [value[0] for value in values]
     return [value.reshape(rho.shape) for value in values]
 
 
@@ -232,8 +241,8 @@ def _evaluate_q(lam, rows, rho):
 class LadderFunction:
     """One member of the ladder family, stored as its polynomial part.
 
-    coeffs holds q on the generalized Laguerre basis, q = sum_n c_n L_n with
-    L_n = L_n^(2*lam-1)(2*rho); a member of rank k has k + 1 coefficients.
+    coeffs holds q on the orthonormal Laguerre functions b_n of the module
+    docstring, q = sum_n e_n b_n; a member of rank k has k + 1 coefficients.
     lam and mu may be floats or mpmath scalars (the latter keeps every
     derived quantity at extended precision).  The raw actions at the member's
     own mu (_raised, _lowered, _casimir) are computed once, on first read, at
@@ -306,11 +315,10 @@ class LadderFunction:
     def zeros(self, lo, hi) -> np.ndarray:
         """Zeros of q (hence of P) with lo < rho < hi, ascending, in float64.
 
-        On the orthonormal basis p_n = (-1)**n L_n / h_n, h_n**2 =
-        Gamma(n+a+1)/n!, x = 2*rho acts as the Jacobi matrix with diagonal
-        2n + a + 1 and off-diagonal sqrt(n*(n+a)); reducing x*p_(N-1) modulo q
-        subtracts sqrt(N*(N+a)) * d_m/d_N from the last column, d_m the
-        coefficients of q on p_m.  The real eigenvalues of this comrade matrix
+        On the stored basis b_n, x = 2*rho acts as the Jacobi matrix with
+        diagonal 2n + a + 1 and off-diagonal -beta_n = -sqrt(n*(n+a));
+        reducing x*b_(N-1) modulo q adds beta_N * e_m/e_N to the last column,
+        e_m the stored coefficients.  The real eigenvalues of this comrade matrix
         (Barnett 1975) inside the window are fenced in by lo, the midpoints
         between consecutive eigenvalues and hi.  One Laguerre pass over the
         eigenvalues and the fences gives q and q' for the first Newton step
@@ -325,29 +333,27 @@ class LadderFunction:
         coeffs = [float(c) for c in self.coeffs]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        n, a = len(coeffs) - 1, 2 * float(self.lam) - 1
+        n, lam = len(coeffs) - 1, float(self.lam)
         rho = np.empty(0)
         with np.errstate(over="ignore", invalid="ignore"):
             if n:
                 i = np.arange(1, n + 1)
-                d = np.array(coeffs) * np.sqrt(np.cumprod(np.concatenate(([1.0], (i + a) / i))))
-                d[1::2] *= -1
-                beta = np.sqrt(i * (i + a))
-                comrade = np.diag(2.0 * i - 1 + a)
-                comrade.flat[1::n + 1] = beta[:-1]     # superdiagonal
-                comrade.flat[n::n + 1] = beta[:-1]     # subdiagonal
-                comrade[:, -1] -= beta[-1] * d[:-1] / d[-1]
+                beta = np.array(_betas(lam, n + 1)[1:])
+                comrade = np.diag(2.0 * i + 2 * lam - 2)
+                comrade.flat[1::n + 1] = -beta[:-1]     # superdiagonal
+                comrade.flat[n::n + 1] = -beta[:-1]     # subdiagonal
+                comrade[:, -1] += beta[-1] * np.array(coeffs[:-1]) / coeffs[-1]
                 x = np.linalg.eigvals(comrade)
                 rho = x.real[np.abs(x.imag) <= 1e-8 * np.abs(x.real)] / 2
                 rho = np.sort(rho[(rho > lo) & (rho < hi)])
             fences = np.concatenate(([lo], (rho[1:] + rho[:-1]) / 2, [hi]))
-            tails = _tail_sums(coeffs)[1:]
-            q, t = _evaluate_q(self.lam, (coeffs, tails), np.concatenate((rho, fences)))
+            tails = _tails(lam, coeffs)
+            q, t = _evaluate_q(lam, (coeffs, tails), np.concatenate((rho, fences)))
             signs = np.sign(q[rho.size:])
             q, t = q[:rho.size], t[:rho.size]
             for step_number in range(_NEWTON_STEPS):
                 if step_number:
-                    q, t = _evaluate_q(self.lam, (coeffs, tails), rho)
+                    q, t = _evaluate_q(lam, (coeffs, tails), rho)
                 step = q / (-2 * t)
                 rho = rho - step
                 if np.all(np.abs(step) <= 1e-14 * rho):
@@ -364,29 +370,28 @@ class LadderFunction:
         """Exact x-measure norm integral (positive branch only)."""
         if self.branch != "positive":
             raise WrongBranch("negative-branch norms diverge; see divergence_check")
-        return _norm_sq(_tail_sums(self.coeffs), 2 * self.lam - 2)
+        return _x_norm_sq(self.lam, self.coeffs)
 
     def rho_norm_squared(self):
         """Exact rho-measure norm integral P**2 drho (positive branch only).
 
-        The weight rho**(2*lam-1) * exp(-2*rho) is the orthogonality weight of
-        the basis itself, so the integral is the diagonal sum _norm_sq of the
-        coefficients with b = 2*lam - 1.
+        The weight rho**(2*lam-1) * exp(-2*rho) is the basis's own orthogonality
+        weight, under which each b_n has squared norm 1/2: sum e_n**2 / 2.
         """
         if self.branch != "positive":
             raise WrongBranch("negative-branch norms diverge; see divergence_check")
-        return _norm_sq(self.coeffs, 2 * self.lam - 1)
+        return sum(c * c for c in self.coeffs) / 2
 
 
 def _evaluate_with_derivatives(members, rho):
     """(P, dP/drho) of each member; the members share lam and the branch.
 
-    dP/drho = w * (q' + ((lam - 1/2)/rho -+ 1) * q), q' = -2 * sum_i T_(i+1) L_i
-    as d/dx L_n^(a) = -sum_(i<n) L_i^(a); one weight w, one _evaluate_q pass.
+    dP/drho = w * (q' + ((lam - 1/2)/rho -+ 1) * q), q' = -2 * sum_i W_i b_i
+    (_tails); one weight w, one _evaluate_q pass.
     """
     weight, sign = members[0]._weight(rho)
     lam = float(members[0].lam) if isinstance(rho, np.ndarray) else members[0].lam
-    rows = [row for f in members for row in (f.coeffs, _tail_sums(f.coeffs)[1:])]
+    rows = [row for f in members for row in (f.coeffs, _tails(lam, f.coeffs))]
     values, factor = _evaluate_q(lam, rows, rho), (lam - 0.5) / rho + sign
     return [(weight * q, weight * (-2 * t + factor * q))
             for q, t in zip(values[::2], values[1::2])]
@@ -401,21 +406,20 @@ def _require_lam(lam):
 def ground_ladder_function(lam) -> LadderFunction:
     """Bottom of the positive tower, mu = lam, exactly unit-normalized.
 
-    q is the constant 2**(lam - 1/2) / sqrt(Gamma(2*lam - 1)).
+    q = sqrt(2*lam - 1) b_0, the constant 2**(lam - 1/2) / sqrt(Gamma(2*lam - 1)).
     """
     _require_lam(lam)
-    c0 = 2.0 ** (lam - 0.5) / precision.sqrt(precision.gamma(2 * lam - 1))
-    return LadderFunction(lam=lam, mu=lam, coeffs=(c0,), branch="positive")
+    return LadderFunction(lam=lam, mu=lam, coeffs=(precision.sqrt(2 * lam - 1),))
 
 
 def negative_branch_ground(lam) -> LadderFunction:
     """Top of the negative tower, mu = -lam: rho**(lam-1/2)*exp(+rho).
 
-    Annihilated by raising, not normalizable; amplitude convention q = 1.
+    Annihilated by raising, not normalizable; amplitude convention q = 1,
+    the coefficient 1/b_0.
     """
     _require_lam(lam)
-    one = lam * 0 + 1.0   # match the scalar type of lam
-    return LadderFunction(lam=lam, mu=-lam, coeffs=(one,), branch="negative")
+    return LadderFunction(lam, -lam, (1 / _ground_value(lam),), branch="negative")
 
 
 def _require_positive_branch(f: LadderFunction):
@@ -437,8 +441,8 @@ def c_minus(lam, mu):
 def apply_raising(f: LadderFunction):
     """Normalized raising: returns (member at mu+1, C_plus).
 
-    Unit norm is preserved.  On the rank-k member c_k L_k the result is
-    c_k (k + 1) / C_plus * L_(k+1), up to rounding in the lower coefficients.
+    Unit norm is preserved.  On the rank-k member e_k b_k the result is
+    e_k beta_(k+1) / C_plus * b_(k+1), up to rounding in the lower coefficients.
     """
     _require_positive_branch(f)
     coeff = c_plus(f.lam, f.mu)
@@ -451,7 +455,7 @@ def apply_lowering(f: LadderFunction):
 
     At the bottom of the tower (mu == lam) the action annihilates: the
     returned function is identically zero and the coefficient is 0.  Above
-    it, the top coefficient of the action is (rank + lam - mu) * c_top = 0,
+    it, the top coefficient of the action is (rank + lam - mu) * e_top = 0,
     so it is dropped and the result has one coefficient fewer.
     """
     _require_positive_branch(f)
@@ -465,9 +469,9 @@ def apply_lowering(f: LadderFunction):
 
 
 def raise_to_rank(ground: LadderFunction, k: int) -> LadderFunction:
-    """Climb k rungs from a member c_n L_n; k must be a nonnegative int.
+    """Climb k rungs from a member e_n b_n; k must be a nonnegative int.
 
-    Each rung maps c_n L_n to c_n (n + 1) / C_plus(mu) L_(n+1) and mu to
+    Each rung maps e_n b_n to e_n beta_(n+1) / C_plus(mu) b_(n+1) and mu to
     mu + 1, so only the top coefficient is carried: O(k) work, not the O(k^2)
     of k apply_raising calls, with the same top coefficient and mu bit for
     bit.  The lower coefficients, rounding residue in apply_raising, are exact
@@ -477,9 +481,10 @@ def raise_to_rank(ground: LadderFunction, k: int) -> LadderFunction:
         raise DomainError(f"rank must be a nonnegative integer, got {k!r}")
     _require_positive_branch(ground)
     lam, mu, c, n = ground.lam, ground.mu, ground.coeffs[-1], ground.degree
+    beta = _betas(lam, n + k + 1)
     for _ in range(k):
         n += 1
-        c = c * n / c_plus(lam, mu)
+        c = c * beta[n] / c_plus(lam, mu)
         mu = mu + 1
     return LadderFunction(lam, mu, (c * 0,) * n + (c,), ground.branch)
 
@@ -568,8 +573,7 @@ def positive_operator_check(f: LadderFunction):
     """
     _require_positive_branch(f)
     lam, mu = f.lam, f.mu
-    nf, n_up, n_down = (_norm_sq(_tail_sums(c), 2 * lam - 2)
-                        for c in (f.coeffs, f._raised, f._lowered))
+    nf, n_up, n_down = (_x_norm_sq(lam, c) for c in (f.coeffs, f._raised, f._lowered))
     return ((n_up + n_down) / 2 + mu * mu * nf) / nf
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import PrecisionLoss
-
 # CODATA 2018 (Rev. Mod. Phys. 93, 025010), fixed; for another alpha give zeta.
 FINE_STRUCTURE_ALPHA = 0.0072973525693
 
@@ -48,9 +46,7 @@ def exp(x):
     return mpmath.exp(x) if mpmath else math.exp(x)
 
 
-def gamma(x):
+def lgamma(x):
+    """log Gamma(x) for x > 0; finite wherever Gamma(x) overflows."""
     mpmath = _mpmath_of(x)
-    try:
-        return mpmath.gamma(x) if mpmath else math.gamma(x)
-    except OverflowError:      # float64 ends at x ~ 171.6
-        raise PrecisionLoss(f"Gamma({x!r}) overflows float64") from None
+    return mpmath.loggamma(x) if mpmath else math.lgamma(x)

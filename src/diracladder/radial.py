@@ -18,13 +18,15 @@ For k = 0 there is no lower member: psi_minus vanishes, rel_coeff = 0, and
 F/G = -sqrt((1+E)/(1-E)) pointwise (the constant-ratio nodeless solution,
 which is also why k = 0 only exists for epsilon = -1).
 
-Each component is stored as one LadderFunction on the generalized-Laguerre
-basis of the tower, its coefficients already scaled by the amplitude and the
-front factor (A*sqrt(1+E) for F, A*sqrt(1-E) for G).  Evaluation, exact
-derivatives and nodes all go through LadderFunction.  The physical weight
-rho^(2*lam-1)*exp(-2*rho) of integral (F^2 + G^2) drho is the orthogonality
-weight of that basis, so physical_normalize is an exact diagonal sum (no
-quadrature; oracle.physical_norm_integral re-checks it from outside).
+Each component is stored as one LadderFunction on the orthonormal Laguerre
+functions b_n of the tower (see ladder), its coefficients e_n (F) and f_n
+(G) already scaled by the amplitude and the front factor (A*sqrt(1+E) for F,
+A*sqrt(1-E) for G).  Evaluation, exact derivatives and nodes all go through
+LadderFunction.  The physical weight rho^(2*lam-1)*exp(-2*rho) of
+integral (F^2 + G^2) drho is the orthogonality weight of that basis, so
+physical_normalize is the exact sum (e_n^2 + f_n^2)/2 over terms of order
+one (no quadrature, no Gamma value; oracle.physical_norm_integral re-checks
+it from outside).
 sqrt(1 - E) is evaluated as sqrt(1 + E)*nu, which does not cancel at small
 zeta.
 """

@@ -18,7 +18,7 @@ from diracladder import (
     state_from_nu,
     zeta_from_charge,
 )
-from diracladder.errors import DomainError
+from diracladder.errors import DomainError, PrecisionLoss
 
 # reference channel: zeta = 0.5, j = 1/2, eps = -1 (40-digit recomputation)
 S_REF = 0.86602540378443864676
@@ -52,8 +52,9 @@ def test_omega_equals_angular_invariant_minus_coupling_squared():
 
 
 def test_j_must_be_half_odd_integer():
-    for bad in (0.6, 1.0, 0.0, -0.5, 2, float("nan"), float("inf"), -float("inf"),
-                mpmath.mpf("nan"), mpmath.inf):
+    # 2j must be exactly odd: 0.5000000004 used to pass and run unsnapped
+    for bad in (0.6, 1.0, 0.0, -0.5, 2, 0.5000000004, float("nan"), float("inf"),
+                -float("inf"), mpmath.mpf("nan"), mpmath.inf):
         with pytest.raises(InvalidQuantumNumber):
             make_channel(bad, -1, 0.5)
     for bad in (float("nan"), float("inf")):
@@ -182,6 +183,20 @@ def test_state_from_nu_is_exact_where_energy_rounds():
     for bad_k in (-1, 1.5, True):
         with pytest.raises(DomainError):
             state_from_nu(ch, bad_k, 0.3)
+
+
+def test_subnormal_float_nu_raises():
+    # zeta = 1e-320 makes every nu subnormal; its few bits put mu at
+    # 3.4940828402366866 for k = 2 (exact: 3.5), so float64 refuses it
+    ch = make_channel(0.5, -1, 1e-320)
+    with pytest.raises(PrecisionLoss, match="subnormal"):
+        bound_energy(ch, 2)
+    with pytest.raises(PrecisionLoss, match="subnormal"):
+        state_from_nu(ch, 2, 1e-321)
+    assert state_from_nu(ch, 2, 2.2250738585072014e-308).nu == 2.2250738585072014e-308
+    with mpmath.workprec(113):
+        st = bound_energy(make_channel(mpmath.mpf(1) / 2, -1, mpmath.mpf("1e-320")), 2)
+        assert abs(st.mu - (st.channel.lam + 2)) < mpmath.mpf("1e-30")
 
 
 def test_state_from_energy_carries_detuning():

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diracladder
@@ -217,6 +218,16 @@ def test_exit_code_domain(capsys):
                         "--eps", "-1", "--k", "1"], capsys)
     assert code == 2
     assert "half-odd" in err
+    # within 1e-9 of a half-odd integer is not one
+    code, out, err = run(["spectrum", "--zeta", "0.5", "--j-max", "1.5000000004"], capsys)
+    assert code == 2 and out == "" and "half-odd" in err
+
+
+def test_subnormal_nu_exits_one(capsys):
+    # nu ~ zeta/(2(s + k)) is subnormal; the labels used to print off with exit 0
+    code, out, err = run(["spectrum", "--zeta", "1e-320"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "subnormal" in err and len(err.splitlines()) == 1
 
 
 def test_closed_pipe_ends_quietly():
@@ -260,11 +271,12 @@ def test_wavefunction_refuses_non_finite_values(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # the exact norm sum overflows float64 (inf at k = 1, nan at k = 20)
-    ["wavefunction", "--j", "84.5", "--eps", "-1", "--k", "1", "--normalize", "physical"],
-    ["wavefunction", "--j", "79.5", "--eps", "-1", "--k", "20", "--normalize", "physical"],
-    # Gamma(2*lam - 1) of the ground member overflows float64
-    ["wavefunction", "--j", "85.5", "--eps", "-1", "--k", "0"],
+    # b_0 = pi**(1/4)/sqrt(Gamma(lam) Gamma(lam + 1/2)) is subnormal in float64,
+    # where every value is evaluated, also at 113 bits
+    ["wavefunction", "--j", "200.5", "--eps", "-1", "--k", "0", "--grid", "1,20,3"],
+    ["wavefunction", "--j", "200.5", "--eps", "-1", "--k", "0", "--grid", "1,20,3",
+     "--precision", "113"],
+    ["wavefunction", "--j", "200.5", "--eps", "-1", "--k", "1", "--normalize", "physical"],
     # the truncated norm at R = 40 overflows float64
     ["demo-divergence", "--j", "85.5"],
 ])
@@ -275,9 +287,19 @@ def test_channels_float64_cannot_carry_exit_one(argv, capsys):
         code, out, err = run(argv + ["--zeta", "0.5"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    if argv[0] == "wavefunction":      # extended precision carries them
-        code, out, _ = run(argv + ["--zeta", "0.5", "--precision", "113"], capsys)
-        assert code == 0 and "nan" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize("j, k", [("79.5", "20"), ("84.5", "1"), ("85.5", "0")])
+def test_float64_wavefunction_past_gamma_overflow_matches_113_bits(j, k, capsys):
+    # Gamma(2*lam) overflows float64 here; these used to exit 1
+    argv = ["wavefunction", "--zeta", "0.5", "--j", j, "--eps", "-1", "--k", k,
+            "--normalize", "physical", "--grid", "1,360,60", "--format", "json"]
+    tables = []
+    for bits in ("53", "113"):
+        code, out, _ = run(argv + ["--precision", bits], capsys)
+        assert code == 0
+        tables.append(np.array([[r["F"], r["G"]] for r in json.loads(out)["rows"]]))
+    assert np.max(np.abs(tables[0] - tables[1])) <= 1e-13 * np.max(np.abs(tables[1]))
 
 
 @pytest.mark.parametrize("argv", [

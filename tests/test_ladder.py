@@ -46,7 +46,9 @@ def test_ground_member():
     f = ground()
     assert f.mu == f.lam
     assert f.rank == 0
-    assert f.coeffs[0] == pytest.approx(C0_REF, abs=1e-14)
+    # stored as sqrt(2*lam - 1) b_0; q itself is the constant C0_REF
+    assert f.coeffs[0] == pytest.approx(math.sqrt(2 * LAM - 1), abs=1e-15)
+    assert f.polynomial(1.0) == pytest.approx(C0_REF, abs=1e-14)
     assert f.norm_squared() == pytest.approx(1.0, abs=1e-13)
     # rho measure: c0^2 Gamma(2 lam) / 2^(2 lam) == lam - 1/2
     assert f.rho_norm_squared() == pytest.approx(LAM - 0.5, rel=1e-14)
@@ -59,15 +61,20 @@ def test_ground_requires_lam_above_half():
         ground_ladder_function(0.2)
 
 
-def test_ground_past_float64_gamma_raises():
-    # Gamma(2*lam - 1) overflows float64 from lam ~ 86.3 (j = 85.5 at
-    # zeta = 0.5); it used to escape as OverflowError
-    lam = make_channel(85.5, -1, 0.5).lam
-    with pytest.raises(PrecisionLoss, match="Gamma"):
-        ground_ladder_function(lam)
+def test_subnormal_ground_value_raises():
+    # b_0 = pi**(1/4)/sqrt(Gamma(lam) Gamma(lam + 1/2)) is subnormal in
+    # float64 at j = 200.5 (lam ~ 201.5): values are refused, the exact norms
+    # and 113-bit values are not
+    lam = make_channel(200.5, -1, 0.5).lam
+    f = ground_ladder_function(lam)
+    assert f.norm_squared() == pytest.approx(1.0, abs=1e-13)
+    for rho in (1.0, np.array([1.0, 20.0])):
+        with pytest.raises(PrecisionLoss, match="normal float64"):
+            f.polynomial(rho)
     with mpmath.workprec(113):
         f = ground_ladder_function(mpmath.mpf(lam))
-        assert abs(f.norm_squared() - 1) < mpmath.mpf("1e-30")
+        want = mpmath.pi ** 0.25 / mpmath.sqrt(mpmath.gamma(f.lam) * mpmath.gamma(f.lam + 0.5))
+        assert abs(f.polynomial(mpmath.mpf(1)) / (want * f.coeffs[0]) - 1) < mpmath.mpf("1e-30")
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), mpmath.mpf("nan"),
@@ -270,14 +277,15 @@ def test_evaluate_with_derivative_both_branches():
 
 
 def _rows_and_tails(solution):
-    # F, G and their tail sums: the four rows the residual evaluates together
+    # F, G and their derivative rows: the four rows the residual evaluates together
+    lam = solution.psi_plus.lam
     rows = [f.coeffs for f in solution.components]
-    return rows + [ladder._tail_sums(row)[1:] for row in rows]
+    return rows + [ladder._tails(lam, row) for row in rows]
 
 
 def _assert_array_path_matches_scalar(lam, rows, rho):
-    # at the same float64 points, the basis-table path (array rho) and the
-    # scalar recurrence (one float rho at a time, float64 coefficients) agree
+    # at the same float64 points, the float64 basis table (array rho) and the
+    # object-dtype table (one float rho at a time, float64 coefficients) agree
     # to 1e-15 of max|q|
     table = ladder._evaluate_q(lam, rows, rho)
     floats = [[float(c) for c in row] for row in rows]
@@ -316,7 +324,7 @@ def test_positive_form_frozen_values():
 
 
 def test_positive_form_stays_accurate_at_high_rank():
-    # the Gamma-moment sums cancel heavily here; the label must still match
+    # the action norms cancel heavily here; the label must still match
     f = raise_to_rank(ground(), 12)
     label = 2 * f.mu**2 - LAM * (LAM - 1)
     assert positive_operator_check(f) == pytest.approx(label, rel=1e-11)

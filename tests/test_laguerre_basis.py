@@ -1,8 +1,9 @@
-"""Invariants of the generalized-Laguerre coefficient basis.
+"""Invariants of the orthonormal Laguerre coefficient basis.
 
-The rank-k member's polynomial part is c_k L_k^(2*lam-1)(2*rho), so the
-raising chain produces a single basis vector (raise_to_rank climbs on its
-top coefficient alone), float64 stays accurate far up the tower, and nu is
+The rank-k member's polynomial part is e_k b_k, b_k the orthonormal Laguerre
+function of degree k in 2*rho, so the raising chain produces a single basis
+vector (raise_to_rank climbs on its top coefficient alone, which stays
+sqrt(2*lam - 1)), float64 stays accurate far up the tower, and nu is
 computed without the cancellation in m - E.
 """
 
@@ -52,6 +53,18 @@ def test_one_coefficient_climb_matches_the_raising_chain():
             for f in (climbed, raise_to_rank(ground, k)):
                 assert (f.coeffs[-1], f.mu) == (chain.coeffs[-1], chain.mu), (j, zeta, k)
                 assert len(f.coeffs) == k + 1 and not any(f.coeffs[:-1])
+
+
+def test_unit_member_is_sqrt_a_times_the_basis_function():
+    # normalized raising is the basis shift, C_plus(lam + n) = beta_(n+1): the
+    # stored coefficient does not grow or shrink with k, even where
+    # Gamma(2*lam) overflows float64 (j = 84.5)
+    for j, eps, zeta in CHANNEL_GRID + [(84.5, -1, 0.5)]:
+        ground = ground_ladder_function(make_channel(j, eps, zeta).lam)
+        root_a = ground.coeffs[0]
+        assert root_a == pytest.approx((2 * ground.lam - 1) ** 0.5, rel=1e-15)
+        for k in (1, 20, 60, 200):
+            assert raise_to_rank(ground, k).coeffs[-1] == pytest.approx(root_a, rel=1e-13), (j, k)
 
 
 def test_one_coefficient_climb_matches_the_raising_chain_at_113_bits():

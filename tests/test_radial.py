@@ -161,17 +161,20 @@ def test_physical_normalize_past_old_quadrature_ceiling():
     assert ode_residual(sol).all_passed
 
 
-@pytest.mark.parametrize("j, k", [(84.5, 1), (79.5, 20)])
-def test_norm_sum_past_float64_raises(j, k):
-    # the exact sum used to come out inf (k = 1) or nan (k = 20, an
-    # overflowed Gamma ratio times a zero coefficient); a nan amplitude sent
-    # count_radial_nodes into numpy's LinAlgError
-    sol = build_solution(bound_energy(make_channel(j, -1, 0.5), k))
-    with pytest.raises(PrecisionLoss, match="norm sum"):
-        physical_normalize(sol)
+@pytest.mark.parametrize("j, k", [(79.5, 20), (84.5, 1), (85.5, 0)])
+def test_float64_matches_113_bits_where_gamma_overflows(j, k):
+    # Gamma(2*lam) overflows float64 at these lam, but every stored
+    # coefficient and norm term is of order one: the float64 physical
+    # amplitude, F and G agree with the 113-bit ones (F, G to 1e-13 of max|F, G|)
+    sol = physical_normalize(build_solution(bound_energy(make_channel(j, -1, 0.5), k)))
+    rho = np.geomspace(1.0, sol.state.window[1], 40)
+    fast = np.concatenate([sol.F(rho), sol.G(rho)])
     with mpmath.workprec(113):
-        sol = build_solution(bound_energy(make_channel(j, -1, mpmath.mpf(1) / 2), k))
-        assert mpmath.isfinite(physical_normalize(sol).amplitude)
+        ext = physical_normalize(build_solution(
+            bound_energy(make_channel(mpmath.mpf(j), -1, mpmath.mpf(1) / 2), k)))
+        exact = [float(c(mpmath.mpf(r))) for c in (ext.F, ext.G) for r in rho]
+        assert abs(sol.amplitude / ext.amplitude - 1) <= 1e-13
+    assert np.max(np.abs(fast - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 def test_physical_normalize_extended_precision():
