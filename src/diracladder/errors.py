@@ -61,7 +61,7 @@ class PrecisionLoss(DiracLadderError):
     """Float64 could not carry a closed-form result: a value of F or G or a
     truncated norm went non-finite, the start b_0 of the Laguerre recurrence
     or a level's nu is not a normal float64, or radial nodes failed their
-    sign-change certificate."""
+    Sturm-count certificate."""
 
 
 class SupercriticalChannelWarning(UserWarning):

@@ -49,8 +49,8 @@ terms of order one (rho measure: sum e_n**2 / 2; x measure: _x_norm_sq), so
 float64 and mpmath coefficients share one code path.  Values come from the
 recurrence beta_n b_n = (2n - 1 + a - x) b_(n-1) - beta_(n-1) b_(n-2) in
 x = 2*rho (_evaluate_q), whose start b_0 is the one place Gamma and 2**a
-enter.  Zeros come from a comrade matrix, fenced and certified by signs of q
-from the same pass that takes the first Newton step (LadderFunction.zeros).
+enter.  Zeros of two-term members are eigenvalues of a symmetric Jacobi matrix,
+certified by a Sturm count of its pivots, with no value of q (LadderFunction.zeros).
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ __all__ = [
 ]
 
 _CASIMIR_REL_TOL = 1e-8    # apply_casimir's eigenfunction test
-_NEWTON_STEPS = 3          # cap on the Newton polish in LadderFunction.zeros
 _TABLE_CELLS = 1 << 19     # cap on _evaluate_q's basis table (4 MiB of float64)
 
 
@@ -293,12 +292,14 @@ class LadderFunction:
     def _weight(self, rho):
         # (rho**(lam - 1/2) * exp(-+rho), the branch sign); every evaluator of
         # members and radial solutions checks its radii here, written as
-        # all(rho > 0) so that NaN radii are rejected too
+        # all(rho > 0) so that NaN radii are rejected too.  An array's weight is
+        # its fourth root squared twice: a normal weight stays finite (lam < 171.5)
         sign = -1.0 if self.branch == "positive" else 1.0
         if isinstance(rho, np.ndarray):
             if not np.all(rho > 0):
                 raise DomainError("rho must be positive")
-            return rho ** (float(self.lam) - 0.5) * np.exp(sign * rho), sign
+            root = rho ** ((float(self.lam) - 0.5) / 4) * np.exp(sign / 4 * rho)
+            return np.square(np.square(root)), sign
         if not rho > 0:
             raise DomainError(f"rho must be positive, got {rho}")
         return rho ** (self.lam - 0.5) * precision.exp(sign * rho), sign
@@ -315,56 +316,57 @@ class LadderFunction:
     def zeros(self, lo, hi) -> np.ndarray:
         """Zeros of q (hence of P) with lo < rho < hi, ascending, in float64.
 
-        On the stored basis b_n, x = 2*rho acts as the Jacobi matrix with
-        diagonal 2n + a + 1 and off-diagonal -beta_n = -sqrt(n*(n+a));
-        reducing x*b_(N-1) modulo q adds beta_N * e_m/e_N to the last column,
-        e_m the stored coefficients.  The real eigenvalues of this comrade matrix
-        (Barnett 1975) inside the window are fenced in by lo, the midpoints
-        between consecutive eigenvalues and hi.  One Laguerre pass over the
-        eigenvalues and the fences gives q and q' for the first Newton step
-        and q's sign at every fence; at most _NEWTON_STEPS steps on q, not P
-        (the weight underflows far out), stop once every step is below
-        1e-14*rho.  Certificate: q's sign must change across every fence
-        interval, and each polished zero must lie strictly inside its own
-        interval, else PrecisionLoss; an uncertified list is never returned.
-        numpy's overflow warnings are silenced, because the certificate
-        judges them.
+        q must be two-term, e_(k-1) b_(k-1) + e_k b_k once trailing zeros are
+        trimmed (every F, G and raised member); any other member, or zero,
+        raises DomainError.  At a zero x = 2*rho, b_k = -(e_(k-1)/e_k) b_(k-1)
+        closes rows 0..k-1 of the recurrence: the zeros are the eigenvalues
+        (real, simple: q is quasi-orthogonal, Chihara 1978) of the symmetric
+        Jacobi matrix T with diagonal d_n = 2n + a + 1, off-diagonal beta_n,
+        n < k, and d_(k-1) raised by beta_k e_(k-1)/e_k.  Certificate: T has
+        as many eigenvalues below x as T - x*I has negative pivots (Sturm
+        sequence; Barth, Martin & Wilkinson 1967), ratios no k overflows, at
+        the fences 2*lo, the midpoints between eigvalsh's eigenvalues inside
+        and 2*hi; the recursion also runs at each such x and x*(1 + 1e-6),
+        in the differential form of T = L D L^T (c_n = d_n - n, c_n l_n**2 =
+        n + 1; Dhillon & Parlett 2004) that keeps small zeros' relative
+        digits; a pivot under pivmin counts as -pivmin (LAPACK's dstebz).  One
+        secant step on p_(k-1) removes eigvalsh's absolute error (to 2e-13 on
+        small zeros).  PrecisionLoss unless each fence interval holds one
+        eigenvalue and its polished zero, an empty window none.
         """
-        coeffs = [float(c) for c in self.coeffs]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        n, lam = len(coeffs) - 1, float(self.lam)
-        rho = np.empty(0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if n:
-                i = np.arange(1, n + 1)
-                beta = np.array(_betas(lam, n + 1)[1:])
-                comrade = np.diag(2.0 * i + 2 * lam - 2)
-                comrade.flat[1::n + 1] = -beta[:-1]     # superdiagonal
-                comrade.flat[n::n + 1] = -beta[:-1]     # subdiagonal
-                comrade[:, -1] += beta[-1] * np.array(coeffs[:-1]) / coeffs[-1]
-                x = np.linalg.eigvals(comrade)
-                rho = x.real[np.abs(x.imag) <= 1e-8 * np.abs(x.real)] / 2
-                rho = np.sort(rho[(rho > lo) & (rho < hi)])
-            fences = np.concatenate(([lo], (rho[1:] + rho[:-1]) / 2, [hi]))
-            tails = _tails(lam, coeffs)
-            q, t = _evaluate_q(lam, (coeffs, tails), np.concatenate((rho, fences)))
-            signs = np.sign(q[rho.size:])
-            q, t = q[:rho.size], t[:rho.size]
-            for step_number in range(_NEWTON_STEPS):
-                if step_number:
-                    q, t = _evaluate_q(lam, (coeffs, tails), rho)
-                step = q / (-2 * t)
-                rho = rho - step
-                if np.all(np.abs(step) <= 1e-14 * rho):
-                    break
-        if not (np.all(np.abs(signs) == 1) and np.count_nonzero(np.diff(signs)) == rho.size):
-            raise PrecisionLoss(f"{rho.size} zeros of a degree-{n} polynomial failed "
-                                f"the sign-change certificate on ({lo}, {hi})")
-        if not (np.all(fences[:-1] < rho) and np.all(rho < fences[1:])):
-            raise PrecisionLoss(f"Newton polish moved a zero of a degree-{n} polynomial "
-                                f"out of its sign-change interval on ({lo}, {hi})")
-        return rho
+        coeffs = np.array(self.coeffs, dtype=float)
+        nonzero = np.flatnonzero(coeffs)
+        if nonzero.size == 0 or nonzero[0] < nonzero[-1] - 1:
+            raise DomainError("zeros need a nonzero member, nonzero on its top two terms only")
+        k, a = int(nonzero[-1]), 2 * float(self.lam) - 1
+        if k == 0:
+            return np.empty(0)
+        n = np.arange(k)
+        base = n + a + 1.0          # c_n; c_(k-1) carries the raise of d_(k-1)
+        base[-1] += math.sqrt(k * (k + a)) * coeffs[k - 1] / coeffs[k]
+        if not math.isfinite(base[-1]):
+            raise PrecisionLoss(f"the Jacobi matrix of a degree-{k} member is not finite")
+        jacobi = np.diag(base + n)  # and the subdiagonal: eigvalsh reads the lower triangle
+        jacobi.flat[k::k + 1] = np.sqrt(n[1:] * (n[1:] + a))
+        x = np.linalg.eigvalsh(jacobi)
+        x = x[(x > 2 * lo) & (x < 2 * hi)]
+        m, nudged = x.size, x + x * 1e-6
+        points = np.concatenate((x, nudged, [2 * lo], (x[1:] + x[:-1]) / 2, [2 * hi]))
+        fences, s = points[2 * m:], -points
+        pivmin, pivots = sys.float_info.min * max(1.0, k * (k + a)), np.empty((k, points.size))
+        for i, c in enumerate(base.tolist()):   # p_n = c_n + s_n
+            p = np.add(s, c, out=pivots[i])
+            np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
+            if i < k - 1:                       # s_(n+1) = (n+1) s_n/p_n - x
+                s *= (i + 1) / p
+                s -= points
+        x -= (nudged - x) * pivots[-1, :m] / (pivots[-1, m:2 * m] - pivots[-1, :m])
+        counts = (pivots[:, 2 * m:] < 0).sum(axis=0)
+        if not ((counts[1:] - counts[:-1] == min(m, 1)).all()
+                and (fences[:-1] < x).all() and (x < fences[1:]).all()):
+            raise PrecisionLoss(f"{m} zeros of a degree-{k} member failed the Sturm "
+                                f"count on ({lo}, {hi})")
+        return x / 2
 
     def norm_squared(self):
         """Exact x-measure norm integral (positive branch only)."""

@@ -131,14 +131,11 @@ def physical_normalize(solution: RadialSolution) -> RadialSolution:
 
 
 def count_radial_nodes(solution: RadialSolution, component: str = "F") -> np.ndarray:
-    """Interior zeros of F or G: LadderFunction.zeros of that component.
-
-    Comrade-matrix roots of the polynomial part, Newton-polished on q and
-    certified by sign changes across fences between the roots, each polished
-    root inside its own fence interval (PrecisionLoss otherwise), inside the
-    state's window 1e-3 < rho < 4*mu + 20 (BoundState.window, which the
-    residual check in oracle.ode_residual reads too).  Level k has k nodes
-    in G; F has k for epsilon = -1 and k - 1 for epsilon = +1.
+    """Interior zeros of F or G, two-term on b_(k-1) and b_k: LadderFunction.zeros,
+    eigenvalues of a symmetric Jacobi matrix certified by a Sturm count of its
+    pivots (PrecisionLoss otherwise), in 1e-3 < rho < 4*mu + 20 (BoundState.window,
+    which oracle.ode_residual reads too).  Level k has k nodes in G; F has k
+    for epsilon = -1 and k - 1 for epsilon = +1.
     """
     if component not in ("F", "G"):
         raise DomainError(f"component must be 'F' or 'G', got {component!r}")

@@ -161,11 +161,13 @@ def test_physical_normalize_past_old_quadrature_ceiling():
     assert ode_residual(sol).all_passed
 
 
-@pytest.mark.parametrize("j, k", [(79.5, 20), (84.5, 1), (85.5, 0)])
+@pytest.mark.parametrize("j, k", [(79.5, 20), (84.5, 1), (85.5, 0), (150.5, 3)])
 def test_float64_matches_113_bits_where_gamma_overflows(j, k):
     # Gamma(2*lam) overflows float64 at these lam, but every stored
     # coefficient and norm term is of order one: the float64 physical
-    # amplitude, F and G agree with the 113-bit ones (F, G to 1e-13 of max|F, G|)
+    # amplitude, F and G agree with the 113-bit ones (F, G to 1e-13 of max|F, G|).
+    # At j = 150.5, rho**(lam - 1/2) overflows from rho ~ 160 but the weight
+    # rho**(lam - 1/2) exp(-rho) does not, nor F and G
     sol = physical_normalize(build_solution(bound_energy(make_channel(j, -1, 0.5), k)))
     rho = np.geomspace(1.0, sol.state.window[1], 40)
     fast = np.concatenate([sol.F(rho), sol.G(rho)])
@@ -352,13 +354,14 @@ def test_each_node_is_a_sign_change_of_the_polynomial_part():
 
 def test_zeros_against_numpy_laguerre_roots():
     # lam = 1/2 puts q on the ordinary Laguerre basis L_n(2*rho), which
-    # numpy.polynomial.laguerre solves independently
-    # (and whose two complex roots must be left out)
-    coeffs = (0.3, -1.2, 0.5, 2.0, -0.7, 0.25)
-    roots = np.polynomial.laguerre.lagroots(coeffs)
-    want = np.sort(roots.real[np.abs(roots.imag) < 1e-9]) / 2
-    got = LadderFunction(lam=0.5, mu=0.5, coeffs=coeffs).zeros(1e-3, 100.0)
-    assert want.size == 3 and np.allclose(got, want, rtol=1e-12)
+    # numpy.polynomial.laguerre solves independently.  Two-term members have
+    # real roots only (quasi-orthogonal); -0.7 b_5 + 2 b_4 has one at
+    # rho = -3.27, which the window must leave out
+    for coeffs, inside in [((0.0, 0.0, 0.0, 0.0, 2.0, -0.7), 4), ((0.0,) * 7 + (1.3, 0.4), 8)]:
+        roots = np.sort(np.polynomial.laguerre.lagroots(coeffs).real) / 2
+        want = roots[roots > 1e-3]
+        got = LadderFunction(lam=0.5, mu=0.5, coeffs=coeffs).zeros(1e-3, 100.0)
+        assert want.size == inside and np.allclose(got, want, rtol=1e-12), coeffs
     # L_2^(a)(x) vanishes at x = a + 2 -+ sqrt(a + 2)
     a = 6.0
     got = LadderFunction(lam=3.5, mu=5.5, coeffs=(0.0, 0.0, 1.0)).zeros(1e-3, 100.0)
@@ -366,42 +369,61 @@ def test_zeros_against_numpy_laguerre_roots():
 
 
 def test_zeros_window_and_rootless_polynomial():
+    # the roots of L_2^(6)(2*rho) are rho = 2.59 and 5.41
     member = LadderFunction(lam=3.5, mu=5.5, coeffs=(0.0, 0.0, 1.0))
-    assert member.zeros(1e-3, 4.0).size == 1      # the upper root is 5.41
-    # 2 + L_2^(0)(x) = (x^2 - 4x + 6)/2 has no real root
-    assert LadderFunction(lam=0.5, mu=0.5, coeffs=(2.0, 0.0, 1.0)).zeros(1e-3, 50.0).size == 0
+    assert member.zeros(1e-3, 4.0).size == 1
+    # a quasi-orthogonal q always has real roots, so "rootless" means a window
+    # that holds none: between the two roots, and past both
+    assert member.zeros(3.0, 5.0).size == 0
+    assert member.zeros(6.0, 50.0).size == 0
 
 
-def test_newton_steps_that_leave_their_fences_raise(monkeypatch):
-    # a derivative row scaled by 1e-6 makes every Newton step 1e6 times too
-    # long; the sign certificate still holds, so the containment check must
-    # refuse the zeros (at 1e-3, three steps from a comrade eigenvalue stay
-    # inside the fences)
+def test_zeros_refuse_members_with_lower_terms():
+    # the Jacobi route holds for the top two coefficients only; the package
+    # never asks for zeros of anything else
+    for coeffs in [(0.3, 0.0, 1.0, 2.0), (1e-300, 0.0, 0.0, 1.0), (0.0, 0.0)]:
+        with pytest.raises(DomainError):
+            LadderFunction(lam=0.5, mu=0.5, coeffs=coeffs).zeros(1e-3, 100.0)
+    # trailing zeros are trimmed first, and a one-term member is two-term
+    member = LadderFunction(lam=3.5, mu=5.5, coeffs=(0.0, 0.0, 1.0, 0.0))
+    assert member.zeros(1e-3, 100.0).size == 2
+    assert LadderFunction(lam=3.5, mu=3.5, coeffs=(2.0,)).zeros(1e-3, 100.0).size == 0
+
+
+def test_shifted_eigenvalue_fails_the_sturm_count(monkeypatch):
+    # eigvalsh's eigenvalues are checked, not trusted: a slightly shifted
+    # eigenvalue stays in its fence interval and is polished back, one moved
+    # past its neighbour leaves two eigenvalues in one interval
     sol = solution(12)
-    evaluate = ladder._evaluate_q
+    eigvalsh = np.linalg.eigvalsh
+    good = {c: count_radial_nodes(sol, c) for c in "FG"}
 
-    def short_derivative(lam, rows, rho):
-        values = evaluate(lam, rows, rho)
-        if len(rows) == 2:
-            values[1] = values[1] * 1e-6
-        return values
+    def shifted(by):
+        def call(matrix):
+            x = eigvalsh(matrix)
+            x[0] = by(x)
+            return x
+        return call
 
-    monkeypatch.setattr(ladder, "_evaluate_q", short_derivative)
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted(lambda x: x[0] * (1 + 1e-10)))
     for component in "FG":
-        with pytest.raises(PrecisionLoss, match="out of its sign-change interval"):
+        nodes = count_radial_nodes(sol, component)
+        assert np.all(np.abs(nodes - good[component]) <= 1e-14 * good[component])
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted(lambda x: (x[1] + x[2]) / 2))
+    for component in "FG":
+        with pytest.raises(PrecisionLoss, match="failed the Sturm count"):
             count_radial_nodes(sol, component)
 
 
-def test_zeros_make_one_laguerre_pass(monkeypatch):
-    # one _evaluate_q call gives the first Newton step and the fence signs;
-    # G's comrade eigenvalues need no second step (F's here need one more)
+def test_zeros_make_no_laguerre_pass(monkeypatch):
+    # the count and the polish both run on pivots of the Jacobi matrix
     sol = solution(12)
     calls = []
     evaluate = ladder._evaluate_q
     monkeypatch.setattr(ladder, "_evaluate_q",
                         lambda *args: calls.append(args) or evaluate(*args))
-    assert len(count_radial_nodes(sol, "G")) == 12
-    assert len(calls) == 1
+    assert len(count_radial_nodes(sol, "F")) == len(count_radial_nodes(sol, "G")) == 12
+    assert calls == []
 
 
 def test_build_solution_takes_one_raising_step(monkeypatch):
@@ -421,8 +443,13 @@ def test_build_solution_takes_one_raising_step(monkeypatch):
         assert calls == [k - 1], k
 
 
-def test_uncertified_nodes_raise():
-    # at k=300 q overflows float64 at the window's upper edge, so the sign
-    # certificate cannot hold; the count is refused, not guessed
-    with pytest.raises(PrecisionLoss):
-        count_radial_nodes(solution(300), "F")
+@pytest.mark.parametrize("k", [241, 300, 400])
+def test_nodes_certified_high_in_the_tower(k):
+    # the Sturm count needs no value of q, so no k overflows it
+    for j in (0.5, 20.5):
+        for eps in (-1, 1):
+            for zeta in (0.1, 0.5, 0.9):
+                sol = solution(k, eps, zeta, j)
+                for component in "FG":
+                    assert len(count_radial_nodes(sol, component)) == \
+                        expected_nodes(eps, k, component), (j, eps, zeta, component)
