@@ -50,7 +50,7 @@ from .errors import (
 
 __all__ = [
     "Channel", "BoundState", "make_channel", "zeta_from_charge", "bound_energy",
-    "state_from_nu", "state_from_energy", "spectrum_table",
+    "state_from_nu", "spectrum_table",
 ]
 
 
@@ -177,16 +177,6 @@ def state_from_nu(channel: Channel, k: int, nu) -> BoundState:
                       mu=0.5 + channel.zeta * (1.0 - nu2) / (2.0 * nu),
                       energy=(1.0 - nu2) / (1.0 + nu2),
                       wavenumber=2.0 * nu / (1.0 + nu2), nu=nu)
-
-
-def state_from_energy(channel: Channel, k: int, energy) -> BoundState:
-    """State at an energy E in (0, 1), through nu formed from 1 - E.
-
-    Lossy at small zeta: nu and mu are off by ~1e-16/(1 - E), 4e-4 at zeta = 1e-6.
-    """
-    if not 0 < energy < 1:
-        raise DomainError(f"energy must lie in (0, 1), got {energy}")
-    return state_from_nu(channel, k, precision.sqrt((1.0 - energy) / (1.0 + energy)))
 
 
 def spectrum_table(zeta, j_max, k_max: int) -> list[BoundState]:

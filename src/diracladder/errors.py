@@ -33,7 +33,7 @@ class UnphysicalState(DiracLadderError):
 
 class DomainError(DiracLadderError):
     """Arguments are outside the mathematical domain of an operation
-    (nonpositive radius, energy outside (0, 1), mismatched channels, ...)."""
+    (nonpositive radius, nu outside (0, 1), mismatched channels, ...)."""
 
 
 class WrongBranch(DiracLadderError):
@@ -59,9 +59,9 @@ class StiffnessFailure(DiracLadderError):
 
 class PrecisionLoss(DiracLadderError):
     """Float64 could not carry a closed-form result: a value of F or G or a
-    truncated norm went non-finite, the start b_0 of the Laguerre recurrence
-    or a level's nu is not a normal float64, or radial nodes failed their
-    Sturm-count certificate."""
+    truncated norm went non-finite, a level's nu or the start b_0 of the
+    Laguerre recurrence (lam >~ 171.16) is not a normal float64, or radial
+    nodes failed their Sturm-count certificate."""
 
 
 class SupercriticalChannelWarning(UserWarning):

@@ -49,7 +49,9 @@ terms of order one (rho measure: sum e_n**2 / 2; x measure: _x_norm_sq), so
 float64 and mpmath coefficients share one code path.  Values come from the
 recurrence beta_n b_n = (2n - 1 + a - x) b_(n-1) - beta_(n-1) b_(n-2) in
 x = 2*rho (_evaluate_q), whose start b_0 is the one place Gamma and 2**a
-enter.  Zeros of two-term members are eigenvalues of a symmetric Jacobi matrix,
+enter, as Gamma values (normal in float64 up to lam ~ 171.16).  The weight is
+one formula for every rho, its fourth root squared twice (LadderFunction._weight).
+Zeros of two-term members are eigenvalues of a symmetric Jacobi matrix,
 certified by a Sturm count of its pivots, with no value of q (LadderFunction.zeros).
 """
 
@@ -174,11 +176,12 @@ def _x_norm_sq(lam, coeffs):
 
 def _ground_value(lam):
     """b_0 = 2**(a/2) / sqrt(Gamma(a + 1)) = pi**(1/4) / sqrt(Gamma(lam) Gamma(lam + 1/2)),
-    from log Gamma.  PrecisionLoss when a float64 b_0 is not a normal number
-    (lam >~ 171.5): every b_n would be built on a start that has lost its digits.
+    as sqrt(Gamma(1/2)/Gamma(lam)) / sqrt(Gamma(lam - 1/2)) / sqrt(lam - 1/2): no factor
+    overflows while b_0 is normal.  PrecisionLoss when a float64 b_0 is not normal
+    (lam >~ 171.16): every b_n would be built on a start that has lost its digits.
     """
-    b0 = precision.exp((precision.lgamma(lam * 0 + 0.5) - precision.lgamma(lam)
-                        - precision.lgamma(lam + 0.5)) / 2)
+    b0 = (precision.sqrt(precision.gamma(lam * 0 + 0.5) / precision.gamma(lam))
+          / precision.sqrt(precision.gamma(lam - 0.5)) / precision.sqrt(lam - 0.5))
     if not (precision.is_extended(b0) or b0 >= sys.float_info.min):
         raise PrecisionLoss(f"b_0 = {b0!r} at lam = {float(lam)!r} is not a normal float64")
     return b0
@@ -290,24 +293,25 @@ class LadderFunction:
         return _evaluate_q(self.lam, (self.coeffs,), rho)[0]
 
     def _weight(self, rho):
-        # (rho**(lam - 1/2) * exp(-+rho), the branch sign); every evaluator of
-        # members and radial solutions checks its radii here, written as
-        # all(rho > 0) so that NaN radii are rejected too.  An array's weight is
-        # its fourth root squared twice: a normal weight stays finite (lam < 171.5)
-        sign = -1.0 if self.branch == "positive" else 1.0
-        if isinstance(rho, np.ndarray):
-            if not np.all(rho > 0):
-                raise DomainError("rho must be positive")
-            root = rho ** ((float(self.lam) - 0.5) / 4) * np.exp(sign / 4 * rho)
-            return np.square(np.square(root)), sign
-        if not rho > 0:
-            raise DomainError(f"rho must be positive, got {rho}")
-        return rho ** (self.lam - 0.5) * precision.exp(sign * rho), sign
+        # (w, branch sign), w = (rho**((lam - 1/2)/4) * exp(-+rho/4))**4 for float,
+        # mpmath and array rho: finite wherever w is, though rho**(lam - 1/2) may
+        # not be; 0 where exp(-+rho/4) underflows, without forming the power there.
+        # Every evaluator checks its radii here, as all(rho > 0): NaN fails too.
+        sign, array = -1.0 if self.branch == "positive" else 1.0, isinstance(rho, np.ndarray)
+        if not (np.all(rho > 0) if array else rho > 0):
+            raise DomainError("rho must be positive" + ("" if array else f", got {rho}"))
+        lam, exp = (float(self.lam), np.exp) if array else (self.lam, precision.exp)
+        decay = exp(sign / 4 * rho)
+        base = np.where(decay > 0, rho, 1.0) if array else (rho if decay > 0 else 1.0)
+        root = base ** ((lam - 0.5) / 4) * decay
+        root = root * root
+        return root * root, sign
 
     def evaluate(self, rho):
-        """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight."""
-        weight, _ = self._weight(rho)
-        return weight * self.polynomial(rho)
+        """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight; q first, so a
+        float64 lam past b_0's range raises PrecisionLoss before the power can overflow."""
+        q = self.polynomial(rho)
+        return self._weight(rho)[0] * q
 
     def evaluate_with_derivative(self, rho):
         """(P, dP/drho), exact; q and q' come from one pass (_evaluate_with_derivatives)."""
@@ -389,12 +393,12 @@ def _evaluate_with_derivatives(members, rho):
     """(P, dP/drho) of each member; the members share lam and the branch.
 
     dP/drho = w * (q' + ((lam - 1/2)/rho -+ 1) * q), q' = -2 * sum_i W_i b_i
-    (_tails); one weight w, one _evaluate_q pass.
+    (_tails); one weight w, one _evaluate_q pass, run first as in LadderFunction.evaluate.
     """
-    weight, sign = members[0]._weight(rho)
     lam = float(members[0].lam) if isinstance(rho, np.ndarray) else members[0].lam
     rows = [row for f in members for row in (f.coeffs, _tails(lam, f.coeffs))]
-    values, factor = _evaluate_q(lam, rows, rho), (lam - 0.5) / rho + sign
+    values, (weight, sign) = _evaluate_q(lam, rows, rho), members[0]._weight(rho)
+    factor = (lam - 0.5) / rho + sign
     return [(weight * q, weight * (-2 * t + factor * q))
             for q, t in zip(values[::2], values[1::2])]
 

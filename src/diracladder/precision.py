@@ -46,7 +46,12 @@ def exp(x):
     return mpmath.exp(x) if mpmath else math.exp(x)
 
 
-def lgamma(x):
-    """log Gamma(x) for x > 0; finite wherever Gamma(x) overflows."""
+def gamma(x):
+    """Gamma(x) for x > 0; inf where a float64 Gamma(x) overflows (x > 171.62)."""
     mpmath = _mpmath_of(x)
-    return mpmath.loggamma(x) if mpmath else math.lgamma(x)
+    if mpmath:
+        return mpmath.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf

@@ -27,7 +27,7 @@ from diracladder import (
     raise_to_rank,
     shooting_solution,
     shooting_solve,
-    state_from_energy,
+    state_from_nu,
 )
 from diracladder.verify import CHANNEL_GRID, suite_algebra, suite_casimir
 
@@ -109,7 +109,8 @@ def test_a05_ode_residual_small_and_detuning_detected():
     # a 1e-3 relative energy error must blow the residual past 1e-4
     ch = make_channel(0.5, -1, 0.5)
     sol = build_solution(bound_energy(ch, 1))
-    wrong = state_from_energy(ch, 1, sol.state.energy * (1.0 - 1e-3))
+    energy = sol.state.energy * (1.0 - 1e-3)
+    wrong = state_from_nu(ch, 1, math.sqrt((1.0 - energy) / (1.0 + energy)))
     rep = ode_residual(replace(sol, state=wrong))
     detuned = max(c.measured for c in rep.checks)
     print(f"[A05] worst residual {worst:.3e} (tol {tol:.0e}) over {n} states; "

@@ -14,7 +14,6 @@ from diracladder import (
     bound_energy,
     make_channel,
     spectrum_table,
-    state_from_energy,
     state_from_nu,
     zeta_from_charge,
 )
@@ -151,15 +150,17 @@ def test_exponent_keeps_its_precision_near_critical_coupling(j):
         assert abs(energy - want) <= 1e-11 * want, j
 
 
+def from_energy(ch, k, energy):
+    # the state at an energy E in (0, 1), through nu formed from 1 - E: lossy
+    # at small zeta, so the package offers no such constructor
+    return state_from_nu(ch, k, math.sqrt((1.0 - energy) / (1.0 + energy)))
+
+
 def test_state_from_energy_inverts_spectrum():
     ch = ref_channel()
     for k in range(6):
         st = bound_energy(ch, k)
-        assert state_from_energy(ch, k, st.energy).mu == pytest.approx(st.mu, abs=1e-12)
-    # energies are in units of the mass: a bound level lies in (0, 1)
-    for bad in (0.0, 1.0, float("nan"), -0.5, 1.5):
-        with pytest.raises(DomainError):
-            state_from_energy(ch, 2, bad)
+        assert from_energy(ch, k, st.energy).mu == pytest.approx(st.mu, abs=1e-12)
 
 
 def test_state_from_nu_is_exact_where_energy_rounds():
@@ -169,12 +170,12 @@ def test_state_from_nu_is_exact_where_energy_rounds():
     st = bound_energy(ch, 2)
     assert state_from_nu(ch, 2, st.nu) == st
     assert st.mu == pytest.approx(ch.lam + 2, abs=1e-13)
-    assert abs(state_from_energy(ch, 2, st.energy).mu - st.mu) > 1e-4
+    assert abs(from_energy(ch, 2, st.energy).mu - st.mu) > 1e-4
     top = bound_energy(ch, 67)
     assert top.energy == 1.0
     assert top.mu == pytest.approx(ch.lam + 67, abs=1e-12)
     with pytest.raises(DomainError):
-        state_from_energy(ch, 67, top.energy)
+        from_energy(ch, 67, top.energy)
     for bad in (0.0, 1.0, -0.1, float("nan")):
         with pytest.raises(DomainError):
             state_from_nu(ch, 2, bad)
@@ -202,7 +203,7 @@ def test_subnormal_float_nu_raises():
 def test_state_from_energy_carries_detuning():
     ch = ref_channel()
     st = bound_energy(ch, 2)
-    detuned = state_from_energy(ch, 2, st.energy * (1 + 1e-3))
+    detuned = from_energy(ch, 2, st.energy * (1 + 1e-3))
     assert detuned.energy == pytest.approx(st.energy * (1 + 1e-3), rel=1e-15)
     assert abs(detuned.mu - st.mu) > 1e-4
 

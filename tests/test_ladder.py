@@ -1,6 +1,7 @@
 """Ladder recurrences, coefficients, Casimir, and the truncated matrices."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -75,6 +76,31 @@ def test_subnormal_ground_value_raises():
         f = ground_ladder_function(mpmath.mpf(lam))
         want = mpmath.pi ** 0.25 / mpmath.sqrt(mpmath.gamma(f.lam) * mpmath.gamma(f.lam + 0.5))
         assert abs(f.polynomial(mpmath.mpf(1)) / (want * f.coeffs[0]) - 1) < mpmath.mpf("1e-30")
+
+
+@pytest.mark.parametrize("j", [0.5, 20.5, 41.5, 84.5, 150.5, 169.5])
+def test_ground_value_matches_200_bits(j):
+    # b_0 from Gamma values; from exp of a sum of log Gamma values it was off
+    # by 4.8e-15 at j = 20.5 and 6.9e-14 at j = 150.5
+    lam = make_channel(j, -1, 0.5).lam
+    with mpmath.workprec(200):
+        lam_x = mpmath.mpf(lam)
+        want = mpmath.pi ** 0.25 / mpmath.sqrt(mpmath.gamma(lam_x) * mpmath.gamma(lam_x + 0.5))
+        assert abs(ladder._ground_value(lam) / want - 1) <= 4e-16
+
+
+def test_ground_value_past_float64_range_raises_precision_loss():
+    # b_0 stays normal up to lam ~ 171.16; Gamma(lam) itself overflows from
+    # 171.62 on, which must surface as PrecisionLoss, not OverflowError, also
+    # where rho**((lam - 1/2)/4) would overflow (lam = 400, rho = 2000)
+    assert ladder._ground_value(171.15) >= sys.float_info.min
+    for lam in (171.2, 171.63, 172.5, 400.0):
+        with pytest.raises(PrecisionLoss, match="normal float64"):
+            ladder._ground_value(lam)
+    f = ground_ladder_function(400.0)
+    for evaluate in (f.polynomial, f.evaluate, f.evaluate_with_derivative):
+        with pytest.raises(PrecisionLoss):
+            evaluate(2000.0)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), mpmath.mpf("nan"),

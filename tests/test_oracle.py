@@ -29,7 +29,6 @@ from diracladder import (
     raise_to_rank,
     shooting_solution,
     shooting_solve,
-    state_from_energy,
     state_from_nu,
     truncated_norms,
 )
@@ -255,12 +254,13 @@ def test_ode_residual_detects_detuning(zeta):
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_state_from_nu_passes_residual_at_tiny_coupling(k):
     # at zeta = 1e-6 the state rebuilt from its nu passes where one rebuilt
-    # from its energy (state_from_energy) fails at 2e-4 or more
+    # from its energy, through nu formed from 1 - E, fails at 2e-4 or more
     ch = make_channel(0.5, -1, 1e-6)
     st = bound_energy(ch, k)
     sol = build_solution(st)
     assert ode_residual(replace(sol, state=state_from_nu(ch, k, st.nu))).all_passed
-    lossy = replace(sol, state=state_from_energy(ch, k, st.energy))
+    lossy = replace(sol, state=state_from_nu(
+        ch, k, math.sqrt((1.0 - st.energy) / (1.0 + st.energy))))
     assert not ode_residual(lossy).all_passed
 
 

@@ -161,13 +161,15 @@ def test_physical_normalize_past_old_quadrature_ceiling():
     assert ode_residual(sol).all_passed
 
 
-@pytest.mark.parametrize("j, k", [(79.5, 20), (84.5, 1), (85.5, 0), (150.5, 3)])
+@pytest.mark.parametrize("j, k", [(20.5, 1), (41.5, 1), (79.5, 20), (84.5, 1), (85.5, 0),
+                                  (150.5, 3)])
 def test_float64_matches_113_bits_where_gamma_overflows(j, k):
-    # Gamma(2*lam) overflows float64 at these lam, but every stored
+    # Gamma(2*lam) overflows float64 from j = 79.5 on, but every stored
     # coefficient and norm term is of order one: the float64 physical
-    # amplitude, F and G agree with the 113-bit ones (F, G to 1e-13 of max|F, G|).
-    # At j = 150.5, rho**(lam - 1/2) overflows from rho ~ 160 but the weight
-    # rho**(lam - 1/2) exp(-rho) does not, nor F and G
+    # amplitude, F and G agree with the 113-bit ones (F, G to 5e-15 of
+    # max|F, G|; b_0 from log Gamma missed that by 5e-15 to 7e-14, at every j
+    # here).  At j = 150.5, rho**(lam - 1/2) overflows from rho ~ 160 but the
+    # weight rho**(lam - 1/2) exp(-rho) does not, nor F and G
     sol = physical_normalize(build_solution(bound_energy(make_channel(j, -1, 0.5), k)))
     rho = np.geomspace(1.0, sol.state.window[1], 40)
     fast = np.concatenate([sol.F(rho), sol.G(rho)])
@@ -176,7 +178,20 @@ def test_float64_matches_113_bits_where_gamma_overflows(j, k):
             bound_energy(make_channel(mpmath.mpf(j), -1, mpmath.mpf(1) / 2), k)))
         exact = [float(c(mpmath.mpf(r))) for c in (ext.F, ext.G) for r in rho]
         assert abs(sol.amplitude / ext.amplitude - 1) <= 1e-13
-    assert np.max(np.abs(fast - exact)) <= 1e-13 * np.max(np.abs(exact))
+    assert np.max(np.abs(fast - exact)) <= 5e-15 * np.max(np.abs(exact))
+
+
+def test_scalar_and_array_weights_agree_where_the_power_overflows():
+    # j = 150.5: a scalar float rho took rho**(lam - 1/2) whole, an OverflowError
+    # at 480.25; past rho = exp(2839/(lam - 1/2)) ~ 1.5e8 an array's fourth-root
+    # power overflowed to inf where exp(-rho/4) had underflowed: inf * 0 = nan
+    sol = physical_normalize(build_solution(bound_energy(make_channel(150.5, -1, 0.5), 3)))
+    for c in (sol.F, sol.G):
+        scalar, array = c(480.25), c(np.array([480.25]))[0]
+        assert scalar != 0 and abs(scalar / array - 1) <= 1e-15
+        assert c(2e8) == 0 and c(np.array([1e8, 2e8])).tolist() == [0, 0]
+    assert [v.tolist() for v in sol.evaluate_with_derivatives(np.array([2e8]))] == [[0]] * 4
+    assert list(sol.evaluate_with_derivatives(2e8)) == [0] * 4
 
 
 def test_physical_normalize_extended_precision():
