@@ -58,9 +58,9 @@ class StiffnessFailure(DiracLadderError):
 
 
 class PrecisionLoss(DiracLadderError):
-    """Float64 could not carry a closed-form result: a value of F or G or a
-    truncated norm went non-finite, a level's nu or the start b_0 of the
-    Laguerre recurrence (lam >~ 171.16) is not a normal float64, or radial
+    """Float64 could not carry a closed-form result: a value of F or G, a member's
+    weight or a truncated norm went non-finite, a level's nu or the start b_0 of
+    the Laguerre recurrence (lam >~ 171.16) is not a normal float64, or radial
     nodes failed their Sturm-count certificate."""
 
 

@@ -39,28 +39,32 @@ above is composed from two banded primitives, with beta_n = sqrt(n*(n + a)),
 so raising b_n gives beta_(n+1) b_(n+1) + (mu - lam - n) b_n.  On the rank-n
 member mu - lam - n = 0 and C_plus(lam + n) = beta_(n+1), so normalized
 raising is the basis shift: the rank-k unit member is sqrt(a) b_k, and
-raise_to_rank climbs on the top coefficient alone, e_(n+1) = e_n beta_(n+1) /
-C_plus(mu), in O(k); apply_raising keeps the full action, which the algebra
-checks exercise.  A member's raw raising, lowering and Casimir actions at its
-own mu are each computed once per member, on first read, and kept with it:
-apply_raising, apply_lowering, apply_casimir, commutator_check and
-positive_operator_check all read these.  Both norms are sums of nonnegative
-terms of order one (rho measure: sum e_n**2 / 2; x measure: _x_norm_sq), so
-float64 and mpmath coefficients share one code path.  Values come from the
-recurrence beta_n b_n = (2n - 1 + a - x) b_(n-1) - beta_(n-1) b_(n-2) in
-x = 2*rho (_evaluate_q), whose start b_0 is the one place Gamma and 2**a
-enter, as Gamma values (normal in float64 up to lam ~ 171.16).  The weight is
-one formula for every rho, its fourth root squared twice (LadderFunction._weight).
-Zeros of two-term members are eigenvalues of a symmetric Jacobi matrix,
-certified by a Sturm count of its pivots, with no value of q (LadderFunction.zeros).
+raise_to_rank climbs on the top coefficient alone in O(k); apply_raising keeps
+the full action, which the algebra checks exercise.  A member's raw raising,
+lowering and Casimir actions at its own mu are each computed once, on first
+read, and kept with it.  The primitives skip exact-zero coefficients, so an
+action's work follows the member's nonzero band (psi_plus, F, G: the top two),
+not k.  The lam-only numbers (beta_n, the _tails ratios, b_0) are tables of the
+tower, formed once per lam and working precision (_tower), not per member.
+Both norms are sums of nonnegative terms of order one (rho measure: sum e_n**2
+/ 2; x measure: _x_norm_sq), so float64 and mpmath coefficients share one code
+path.  Values come from the recurrence beta_n b_n = (2n - 1 + a - x) b_(n-1) -
+beta_(n-1) b_(n-2) in x = 2*rho (_evaluate_q), whose start b_0 is the one place
+Gamma and 2**a enter, as Gamma values (normal in float64 up to lam ~ 171.16).
+The weight is one formula for every rho, its fourth root squared twice
+(LadderFunction._weight).  Zeros of two-term members are eigenvalues of a
+symmetric Jacobi matrix, certified by a Sturm count of its pivots with no value
+of q; members of one tower share one pass (LadderFunction.zeros).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,23 +92,54 @@ _TABLE_CELLS = 1 << 19     # cap on _evaluate_q's basis table (4 MiB of float64)
 # coefficient vectors on b_n, a = 2*lam - 1
 
 def _combine(*terms):
-    """Sum of factor * coeffs over (factor, coeffs) pairs, zero-padded."""
+    """Sum of factor * coeffs over (factor, coeffs) pairs, zero-padded; exact
+    zeros add nothing and are skipped (a NaN is not zero)."""
     out = [terms[0][1][0] * 0] * max(len(coeffs) for _, coeffs in terms)
     for factor, coeffs in terms:
         for n, c in enumerate(coeffs):
-            out[n] += factor * c
+            if c:
+                out[n] += factor * c
     return out
+
+
+def _sup(values):
+    """max |v|, or a NaN among the values (max alone keeps a NaN only in first place)."""
+    return next((v for v in values if v != v), None) or max(abs(v) for v in values)
 
 
 def _rel_dev(a, b, scale) -> float:
     """max |a - b| over zero-padded coefficient vectors, divided by scale."""
-    return float(max(abs(c) for c in _combine((1, a), (-1, b))) / scale)
+    return float(_sup(_combine((1, a), (-1, b))) / scale)
 
 
-def _betas(lam, size):
-    """[beta_0, ..., beta_(size-1)], beta_n = sqrt(n*(n + a)), at lam's precision."""
-    a = 2 * lam - 1
-    return [precision.sqrt(n * (n + a)) for n in range(size)]
+class _Tower:
+    """The lam-only numbers of one tower at one working precision, each formed once,
+    grown on demand (callers only index them): beta_n = sqrt(n*(n + a)), the _tails
+    ratios sqrt((n+1)/(n+1+a)) and b_0 (_ground_value)."""
+
+    def __init__(self, lam):
+        self.lam, self.a, self.beta, self.ratio = lam, 2 * lam - 1, [], []
+        self.lock = threading.Lock()    # callers in other threads share the tables
+
+    def grow(self, size):
+        with self.lock:
+            for n in range(len(self.beta), size):
+                self.beta.append(precision.sqrt(n * (n + self.a)))
+                self.ratio.append(precision.sqrt((n + 1) / (n + 1 + self.a)))
+        return self
+
+    b0 = cached_property(lambda self: _ground_value(self.lam))
+
+
+@lru_cache(maxsize=32, typed=True)     # bounded: a few towers' tables
+def _tower_at(lam, bits):
+    return _Tower(lam)
+
+
+def _tower(lam, size=0):
+    """lam's _Tower at the working precision, grown to size; an mpmath lam keys on
+    mp.prec too, as equal values at two precisions hash alike."""
+    return _tower_at(lam, precision.bits(lam)).grow(size)
 
 
 def _times_rho(lam, beta, coeffs):
@@ -112,6 +147,8 @@ def _times_rho(lam, beta, coeffs):
     a = 2 * lam - 1
     out = [coeffs[0] * 0] * (len(coeffs) + 1)
     for n, c in enumerate(coeffs):
+        if not c:
+            continue
         out[n] += (2 * n + a + 1) * c / 2
         out[n + 1] -= beta[n + 1] * c / 2
         if n:
@@ -121,22 +158,23 @@ def _times_rho(lam, beta, coeffs):
 
 def _rho_d(beta, coeffs):
     # rho * d/drho b_n = n b_n - beta_n b_(n-1)
-    out = [n * c for n, c in enumerate(coeffs)]
+    out = [n * c if c else c for n, c in enumerate(coeffs)]
     for n in range(1, len(coeffs)):
-        out[n - 1] -= beta[n] * coeffs[n]
+        if coeffs[n]:
+            out[n - 1] -= beta[n] * coeffs[n]
     return out
 
 
 def _raising_action(lam, mu, coeffs):
     # rho*q' - 2*rho*q + (lam + mu)*q
-    beta = _betas(lam, len(coeffs) + 1)
+    beta = _tower(lam, len(coeffs) + 1).beta
     return _combine((1, _rho_d(beta, coeffs)), (-2, _times_rho(lam, beta, coeffs)),
                     (lam + mu, coeffs))
 
 
 def _lowering_action(lam, mu, coeffs):
     # rho*q' + (lam - mu)*q
-    return _combine((1, _rho_d(_betas(lam, len(coeffs)), coeffs)), (lam - mu, coeffs))
+    return _combine((1, _rho_d(_tower(lam, len(coeffs)).beta, coeffs)), (lam - mu, coeffs))
 
 
 def _weighted_derivative_action(lam, beta, coeffs, branch_sign):
@@ -147,7 +185,7 @@ def _weighted_derivative_action(lam, beta, coeffs, branch_sign):
 
 def _casimir_action(lam, mu, coeffs, branch):
     sign = -1.0 if branch == "positive" else 1.0
-    beta = _betas(lam, len(coeffs) + 2)
+    beta = _tower(lam, len(coeffs) + 2).beta
     d1 = _weighted_derivative_action(lam, beta, coeffs, sign)
     rho_q = _times_rho(lam, beta, coeffs)
     return _combine((1, _weighted_derivative_action(lam, beta, d1, sign)), (2 * mu, rho_q),
@@ -161,10 +199,9 @@ def _tails(lam, coeffs):
     sum_(i<=m) L_i^(a-1), V_i / sqrt(i + a), V_i = e_i + W_i, are q's
     coefficients on the functions orthonormal under rho**(a-1) exp(-2*rho).
     """
-    a = 2 * lam - 1
-    tails = [coeffs[0] * 0] * len(coeffs)
+    ratio, tails = _tower(lam, len(coeffs)).ratio, [coeffs[0] * 0] * len(coeffs)
     for i in range(len(coeffs) - 2, -1, -1):
-        tails[i] = precision.sqrt((i + 1) / (i + 1 + a)) * (coeffs[i + 1] + tails[i + 1])
+        tails[i] = ratio[i] * (coeffs[i + 1] + tails[i + 1])
     return tails
 
 
@@ -207,10 +244,10 @@ def _evaluate_q(lam, rows, rho):
         dtype, lam, x = float, float(lam), 2.0 * rho.ravel()
     else:
         dtype, x = object, np.array([2.0 * rho], dtype=object)
-    a, b0 = 2 * lam - 1, _ground_value(lam)
     rows = [np.array(row, dtype=dtype) for row in rows]
     terms = max(row.size for row in rows)
-    beta = _betas(lam, terms)
+    tower = _tower(lam, terms)
+    a, b0, beta = tower.a, tower.b0, tower.beta
     width = max(1, _TABLE_CELLS // terms)
     cells = np.empty(terms * min(width, x.size), dtype)
     spare = np.empty(min(width, x.size), dtype)
@@ -297,15 +334,23 @@ class LadderFunction:
         # mpmath and array rho: finite wherever w is, though rho**(lam - 1/2) may
         # not be; 0 where exp(-+rho/4) underflows, without forming the power there.
         # Every evaluator checks its radii here, as all(rho > 0): NaN fails too.
+        # PrecisionLoss where a float64 w overflows (negative branch, rho >~ 700).
         sign, array = -1.0 if self.branch == "positive" else 1.0, isinstance(rho, np.ndarray)
         if not (np.all(rho > 0) if array else rho > 0):
             raise DomainError("rho must be positive" + ("" if array else f", got {rho}"))
         lam, exp = (float(self.lam), np.exp) if array else (self.lam, precision.exp)
-        decay = exp(sign / 4 * rho)
-        base = np.where(decay > 0, rho, 1.0) if array else (rho if decay > 0 else 1.0)
-        root = base ** ((lam - 0.5) / 4) * decay
-        root = root * root
-        return root * root, sign
+        try:
+            with np.errstate(over="ignore"):
+                decay = exp(sign / 4 * rho)
+                base = np.where(decay > 0, rho, 1.0) if array else (rho if decay > 0 else 1.0)
+                root = base ** ((lam - 0.5) / 4) * decay
+                root = root * root
+                root = root * root
+        except OverflowError:
+            root = math.inf
+        if not np.all(root < math.inf):
+            raise PrecisionLoss(f"the weight overflows float64 at lam = {float(lam)!r}")
+        return root, sign
 
     def evaluate(self, rho):
         """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight; q first, so a
@@ -336,41 +381,12 @@ class LadderFunction:
         digits; a pivot under pivmin counts as -pivmin (LAPACK's dstebz).  One
         secant step on p_(k-1) removes eigvalsh's absolute error (to 2e-13 on
         small zeros).  PrecisionLoss unless each fence interval holds one
-        eigenvalue and its polished zero, an empty window none.
+        eigenvalue and its polished zero, an empty window none (_zeros).
         """
-        coeffs = np.array(self.coeffs, dtype=float)
-        nonzero = np.flatnonzero(coeffs)
-        if nonzero.size == 0 or nonzero[0] < nonzero[-1] - 1:
-            raise DomainError("zeros need a nonzero member, nonzero on its top two terms only")
-        k, a = int(nonzero[-1]), 2 * float(self.lam) - 1
-        if k == 0:
-            return np.empty(0)
-        n = np.arange(k)
-        base = n + a + 1.0          # c_n; c_(k-1) carries the raise of d_(k-1)
-        base[-1] += math.sqrt(k * (k + a)) * coeffs[k - 1] / coeffs[k]
-        if not math.isfinite(base[-1]):
-            raise PrecisionLoss(f"the Jacobi matrix of a degree-{k} member is not finite")
-        jacobi = np.diag(base + n)  # and the subdiagonal: eigvalsh reads the lower triangle
-        jacobi.flat[k::k + 1] = np.sqrt(n[1:] * (n[1:] + a))
-        x = np.linalg.eigvalsh(jacobi)
-        x = x[(x > 2 * lo) & (x < 2 * hi)]
-        m, nudged = x.size, x + x * 1e-6
-        points = np.concatenate((x, nudged, [2 * lo], (x[1:] + x[:-1]) / 2, [2 * hi]))
-        fences, s = points[2 * m:], -points
-        pivmin, pivots = sys.float_info.min * max(1.0, k * (k + a)), np.empty((k, points.size))
-        for i, c in enumerate(base.tolist()):   # p_n = c_n + s_n
-            p = np.add(s, c, out=pivots[i])
-            np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
-            if i < k - 1:                       # s_(n+1) = (n+1) s_n/p_n - x
-                s *= (i + 1) / p
-                s -= points
-        x -= (nudged - x) * pivots[-1, :m] / (pivots[-1, m:2 * m] - pivots[-1, :m])
-        counts = (pivots[:, 2 * m:] < 0).sum(axis=0)
-        if not ((counts[1:] - counts[:-1] == min(m, 1)).all()
-                and (fences[:-1] < x).all() and (x < fences[1:]).all()):
-            raise PrecisionLoss(f"{m} zeros of a degree-{k} member failed the Sturm "
-                                f"count on ({lo}, {hi})")
-        return x / 2
+        found, = _zeros((self,), lo, hi)
+        if isinstance(found, Exception):
+            raise found
+        return found
 
     def norm_squared(self):
         """Exact x-measure norm integral (positive branch only)."""
@@ -387,6 +403,56 @@ class LadderFunction:
         if self.branch != "positive":
             raise WrongBranch("negative-branch norms diverge; see divergence_check")
         return sum(c * c for c in self.coeffs) / 2
+
+
+def _zeros(members, lo, hi) -> list:
+    """LadderFunction.zeros of members of one tower, each its zeros or the error that
+    refuses them.  Members of one degree k differ in c_(k-1) alone: one eigvalsh
+    call on their stack, one Sturm recursion over all their columns."""
+    a, found, stacks = 2 * float(members[0].lam) - 1, [], {}
+    for f in members:
+        coeffs = [float(c) for c in f.coeffs]  # Python floats: an overflow is inf, no warning
+        nonzero = np.flatnonzero(coeffs)
+        k = int(nonzero[-1]) if nonzero.size else -1
+        if k < 0 or nonzero[0] < k - 1:
+            found.append(DomainError("zeros need a nonzero member, nonzero on its top two "
+                                     "terms only"))
+        elif k == 0:
+            found.append(np.empty(0))
+        else:       # c_(k-1) = d_(k-1) - (k - 1), raised by beta_k e_(k-1)/e_k
+            last = k - 1 + a + 1.0 + math.sqrt(k * (k + a)) * coeffs[k - 1] / coeffs[k]
+            if math.isfinite(last):
+                stacks.setdefault(k, []).append(len(found))
+            found.append(last if math.isfinite(last) else PrecisionLoss(
+                f"the Jacobi matrix of a degree-{k} member is not finite"))
+    for k, stack in stacks.items():
+        n, lasts = np.arange(k), np.array([found[i] for i in stack])
+        base = n + a + 1.0          # c_n; eigvalsh reads the lower triangle
+        jacobi = np.zeros((len(stack), k, k))
+        jacobi[:, n, n], jacobi[:, n[1:], n[:-1]] = base + n, np.sqrt(n[1:] * (n[1:] + a))
+        jacobi[:, -1, -1] = lasts + (k - 1)
+        xs = [x[(x > 2 * lo) & (x < 2 * hi)] for x in np.linalg.eigvalsh(jacobi)]
+        points = [np.concatenate((x, x + x * 1e-6, [2 * lo], (x[1:] + x[:-1]) / 2, [2 * hi]))
+                  for x in xs]
+        sizes = [p.size for p in points]
+        points = np.concatenate(points)
+        s, pivmin = -points, sys.float_info.min * max(1.0, k * (k + a))
+        pivots = np.empty((k, points.size))
+        for i, c in enumerate(base[:-1].tolist() + [np.repeat(lasts, sizes)]):
+            p = np.add(s, c, out=pivots[i])     # p_n = c_n + s_n
+            np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
+            if i < k - 1:                       # s_(n+1) = (n+1) s_n/p_n - x
+                s *= (i + 1) / p
+                s -= points
+        for i, x, end, size in zip(stack, xs, itertools.accumulate(sizes), sizes):
+            own, cols, m = pivots[:, end - size:end], points[end - size:end], x.size
+            x = x - (cols[m:2 * m] - x) * own[-1, :m] / (own[-1, m:2 * m] - own[-1, :m])
+            counts, fences = (own[:, 2 * m:] < 0).sum(axis=0), cols[2 * m:]
+            certified = ((counts[1:] - counts[:-1] == min(m, 1)).all()
+                         and (fences[:-1] < x).all() and (x < fences[1:]).all())
+            found[i] = x / 2 if certified else PrecisionLoss(
+                f"{m} zeros of a degree-{k} member failed the Sturm count on ({lo}, {hi})")
+    return found
 
 
 def _evaluate_with_derivatives(members, rho):
@@ -425,7 +491,7 @@ def negative_branch_ground(lam) -> LadderFunction:
     the coefficient 1/b_0.
     """
     _require_lam(lam)
-    return LadderFunction(lam, -lam, (1 / _ground_value(lam),), branch="negative")
+    return LadderFunction(lam, -lam, (1 / _tower(lam).b0,), branch="negative")
 
 
 def _require_positive_branch(f: LadderFunction):
@@ -487,7 +553,7 @@ def raise_to_rank(ground: LadderFunction, k: int) -> LadderFunction:
         raise DomainError(f"rank must be a nonnegative integer, got {k!r}")
     _require_positive_branch(ground)
     lam, mu, c, n = ground.lam, ground.mu, ground.coeffs[-1], ground.degree
-    beta = _betas(lam, n + k + 1)
+    beta = _tower(lam, n + k + 1).beta
     for _ in range(k):
         n += 1
         c = c * beta[n] / c_plus(lam, mu)
@@ -513,8 +579,8 @@ def apply_casimir(f: LadderFunction):
     raw = f._casimir
     omega = f.lam * (f.lam - 1)
     deviation = _rel_dev(raw, _combine((omega, f.coeffs)),
-                         max(abs(c) for c in f.coeffs))
-    if deviation > _CASIMIR_REL_TOL:
+                         _sup(f.coeffs))
+    if not deviation <= _CASIMIR_REL_TOL:
         raise NotAnEigenfunction(
             f"casimir residual {deviation:.3e} exceeds {_CASIMIR_REL_TOL:.1e}")
     # projection <Cq, q>/<q, q> over coefficient vectors
@@ -539,7 +605,7 @@ def commutator_check(f: LadderFunction, tolerance: float = 1e-10) -> Verificatio
     _require_positive_branch(f)
     lam, mu, q = f.lam, f.mu, f.coeffs
     report = VerificationReport(f"su(2) relations at lam={float(lam):.6f}, mu={float(mu):.6f}")
-    scale = max(abs(c) for c in q)
+    scale = _sup(q)
 
     down = f._lowered
     up_down = _raising_action(lam, mu - 1, down)

@@ -36,13 +36,18 @@ def is_extended(x) -> bool:
     return _mpmath_of(x) is not None
 
 
+def bits(x) -> int:
+    """Bits of x's arithmetic: mpmath.mp.prec for an mpmath number, else 53."""
+    return _mpmath_of(x).mp.prec if is_extended(x) else 53
+
+
 def sqrt(x):
-    mpmath = _mpmath_of(x)
+    mpmath = None if type(x) is float else _mpmath_of(x)     # a float goes straight to math
     return mpmath.sqrt(x) if mpmath else math.sqrt(x)
 
 
 def exp(x):
-    mpmath = _mpmath_of(x)
+    mpmath = None if type(x) is float else _mpmath_of(x)
     return mpmath.exp(x) if mpmath else math.exp(x)
 
 

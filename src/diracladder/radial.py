@@ -45,6 +45,7 @@ from .ladder import (
     LadderFunction,
     _combine,
     _evaluate_with_derivatives,
+    _zeros,
     apply_raising,
     c_minus,
     ground_ladder_function,
@@ -85,8 +86,14 @@ class RadialSolution:
         minus = () if self.psi_minus is None else self.psi_minus.coeffs
         return tuple(
             replace(self.psi_plus, coeffs=tuple(
-                front * u for u in _combine((sign, plus), (self.rel_coeff, minus))))
+                front * u if u else u
+                for u in _combine((sign, plus), (self.rel_coeff, minus))))
             for sign, front in ((1, c_f), (-1, c_f * self.state.nu)))
+
+    @cached_property
+    def _nodes(self) -> list:
+        """F's and G's zeros in the node window, or the error refusing each: one pass."""
+        return _zeros(self.components, *self.state.window)
 
     def F(self, rho):
         return self.components[0].evaluate(rho)
@@ -135,8 +142,12 @@ def count_radial_nodes(solution: RadialSolution, component: str = "F") -> np.nda
     eigenvalues of a symmetric Jacobi matrix certified by a Sturm count of its
     pivots (PrecisionLoss otherwise), in 1e-3 < rho < 4*mu + 20 (BoundState.window,
     which oracle.ode_residual reads too).  Level k has k nodes in G; F has k
-    for epsilon = -1 and k - 1 for epsilon = +1.
+    for epsilon = -1 and k - 1 for epsilon = +1.  F and G share one pass, once per
+    solution; each keeps its own nodes or error.
     """
     if component not in ("F", "G"):
         raise DomainError(f"component must be 'F' or 'G', got {component!r}")
-    return solution.components[component == "G"].zeros(*solution.state.window)
+    found = solution._nodes[component == "G"]
+    if isinstance(found, Exception):
+        raise found.with_traceback(None)    # kept with the solution: a fresh traceback each time
+    return found.copy()

@@ -2,6 +2,8 @@
 
 import math
 import sys
+import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -21,14 +23,18 @@ from diracladder import (
     c_minus,
     c_plus,
     commutator_check,
+    count_radial_nodes,
     ground_ladder_function,
+    inner_product,
     make_channel,
     matrix_representation,
     negative_branch_ground,
+    ode_residual,
+    physical_normalize,
     positive_operator_check,
     raise_to_rank,
 )
-from diracladder import ladder
+from diracladder import ladder, precision
 from diracladder.ladder import LadderFunction
 from diracladder.verify import CHANNEL_GRID
 
@@ -218,6 +224,69 @@ def test_casimir_rejects_non_eigenfunctions():
                                      branch="positive"))
 
 
+def test_a_tower_forms_its_lam_tables_once(monkeypatch):
+    # beta_n, the _tails ratios and b_0 depend on lam alone: certifying a whole
+    # tower forms each once, for all its members, actions and evaluations.
+    # C_plus(lam + n - 1) and -C_minus(lam + n) equal beta_n by value; they are
+    # the ladder's normalizations, not table reads, and are left out of the count
+    ladder._tower_at.cache_clear()
+    channel = make_channel(1.5, -1, 0.5)
+    a = 2 * channel.lam - 1
+    roots, grounds = [], []
+    sqrt, ground_value = precision.sqrt, ladder._ground_value
+
+    def recording(x):
+        roots.append((x, sys._getframe(1).f_code.co_name))
+        return sqrt(x)
+
+    monkeypatch.setattr(precision, "sqrt", recording)
+    monkeypatch.setattr(ladder, "_ground_value",
+                        lambda lam: grounds.append(lam) or ground_value(lam))
+    for k in range(13):
+        sol = physical_normalize(build_solution(bound_energy(channel, k)))
+        f = sol.psi_plus
+        assert commutator_check(f).all_passed and apply_casimir(f)[1] > 0
+        assert positive_operator_check(f) > 0 and inner_product(f, f) > 0
+        assert ode_residual(sol).all_passed
+        assert len(count_radial_nodes(sol, "F")) == len(count_radial_nodes(sol, "G")) == k
+    assert grounds == [channel.lam]
+    for n in range(1, 14):
+        assert [who for x, who in roots if x == n * (n + a)
+                and who not in ("c_plus", "c_minus")] == ["grow"], n
+        assert [who for x, who in roots if x == n / (n + a)] == ["grow"], n
+
+
+def test_lam_tables_key_on_working_precision():
+    # equal mpmath values at two precisions hash alike: the key carries mp.prec,
+    # so a 200-bit read does not get 113-bit numbers; a float lam keeps its own
+    lam = mpmath.mpf("1.5")
+    with mpmath.workprec(113):
+        low = ladder._tower(lam, 6).beta[5]
+        assert low == mpmath.sqrt(35)
+    with mpmath.workprec(200):
+        high = ladder._tower(lam, 6).beta[5]
+        assert high == mpmath.sqrt(5 * (5 + 2 * lam - 1))
+        assert ladder._tower(lam).b0 == ladder._ground_value(lam)
+    assert high != low
+    assert type(ladder._tower(1.5, 6).beta[5]) is float
+
+
+@pytest.mark.parametrize("where", [0, 3, 5, 6])
+def test_nan_coefficient_fails_the_algebra_checks(where):
+    # exact zeros are skipped in the actions, a NaN is not: wherever it sits,
+    # in the zero band below psi_plus's top or on top, every check sees it
+    f = build_solution(bound_energy(make_channel(1.5, 1, 0.5), 6)).psi_plus
+    coeffs = list(f.coeffs)
+    coeffs[where] = math.nan
+    bad = replace(f, coeffs=tuple(coeffs))
+    for moved, _ in (apply_raising(bad), apply_lowering(bad)):
+        assert any(c != c for c in moved.coeffs)
+    assert not commutator_check(bad).all_passed
+    assert math.isnan(positive_operator_check(bad))
+    with pytest.raises(NotAnEigenfunction):
+        apply_casimir(bad)
+
+
 def test_commutator_report():
     rep = commutator_check(raise_to_rank(ground(), 5))
     assert rep.all_passed
@@ -288,6 +357,24 @@ def test_negative_branch_shape_and_norm_guard():
         f.norm_squared()
     with pytest.raises(WrongBranch):
         f.rho_norm_squared()
+
+
+def test_negative_branch_weight_overflow_raises_precision_loss():
+    # exp(+rho/4) overflows float64 past rho ~ 2839 and the weight itself past
+    # rho ~ 710: scalar and array rho raise PrecisionLoss there, not a bare
+    # OverflowError, and emit no RuntimeWarning on the way
+    f = negative_branch_ground(make_channel(0.5, -1, 0.5).lam)
+    for rho in (3000.0, 1000.0, np.array([1.0, 3000.0]), np.array([1.0, 1000.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionLoss, match="overflows float64"):
+                f.evaluate(rho)
+            with pytest.raises(PrecisionLoss, match="overflows float64"):
+                f.evaluate_with_derivative(rho)
+    # up to the demo-divergence cap the values stand
+    rho = np.array([1.0, 150.0, 300.0])
+    assert np.allclose(f.evaluate(rho), rho ** (f.lam - 0.5) * np.exp(rho), rtol=1e-13)
+    assert f.evaluate(300.0) == f.evaluate(rho)[-1]
 
 
 def test_evaluate_with_derivative_both_branches():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -405,29 +406,64 @@ def test_zeros_refuse_members_with_lower_terms():
     assert LadderFunction(lam=3.5, mu=3.5, coeffs=(2.0,)).zeros(1e-3, 100.0).size == 0
 
 
+def test_jacobi_matrix_past_float64_raises_without_a_warning():
+    # beta_k e_(k-1)/e_k overflows: PrecisionLoss, with no RuntimeWarning first
+    member = LadderFunction(lam=1.5, mu=2.5, coeffs=(1e300, 1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionLoss, match="not finite"):
+            member.zeros(1e-3, 10.0)
+
+
 def test_shifted_eigenvalue_fails_the_sturm_count(monkeypatch):
     # eigvalsh's eigenvalues are checked, not trusted: a slightly shifted
     # eigenvalue stays in its fence interval and is polished back, one moved
-    # past its neighbour leaves two eigenvalues in one interval
-    sol = solution(12)
+    # past its neighbour leaves two eigenvalues in one interval.  F and G are
+    # one eigvalsh call on their (2, k, k) stack, so x[..., 0] shifts both;
+    # nodes are kept with the solution, so each patch takes a fresh one
     eigvalsh = np.linalg.eigvalsh
-    good = {c: count_radial_nodes(sol, c) for c in "FG"}
+    good = {c: count_radial_nodes(solution(12), c) for c in "FG"}
 
     def shifted(by):
         def call(matrix):
             x = eigvalsh(matrix)
-            x[0] = by(x)
+            x[..., 0] = by(x)
             return x
         return call
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", shifted(lambda x: x[0] * (1 + 1e-10)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted(lambda x: x[..., 0] * (1 + 1e-10)))
+    sol = solution(12)
     for component in "FG":
         nodes = count_radial_nodes(sol, component)
         assert np.all(np.abs(nodes - good[component]) <= 1e-14 * good[component])
-    monkeypatch.setattr(np.linalg, "eigvalsh", shifted(lambda x: (x[1] + x[2]) / 2))
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted(lambda x: (x[..., 1] + x[..., 2]) / 2))
+    sol = solution(12)
     for component in "FG":
         with pytest.raises(PrecisionLoss, match="failed the Sturm count"):
             count_radial_nodes(sol, component)
+
+
+def test_one_eigvalsh_call_certifies_f_and_g(monkeypatch):
+    # F and G differ in the last diagonal entry of their Jacobi matrices only:
+    # one eigvalsh call on the stack, one Sturm pass, kept with the solution.
+    # Each keeps its own certificate: when only G's fails, F's nodes stand
+    eigvalsh = np.linalg.eigvalsh
+    good = {c: count_radial_nodes(solution(12), c) for c in "FG"}
+    shapes = []
+
+    def breaking_g(matrix):
+        shapes.append(matrix.shape)
+        x = eigvalsh(matrix)
+        x[1, 0] = (x[1, 1] + x[1, 2]) / 2
+        return x
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", breaking_g)
+    sol = solution(12)
+    assert np.array_equal(count_radial_nodes(sol, "F"), good["F"])
+    with pytest.raises(PrecisionLoss, match="failed the Sturm count"):
+        count_radial_nodes(sol, "G")
+    assert np.array_equal(count_radial_nodes(sol, "F"), good["F"])
+    assert shapes == [(2, 12, 12)]
 
 
 def test_zeros_make_no_laguerre_pass(monkeypatch):
