@@ -138,8 +138,11 @@ def _tower_at(lam, bits):
 
 def _tower(lam, size=0):
     """lam's _Tower at the working precision, grown to size; an mpmath lam keys on
-    mp.prec too, as equal values at two precisions hash alike."""
-    return _tower_at(lam, precision.bits(lam)).grow(size)
+    mp.prec too, as equal values at two precisions hash alike.  A tower long
+    enough is returned without the lock: its lists only grow, and grow appends
+    to ratio last, so len(ratio) entries of both lists are already in place."""
+    tower = _tower_at(lam, precision.bits(lam))
+    return tower if len(tower.ratio) >= size else tower.grow(size)
 
 
 def _times_rho(lam, beta, coeffs):
@@ -336,7 +339,7 @@ class LadderFunction:
         # Every evaluator checks its radii here, as all(rho > 0): NaN fails too.
         # PrecisionLoss where a float64 w overflows (negative branch, rho >~ 700).
         sign, array = -1.0 if self.branch == "positive" else 1.0, isinstance(rho, np.ndarray)
-        if not (np.all(rho > 0) if array else rho > 0):
+        if not ((rho > 0).all() if array else rho > 0):
             raise DomainError("rho must be positive" + ("" if array else f", got {rho}"))
         lam, exp = (float(self.lam), np.exp) if array else (self.lam, precision.exp)
         try:
@@ -348,7 +351,7 @@ class LadderFunction:
                 root = root * root
         except OverflowError:
             root = math.inf
-        if not np.all(root < math.inf):
+        if not ((root < math.inf).all() if array else root < math.inf):
             raise PrecisionLoss(f"the weight overflows float64 at lam = {float(lam)!r}")
         return root, sign
 
@@ -412,8 +415,8 @@ def _zeros(members, lo, hi) -> list:
     a, found, stacks = 2 * float(members[0].lam) - 1, [], {}
     for f in members:
         coeffs = [float(c) for c in f.coeffs]  # Python floats: an overflow is inf, no warning
-        nonzero = np.flatnonzero(coeffs)
-        k = int(nonzero[-1]) if nonzero.size else -1
+        nonzero = [n for n, c in enumerate(coeffs) if c]   # a NaN is not zero
+        k = nonzero[-1] if nonzero else -1
         if k < 0 or nonzero[0] < k - 1:
             found.append(DomainError("zeros need a nonzero member, nonzero on its top two "
                                      "terms only"))
@@ -438,7 +441,7 @@ def _zeros(members, lo, hi) -> list:
         points = np.concatenate(points)
         s, pivmin = -points, sys.float_info.min * max(1.0, k * (k + a))
         pivots = np.empty((k, points.size))
-        for i, c in enumerate(base[:-1].tolist() + [np.repeat(lasts, sizes)]):
+        for i, c in enumerate(base[:-1].tolist() + [lasts.repeat(sizes)]):
             p = np.add(s, c, out=pivots[i])     # p_n = c_n + s_n
             np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
             if i < k - 1:                       # s_(n+1) = (n+1) s_n/p_n - x

@@ -33,7 +33,10 @@ log-grid trapezoid starts at 512 nodes and doubles at most 5 times.  Two
 successive estimates must agree to 1e-10 (Gauss) or 1e-12 (trapezoid)
 relative to max(1, |estimate|).  The integrands are polynomials against fixed
 weights, and both rules are exact up to roundoff below degree 256.  An
-integral that has not settled within its policy raises QuadratureFailure.
+integral that has not settled within its policy raises QuadratureFailure, as
+does a weight past float64, found by a scalar test before numpy could warn:
+the Gauss weights just past alpha = 170.6, where their sum Gamma(alpha + 1)
+overflows, and the trapezoid's rho^(alpha + 1) at the top of its window.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import functools
 import importlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +72,7 @@ __all__ = [
 _GAUSS = "generalized-gauss-laguerre"
 _TRAPEZOID = "transformed-trapezoid-in-x"
 _POLICY = {_GAUSS: (128, 1, 1e-10), _TRAPEZOID: (512, 5, 1e-12)}
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)   # e^x overflows float64 above it
 
 # log-grid points of the residual check; the 8th-order fd stencil takes 4x
 _RESIDUAL_POINTS = 2000
@@ -114,14 +119,18 @@ def roots_genlaguerre(n: int, alpha: float):
     """
     i = np.arange(1.0, n)
     # diagonal and subdiagonal only: eigvalsh reads the lower triangle
-    jacobi = np.diag(2.0 * np.arange(n) + alpha + 1.0)
+    jacobi = np.zeros((n, n))
+    jacobi.flat[::n + 1] = 2.0 * np.arange(n) + alpha + 1.0
     jacobi.flat[n::n + 1] = np.sqrt(i * (i + alpha))
     t = np.linalg.eigvalsh(jacobi)
     gaps = np.abs(t[:, None] - t)
-    np.fill_diagonal(gaps, 1.0)
+    gaps.flat[::n + 1] = 1.0
     log_w = -np.log(t) - 2.0 * np.log(gaps).sum(axis=1)
     log_w -= log_w.max()
-    return t, np.exp(log_w + (math.lgamma(alpha + 1.0) - np.log(np.exp(log_w).sum())))
+    top = math.lgamma(alpha + 1.0) - np.log(np.exp(log_w).sum())   # log of the largest w_i
+    if top > _LOG_FLOAT_MAX:
+        raise QuadratureFailure(f"Gauss-Laguerre weights overflow float64 at alpha={alpha:g}")
+    return t, np.exp(log_w + top)
 
 
 @functools.lru_cache(maxsize=64)
@@ -156,14 +165,15 @@ def _weighted_integral(values_fn, alpha: float, degree: int,
     n, doublings, tolerance = _POLICY[scheme]
     if scheme == _GAUSS:
         # 2^m >= 16 nodes with 2n - 1 >= degree, capped, then its doublings;
-        # one values_fn pass over the nodes of all rules, one sum per rule
+        # one values_fn pass over the nodes of all rules, one sum per rule;
+        # the rule of m = n << i nodes sits at offset n + 2n + ... = m - n
         n = min(n, max(16, 1 << (degree // 2).bit_length()))
         sizes = [n << i for i in range(doublings + 1)]
         rules = [_laguerre_rule(m, float(alpha)) for m in sizes]
         values = values_fn(np.concatenate([t for t, _ in rules]) / 2.0)
         factor = 2.0 ** (-(alpha + 1.0))
-        estimates = [factor * float(np.dot(w, part)) for (_, w), part
-                     in zip(rules, np.split(values, np.cumsum(sizes[:-1])))]
+        estimates = [factor * float(np.dot(w, values[m - n:2 * m - n]))
+                     for (_, w), m in zip(rules, sizes)]
         return _first_settled(iter(estimates), n, tolerance)
 
     # Same integral under rho = e^x: the x-integrand decays like e^((alpha+1)x)
@@ -172,6 +182,8 @@ def _weighted_integral(values_fn, alpha: float, degree: int,
     a = alpha + 1.0
     x_lo = -48.0 / a - 2.0
     x_hi = np.log(30.0 + 3.0 * (degree + a))
+    if a * x_hi > _LOG_FLOAT_MAX:
+        raise QuadratureFailure(f"trapezoid weight rho^{a:g} overflows at rho={np.exp(x_hi):g}")
 
     def trapezoid(n):
         x = np.linspace(x_lo, x_hi, n)
@@ -310,10 +322,10 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
     report = VerificationReport(
         f"radial system residual ({method}) for k={st.k}, "
         f"j={float(st.channel.j)}, eps={st.channel.epsilon:+d}")
-    report.add("small-component equation sup-residual", float(rel1.max()), tolerance,
-               detail=f"rms={float(np.sqrt(np.mean(rel1 ** 2))):.2e}, n={rho.size}")
-    report.add("large-component equation sup-residual", float(rel2.max()), tolerance,
-               detail=f"rms={float(np.sqrt(np.mean(rel2 ** 2))):.2e}, n={rho.size}")
+    for name, rel in (("small", rel1), ("large", rel2)):
+        rms = np.sqrt(np.add.reduce(rel ** 2) / rel.size)     # np.mean's bits, no wrapper
+        report.add(f"{name}-component equation sup-residual", float(rel.max()), tolerance,
+                   detail=f"rms={float(rms):.2e}, n={rho.size}")
     return report
 
 

@@ -38,7 +38,8 @@ def is_extended(x) -> bool:
 
 def bits(x) -> int:
     """Bits of x's arithmetic: mpmath.mp.prec for an mpmath number, else 53."""
-    return _mpmath_of(x).mp.prec if is_extended(x) else 53
+    mpmath = None if type(x) is float else _mpmath_of(x)     # a float goes straight to 53
+    return mpmath.mp.prec if mpmath else 53
 
 
 def sqrt(x):

@@ -84,10 +84,11 @@ class RadialSolution:
         c_f = self.amplitude * precision.sqrt(1.0 + self.state.energy)
         plus = self.psi_plus.coeffs
         minus = () if self.psi_minus is None else self.psi_minus.coeffs
+        lam, mu, branch = self.psi_plus.lam, self.psi_plus.mu, self.psi_plus.branch
         return tuple(
-            replace(self.psi_plus, coeffs=tuple(
+            LadderFunction(lam, mu, tuple(
                 front * u if u else u
-                for u in _combine((sign, plus), (self.rel_coeff, minus))))
+                for u in _combine((sign, plus), (self.rel_coeff, minus))), branch)
             for sign, front in ((1, c_f), (-1, c_f * self.state.nu)))
 
     @cached_property

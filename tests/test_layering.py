@@ -10,19 +10,25 @@ the oracle's module globals, which a tracer can wrap.  mpmath loads with the
 first extended-precision number (a `--precision 113` call, or a caller's own
 `import mpmath`), and the precision helpers recognise its numbers from then
 on.  Importing the package binds every public name, each from the `__all__`
-of exactly one module, and loads no numpy.polynomial either.
+of exactly one module, and loads no numpy.polynomial either.  Certifying a
+state enters none of numpy's Python-level wrappers that a plainer call
+replaces, and a tower grown once is read without growing it again.
 """
 
 import ast
+import dataclasses
 import functools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diracladder
+from diracladder.ladder import _Tower
+from diracladder.radial import RadialSolution
 
 PACKAGE = Path(diracladder.__file__).parent
 
@@ -189,3 +195,61 @@ def test_package_binds_each_public_name_from_one_module():
     assert owners.pop("__version__") == []
     assert all(len(homes) == 1 for homes in owners.values()), owners
     assert len(found["all"]) == len(set(found["all"]))
+
+
+# numpy's Python-level wrappers off the certify path: each is a cold frame
+# between the benchmark's host-speed samples, dearer than its arithmetic
+WRAPPERS = ("diag", "fill_diagonal", "all", "mean", "flatnonzero", "cumsum", "split", "repeat")
+
+
+def certify(state):
+    """One state's certify sequence: build, algebra, norms, residual, both node counts."""
+    dl = diracladder
+    sol = dl.build_solution(state)
+    f = sol.psi_plus
+    dl.commutator_check(f)
+    dl.apply_casimir(f)
+    dl.positive_operator_check(f)
+    phys = dl.physical_normalize(sol)
+    dl.inner_product(f, f)
+    dl.ode_residual(phys)
+    for component in "FG":
+        dl.count_radial_nodes(phys, component)
+
+
+def entered(run):
+    """Names of the watched frames that run() enters, in order, by sys.setprofile."""
+    watched = {getattr(np, n)._implementation.__code__: f"numpy.{n}" for n in WRAPPERS}
+    watched[_Tower.grow.__code__] = "_Tower.grow"
+    components = RadialSolution.components.func.__code__
+    seen = []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code in watched:
+            seen.append(watched[frame.f_code])
+        elif frame.f_code is dataclasses.replace.__code__:
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not components:
+                caller = caller.f_back
+            if caller is not None:
+                seen.append("dataclasses.replace in RadialSolution.components")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_certify_enters_no_numpy_wrapper_and_reads_a_grown_tower_as_is():
+    # a channel no other test uses: its tower and Gauss rules are built here
+    channel = diracladder.make_channel(2.5, -1, 0.2718281828)
+    top, lower = (diracladder.bound_energy(channel, k) for k in (6, 4))
+    first = entered(lambda: certify(top))
+    assert "_Tower.grow" in first
+    assert [name for name in first if name != "_Tower.grow"] == []
+    assert entered(lambda: certify(lower)) == []

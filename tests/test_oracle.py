@@ -222,6 +222,23 @@ def test_trapezoid_scheme_cross_checks_gauss():
     assert trapezoid == pytest.approx(inner_product(f, f), abs=1e-9)
 
 
+@pytest.mark.parametrize("scheme, j_ok, j_over, cause", [
+    ("generalized-gauss-laguerre", 80.5, 85.5, "weights overflow float64"),
+    ("transformed-trapezoid-in-x", 55.5, 60.5, r"rho\^\S+ overflows at rho="),
+], ids=["gauss", "trapezoid"])
+def test_quadrature_past_float64_raises_without_warning(scheme, j_ok, j_over, cause):
+    # the Gauss weights scale with Gamma(2*lam - 1), the trapezoid's with
+    # rho^(2*lam - 1): past float64 each raises, naming the cause, and numpy
+    # warns of no overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = ground_ladder_function(make_channel(j_ok, -1, 0.5).lam)
+        assert inner_product(f, f, scheme) == pytest.approx(1.0, abs=1e-12)
+        f = ground_ladder_function(make_channel(j_over, -1, 0.5).lam)
+        with pytest.raises(QuadratureFailure, match=cause):
+            inner_product(f, f, scheme)
+
+
 # ---------------------------------------------------------------------------
 # residuals
 
