@@ -1,12 +1,14 @@
 """Command-line front end: spectrum tables, wavefunction export, verification.
 
-Each table command builds one list of rows (dicts of raw values) and one
-metadata dict; `_emit` renders them to stdout as CSV with `#`-prefixed
-metadata lines, or as JSON with a single {"meta": ..., "rows": ...} object.
-Every run echoes the working precision and the two convention flags in the
-metadata.  Exit codes: 0 success, 1 runtime/verification failure (or a
-reader that closed the pipe early, which ends the run quietly), 2 usage
-error, 3 physics error (supercritical channel or excluded state).
+The four table commands share one driver, `_cmd_table`: it resolves the
+precision and the coupling and starts the metadata, the command's row builder
+returns one list of rows (dicts of raw values) and adds its own metadata keys,
+and `_emit` renders both to stdout as CSV with `#`-prefixed metadata lines, or
+as JSON with a single {"meta": ..., "rows": ...} object.  Every run echoes the
+working precision and the two convention flags in the metadata.  Exit codes:
+0 success, 1 runtime/verification failure (or a reader that closed the pipe
+early, which ends the run quietly), 2 usage error, 3 physics error
+(supercritical channel or excluded state).
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="energies in MeV instead of units of mass, at the CODATA "
                         f"2018 electron rest energy {precision.ELECTRON_MASS_MEV} MeV")
     _add_common(p, extended=True)
-    p.set_defaults(func=_cmd_spectrum)
+    p.set_defaults(func=_cmd_table, body=_spectrum_rows)
 
     p = sub.add_parser("wavefunction", help="evaluate (rho, F, G) on a grid")
     _add_coupling(p)
@@ -128,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", choices=("algebraic", "physical"),
                    default="algebraic")
     _add_common(p, extended=True)
-    p.set_defaults(func=_cmd_wavefunction)
+    p.set_defaults(func=_cmd_table, body=_wavefunction_rows)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", action="append", choices=verify.SUITE_NAMES + ("all",),
@@ -141,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", type=float, default=0.5)
     p.add_argument("--k-max", type=int, default=2)
     _add_common(p, extended=False)
-    p.set_defaults(func=_cmd_oracle_compare)
+    p.set_defaults(func=_cmd_table, body=_oracle_compare_rows)
 
     p = sub.add_parser("demo-divergence",
                        help="truncated-norm growth of the negative branch")
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoffs", type=_cutoffs_type, default=(5.0, 10.0, 20.0, 40.0),
                    metavar="R1,R2,...")
     _add_common(p, extended=False)
-    p.set_defaults(func=_cmd_demo_divergence)
+    p.set_defaults(func=_cmd_table, body=_demo_divergence_rows)
     return parser
 
 
@@ -239,16 +241,6 @@ def _sweep(table, zeta, args):
     return rows, skipped
 
 
-def _base_meta(args, bits: int, source: str) -> dict:
-    return {
-        "generator": f"diracladder {__version__}",
-        "command": args.command,
-        "precision_bits": bits,
-        "precision_source": source,
-        "conventions": list(CONVENTION_FLAGS),
-    }
-
-
 def _cell(value, bits: int) -> str:
     if value is None:
         return ""
@@ -276,80 +268,104 @@ def _emit(meta: dict, rows: list[dict], args, bits: int) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_spectrum(args) -> int:
-    bits, source = _resolve_precision(args)
+def _cmd_table(args) -> int:
+    # args.body(args, zeta, bits, meta) -> (rows, exit code) adds its own keys
+    # to meta; the commands without --precision run in float64
+    bits, source = _resolve_precision(args) if "precision" in args else _FLOAT64_ONLY
     with _working_precision(bits):
         zeta, coupling_meta = _resolve_zeta(args, bits)
-        states, skipped = _sweep(spectrum_table, zeta, args)
-
-        scale = precision.ELECTRON_MASS_MEV if args.si else 1
-        # exactly degenerate eps pairs share a (j, k) key unless --no-collapse
-        groups = {}
-        for st in states:
-            key = (st.channel.j, st.k) + ((st.channel.epsilon,) if args.no_collapse else ())
-            groups.setdefault(key, (st, []))[1].append(st.channel.epsilon)
-
-        e_name = "E_mev" if args.si else "E_over_m"
-        k_name = "kappa_mev" if args.si else "kappa"
-        rows = [{"j": st.channel.j, "eps": sorted(eps), "k": st.k, "mu": st.mu,
-                 e_name: st.energy * scale, k_name: st.wavenumber * scale, "nu": st.nu}
-                for st, eps in groups.values()]
-
-        meta = _base_meta(args, bits, source)
-        meta.update(coupling_meta)
-        meta.update({
-            "j_max": args.j_max,
-            "k_max": args.k_max,
-            "energy_unit": "MeV" if args.si else "units of mass",
-            "degenerate_eps_pairs_collapsed": not args.no_collapse,
-            "rows": len(rows),
-        })
-        if args.si:
-            meta["electron_mass_mev"] = precision.ELECTRON_MASS_MEV
-        if skipped:
-            meta["skipped_channels"] = skipped
-        if bits > 53:
-            meta["json_values_are_float64"] = True
+        meta = {"generator": f"diracladder {__version__}", "command": args.command,
+                "precision_bits": bits, "precision_source": source,
+                "conventions": list(CONVENTION_FLAGS), **coupling_meta}
+        rows, code = args.body(args, zeta, bits, meta)
         _emit(meta, rows, args, bits)
-    return 0
+    return code
 
 
-def _cmd_wavefunction(args) -> int:
-    bits, source = _resolve_precision(args)
-    with _working_precision(bits):
-        zeta, coupling_meta = _resolve_zeta(args, bits)
-        channel = make_channel(args.j, args.eps, zeta)
-        state = bound_energy(channel, args.k)
-        solution = build_solution(state)
-        if args.normalize == "physical":
-            solution = physical_normalize(solution)
-        lo, hi, n = args.grid
-        grid = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
-        with np.errstate(over="ignore", invalid="ignore"):   # judged just below
-            F, G, _, _ = solution.evaluate_with_derivatives(grid)
-        finite = np.isfinite(F) & np.isfinite(G)
-        if not finite.all():
-            raise PrecisionLoss(
-                f"F or G is not finite in float64 at rho = {float(grid[~finite][0])!r}")
+def _spectrum_rows(args, zeta, bits, meta):
+    states, skipped = _sweep(spectrum_table, zeta, args)
+    scale = precision.ELECTRON_MASS_MEV if args.si else 1
+    # exactly degenerate eps pairs share a (j, k) key unless --no-collapse
+    groups = {}
+    for st in states:
+        key = (st.channel.j, st.k) + ((st.channel.epsilon,) if args.no_collapse else ())
+        groups.setdefault(key, (st, []))[1].append(st.channel.epsilon)
 
-        meta = _base_meta(args, bits, source)
-        meta.update(coupling_meta)
-        meta.update({
-            "j": args.j, "eps": args.eps, "k": args.k,
-            "lambda": _fmt(channel.lam, bits),
-            "mu": _fmt(state.mu, bits),
-            "E_over_m": _fmt(state.energy, bits),
-            "kappa": _fmt(state.wavenumber, bits),
-            "rel_coeff": _fmt(solution.rel_coeff, bits),
-            "normalization": solution.normalization,
-            "amplitude": _fmt(solution.amplitude, bits),
-            "grid": f"{args.grid[0]},{args.grid[1]},{args.grid[2]}"
-                    + (" (log)" if args.log else ""),
-        })
+    e_name = "E_mev" if args.si else "E_over_m"
+    k_name = "kappa_mev" if args.si else "kappa"
+    rows = [{"j": st.channel.j, "eps": sorted(eps), "k": st.k, "mu": st.mu,
+             e_name: st.energy * scale, k_name: st.wavenumber * scale, "nu": st.nu}
+            for st, eps in groups.values()]
+    meta.update({
+        "j_max": args.j_max,
+        "k_max": args.k_max,
+        "energy_unit": "MeV" if args.si else "units of mass",
+        "degenerate_eps_pairs_collapsed": not args.no_collapse,
+        "rows": len(rows),
+    })
+    if args.si:
+        meta["electron_mass_mev"] = precision.ELECTRON_MASS_MEV
+    if skipped:
+        meta["skipped_channels"] = skipped
+    if bits > 53:
+        meta["json_values_are_float64"] = True
+    return rows, 0
 
-    rows = [{"rho": r, "F": f, "G": g} for r, f, g in zip(grid, F, G)]
-    _emit(meta, rows, args, bits)
-    return 0
+
+def _wavefunction_rows(args, zeta, bits, meta):
+    channel = make_channel(args.j, args.eps, zeta)
+    state = bound_energy(channel, args.k)
+    solution = build_solution(state)
+    if args.normalize == "physical":
+        solution = physical_normalize(solution)
+    lo, hi, n = args.grid
+    grid = np.geomspace(lo, hi, n) if args.log else np.linspace(lo, hi, n)
+    with np.errstate(over="ignore", invalid="ignore"):   # judged just below
+        F, G, _, _ = solution.evaluate_with_derivatives(grid)
+    finite = np.isfinite(F) & np.isfinite(G)
+    if not finite.all():
+        raise PrecisionLoss(
+            f"F or G is not finite in float64 at rho = {float(grid[~finite][0])!r}")
+    meta.update({
+        "j": args.j, "eps": args.eps, "k": args.k,
+        "lambda": _fmt(channel.lam, bits),
+        "mu": _fmt(state.mu, bits),
+        "E_over_m": _fmt(state.energy, bits),
+        "kappa": _fmt(state.wavenumber, bits),
+        "rel_coeff": _fmt(solution.rel_coeff, bits),
+        "normalization": solution.normalization,
+        "amplitude": _fmt(solution.amplitude, bits),
+        "grid": f"{lo},{hi},{n}" + (" (log)" if args.log else ""),
+    })
+    return [{"rho": r, "F": f, "G": g} for r, f, g in zip(grid, F, G)], 0
+
+
+def _oracle_compare_rows(args, zeta, bits, meta):
+    rows, skipped = _sweep(compare_spectrum, float(zeta), args)
+    worst = max(r["rel_delta"] for r in rows)
+    meta.update({"j_max": args.j_max, "k_max": args.k_max,
+                 "worst_rel_delta": f"{worst:.3e}", "agreement_threshold": "1e-06",
+                 "rel_delta_measure": "|nu_shooting - nu_algebraic|/nu_algebraic"})
+    if skipped:
+        meta["skipped_channels"] = skipped
+    return rows, 0 if worst <= 1e-6 else 1
+
+
+def _demo_divergence_rows(args, zeta, bits, meta):
+    channel = make_channel(args.j, args.eps, zeta)
+    member = negative_branch_ground(channel.lam)
+    cuts = list(args.cutoffs)
+    norms = truncated_norms(member, cuts)
+    report = divergence_check(member, cuts)
+    meta.update({"j": args.j, "eps": args.eps,
+                 "lambda": _fmt(channel.lam, bits),
+                 "mu": _fmt(-channel.lam, bits),
+                 "checks": [c.line() for c in report.checks]})
+    rows = [{"R": r, "truncated_norm": n,
+             "ratio_to_previous": n / norms[i - 1] if i else None,
+             "lower_bound_exp": math.exp(r - cuts[i - 1]) if i else None}
+            for i, (r, n) in enumerate(zip(cuts, norms))]
+    return rows, 0 if report.all_passed else 1
 
 
 def _cmd_verify(args) -> int:
@@ -362,46 +378,6 @@ def _cmd_verify(args) -> int:
         ok = ok and report.all_passed
     print("ALL SUITES PASSED" if ok else "SUITE FAILURES PRESENT")
     return 0 if ok else 1
-
-
-def _cmd_oracle_compare(args) -> int:
-    bits, source = _FLOAT64_ONLY
-    zeta, coupling_meta = _resolve_zeta(args, bits)
-    rows, skipped = _sweep(compare_spectrum, float(zeta), args)
-    worst = max(r["rel_delta"] for r in rows)
-    meta = _base_meta(args, bits, source)
-    meta.update(coupling_meta)
-    meta.update({"j_max": args.j_max, "k_max": args.k_max,
-                 "worst_rel_delta": f"{worst:.3e}", "agreement_threshold": "1e-06",
-                 "rel_delta_measure": "|nu_shooting - nu_algebraic|/nu_algebraic"})
-    if skipped:
-        meta["skipped_channels"] = skipped
-    _emit(meta, rows, args, bits)
-    return 0 if worst <= 1e-6 else 1
-
-
-def _cmd_demo_divergence(args) -> int:
-    bits, source = _FLOAT64_ONLY
-    zeta, coupling_meta = _resolve_zeta(args, bits)
-    channel = make_channel(args.j, args.eps, zeta)
-    member = negative_branch_ground(channel.lam)
-    cuts = list(args.cutoffs)
-    norms = truncated_norms(member, cuts)
-    report = divergence_check(member, cuts)
-
-    rows = [{"R": r, "truncated_norm": n,
-             "ratio_to_previous": n / norms[i - 1] if i else None,
-             "lower_bound_exp": math.exp(r - cuts[i - 1]) if i else None}
-            for i, (r, n) in enumerate(zip(cuts, norms))]
-
-    meta = _base_meta(args, bits, source)
-    meta.update(coupling_meta)
-    meta.update({"j": args.j, "eps": args.eps,
-                 "lambda": _fmt(channel.lam, bits),
-                 "mu": _fmt(-channel.lam, bits),
-                 "checks": [c.line() for c in report.checks]})
-    _emit(meta, rows, args, bits)
-    return 0 if report.all_passed else 1
 
 
 def main(argv=None) -> int:

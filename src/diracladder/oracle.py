@@ -32,7 +32,9 @@ relative, so the cap keeps every rule well inside the 1e-10 agreement.  The
 log-grid trapezoid starts at 512 nodes and doubles at most 5 times.  Two
 successive estimates must agree to 1e-10 (Gauss) or 1e-12 (trapezoid)
 relative to max(1, |estimate|).  The integrands are polynomials against fixed
-weights, and both rules are exact up to roundoff below degree 256.  An
+weights, and both rules are exact up to roundoff below degree 256; each
+polynomial factor is scaled by the root of its weight before any product, so
+a square that alone would overflow float64 (rank >= 123) stays finite.  An
 integral that has not settled within its policy raises QuadratureFailure, as
 does a weight past float64, found by a scalar test before numpy could warn:
 the Gauss weights just past alpha = 170.6, where their sum Gamma(alpha + 1)
@@ -135,31 +137,35 @@ def roots_genlaguerre(n: int, alpha: float):
 
 @functools.lru_cache(maxsize=64)
 def _laguerre_rule(n: int, alpha: float):
+    # nodes and root weights sqrt(w_i): an integrand formed as (sqrt(w) q)^2
+    # stays finite where q^2 alone would overflow at the far nodes
     t, w = roots_genlaguerre(n, alpha)
     if not (np.isfinite(t).all() and np.isfinite(w).all()):
         raise QuadratureFailure(
             f"Gauss-Laguerre rule broke down at {n} nodes, alpha={alpha:g}")
-    return t, w
+    return t, np.sqrt(w)
 
 
-def _first_settled(estimates, n: int, tolerance: float) -> float:
+def _first_settled(estimates, n: int, tolerance: float, note: str = "") -> float:
     # estimates at n, 2n, 4n, ... nodes: the first that agrees with the one before
     prev = next(estimates)
     for cur in estimates:
         n *= 2
-        if not np.isfinite(cur):
-            raise QuadratureFailure(f"integral estimate went non-finite at {n} nodes")
+        if not math.isfinite(cur):
+            raise QuadratureFailure(f"integral estimate went non-finite at {n} nodes{note}")
         if abs(cur - prev) <= tolerance * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise QuadratureFailure(
         f"integral did not settle after doubling to {n} nodes "
-        f"(tol {tolerance:.1e})")
+        f"(tol {tolerance:.1e}){note}")
 
 
 def _weighted_integral(values_fn, alpha: float, degree: int,
                        scheme: str = _GAUSS) -> float:
-    # integral rho^alpha e^(-2rho) values_fn(rho) drho; values_fn takes arrays
+    # integral rho^alpha e^(-2rho) p(rho) drho, where values_fn(rho, root) gives
+    # root^2 p(rho) on arrays, root the rule's root weight at rho: each factor
+    # of p is scaled by root before any product is formed
     if alpha <= -1:
         raise DomainError(f"weight exponent must exceed -1, got {alpha}")
     n, doublings, tolerance = _POLICY[scheme]
@@ -170,11 +176,13 @@ def _weighted_integral(values_fn, alpha: float, degree: int,
         n = min(n, max(16, 1 << (degree // 2).bit_length()))
         sizes = [n << i for i in range(doublings + 1)]
         rules = [_laguerre_rule(m, float(alpha)) for m in sizes]
-        values = values_fn(np.concatenate([t for t, _ in rules]) / 2.0)
+        values = values_fn(np.concatenate([t for t, _ in rules]) / 2.0,
+                           np.concatenate([root for _, root in rules]))
         factor = 2.0 ** (-(alpha + 1.0))
-        estimates = [factor * float(np.dot(w, values[m - n:2 * m - n]))
-                     for (_, w), m in zip(rules, sizes)]
-        return _first_settled(iter(estimates), n, tolerance)
+        estimates = [factor * float(np.add.reduce(values[m - n:2 * m - n])) for m in sizes]
+        note = (f"; degree {degree} is past {2 * n - 1}, the most the {n}-node rule "
+                "integrates exactly" if degree > 2 * n - 1 else "")
+        return _first_settled(iter(estimates), n, tolerance, note)
 
     # Same integral under rho = e^x: the x-integrand decays like e^((alpha+1)x)
     # to the left and e^(-2 e^x) to the right, so plain trapezoid on a wide
@@ -188,9 +196,9 @@ def _weighted_integral(values_fn, alpha: float, degree: int,
     def trapezoid(n):
         x = np.linspace(x_lo, x_hi, n)
         rho = np.exp(x)
-        vals = rho ** a * np.exp(-2.0 * rho) * values_fn(rho)
+        vals = values_fn(rho, rho ** (a / 2.0) * np.exp(-rho))
         h = x[1] - x[0]
-        return h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
+        return float(h * (np.add.reduce(vals) - 0.5 * (vals[0] + vals[-1])))
 
     return _first_settled((trapezoid(n << i) for i in range(doublings + 1)), n, tolerance)
 
@@ -205,7 +213,8 @@ def laguerre_weighted_integral(coeffs, alpha: float):
     """
     coeffs = [float(c) for c in coeffs]
     polyval = np.polynomial.polynomial.polyval
-    return _weighted_integral(lambda rho: polyval(rho, coeffs), alpha, len(coeffs) - 1)
+    return _weighted_integral(lambda rho, root: root * (root * polyval(rho, coeffs)),
+                              alpha, len(coeffs) - 1)
 
 
 def component_norm_integral(polys, alpha: float) -> float:
@@ -219,8 +228,8 @@ def component_norm_integral(polys, alpha: float) -> float:
     degree = 2 * max(len(p) - 1 for p in polys)
     polyval = np.polynomial.polynomial.polyval
 
-    def values(rho):
-        return sum(polyval(rho, p) ** 2 for p in polys)
+    def values(rho, root):
+        return sum((root * polyval(rho, p)) ** 2 for p in polys)
 
     return _weighted_integral(values, alpha, degree)
 
@@ -246,9 +255,9 @@ def inner_product(f: LadderFunction, g: LadderFunction,
     if abs(float(f.mu) - float(g.mu)) > 1e-9:
         return 0.0
 
-    def values(rho):
-        left = f.polynomial(rho)
-        return left * left if g == f else left * g.polynomial(rho)
+    def values(rho, root):
+        left = root * f.polynomial(rho)
+        return left * left if g == f else left * (root * g.polynomial(rho))
 
     return _weighted_integral(values, 2.0 * lam - 2.0, f.degree + g.degree, scheme)
 
@@ -263,8 +272,8 @@ def physical_norm_integral(solution: RadialSolution) -> float:
     """
     f, g = solution.components
 
-    def values(rho):
-        return f.polynomial(rho) ** 2 + g.polynomial(rho) ** 2
+    def values(rho, root):
+        return (root * f.polynomial(rho)) ** 2 + (root * g.polynomial(rho)) ** 2
 
     return _weighted_integral(values, 2.0 * float(f.lam) - 1.0, 2 * f.degree)
 

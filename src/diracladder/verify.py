@@ -33,6 +33,8 @@ __all__ = ["SUITE_NAMES", "run_suite", "CHANNEL_GRID"]
 
 # deepest rank and tolerance of the oracle-backed suites (quadrature, ode)
 _ORACLE_K_MAX, _ORACLE_TOL = 10, 1e-8
+# and of the exact-arithmetic suites (algebra, casimir)
+_ALGEBRA_K_MAX, _ALGEBRA_TOL = 20, 1e-10
 
 # (j, epsilon, zeta); all subcritical since zeta < 1 <= j + 1/2
 CHANNEL_GRID = [(j, eps, zeta)
@@ -64,7 +66,7 @@ def _grid_towers():
     return seen
 
 
-def suite_algebra(k_max: int = 20, tolerance: float = 1e-10) -> VerificationReport:
+def suite_algebra() -> VerificationReport:
     report = VerificationReport("ladder algebra")
     worst_comm = {}
     worst_round = 0.0
@@ -74,9 +76,9 @@ def suite_algebra(k_max: int = 20, tolerance: float = 1e-10) -> VerificationRepo
     annihilated = True
     count = 0
     for channel in _grid_towers():
-        for k, f in _chain(channel.lam, k_max):
+        for k, f in _chain(channel.lam, _ALGEBRA_K_MAX):
             count += 1
-            sub = commutator_check(f, tolerance=tolerance)
+            sub = commutator_check(f, tolerance=_ALGEBRA_TOL)
             for check in sub.checks:
                 worst_comm[check.name] = max(worst_comm.get(check.name, 0.0),
                                              abs(check.measured))
@@ -98,35 +100,35 @@ def suite_algebra(k_max: int = 20, tolerance: float = 1e-10) -> VerificationRepo
         annihilated = annihilated and zero.is_zero and coeff == 0
 
     for name, value in worst_comm.items():
-        report.add(f"{name} (worst of {count})", value, tolerance)
-    report.add(f"lower(raise(f)) round trip (worst of {count})", worst_round, tolerance)
+        report.add(f"{name} (worst of {count})", value, _ALGEBRA_TOL)
+    report.add(f"lower(raise(f)) round trip (worst of {count})", worst_round, _ALGEBRA_TOL)
     report.add(f"C-coefficient product consistency (worst of {count})",
-               worst_product, tolerance)
+               worst_product, _ALGEBRA_TOL)
     report.add("positive form matches 2*mu^2 - omega and stays > 0 (k <= 10)",
-               worst_positive, tolerance,
-               passed=worst_positive <= tolerance and all_positive)
-    report.add("lowering annihilates every ground member", 0.0, tolerance,
+               worst_positive, _ALGEBRA_TOL,
+               passed=worst_positive <= _ALGEBRA_TOL and all_positive)
+    report.add("lowering annihilates every ground member", 0.0, _ALGEBRA_TOL,
                passed=annihilated)
     return report
 
 
-def suite_casimir(k_max: int = 20, tolerance: float = 1e-10) -> VerificationReport:
+def suite_casimir() -> VerificationReport:
     report = VerificationReport("casimir invariant")
     worst = 0.0
     count = 0
     for channel in _grid_towers():
         omega = channel.omega
-        for _, f in _chain(channel.lam, k_max):
+        for _, f in _chain(channel.lam, _ALGEBRA_K_MAX):
             count += 1
             _, eig = apply_casimir(f)
             worst = max(worst, float(abs(eig - omega) / abs(omega)))
-    report.add(f"eigenvalue constancy over towers ({count} members)", worst, tolerance)
+    report.add(f"eigenvalue constancy over towers ({count} members)", worst, _ALGEBRA_TOL)
 
     neg = negative_branch_ground(make_channel(0.5, -1, 0.5).lam)
     _, eig = apply_casimir(neg)
     report.add("negative-branch ground eigenvalue",
                float(abs(eig - neg.lam * (neg.lam - 1)) / abs(neg.lam * (neg.lam - 1))),
-               tolerance)
+               _ALGEBRA_TOL)
 
     f3 = dict(_chain(make_channel(0.5, -1, 0.5).lam, 3))[3]
     perturbed = replace(f3, coeffs=tuple(c + (1e-3 if i == 0 else 0.0)
@@ -136,7 +138,7 @@ def suite_casimir(k_max: int = 20, tolerance: float = 1e-10) -> VerificationRepo
         caught = False
     except NotAnEigenfunction:
         caught = True
-    report.add("perturbed coefficients rejected", 0.0, tolerance, passed=caught,
+    report.add("perturbed coefficients rejected", 0.0, _ALGEBRA_TOL, passed=caught,
                detail="NotAnEigenfunction raised")
     return report
 

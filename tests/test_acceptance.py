@@ -76,13 +76,14 @@ def test_a02_ground_state_energy_closed_form():
 
 def test_a03_ladder_algebra_and_casimir_suites():
     tol = 1e-10
-    reports = [suite_algebra(k_max=20, tolerance=tol),
-               suite_casimir(k_max=20, tolerance=tol)]
+    reports = [suite_algebra(), suite_casimir()]
     worst = max(abs(c.measured) for r in reports for c in r.checks)
     n = sum(len(r.checks) for r in reports)
     print(f"[A03] worst residual {worst:.3e} (tol {tol:.0e}) over {n} checks")
     for r in reports:
         assert r.all_passed, str(r)
+        # the suites hold every check to the contractual tolerance
+        assert all(c.tolerance == tol for c in r.checks), str(r)
 
 
 def test_a04_quadrature_confirms_unit_norms():

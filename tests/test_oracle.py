@@ -98,12 +98,40 @@ def test_quadrature_spec_validation():
 
 
 def test_unreachable_tolerance_raises():
-    # a rank-130 member overflows float64 at the outer nodes of the 256-node
-    # rule, past what the fixed policy can settle: it fails loudly
+    # a rank-130 member has degree 260, past the 255 that the capped 128-node
+    # rule integrates exactly, so the fixed policy cannot settle it: it fails
+    # loudly, with no float warning first, and names the cap
     f = raise_to_rank(ground_ladder_function(LAM), 130)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(QuadratureFailure, match="256 nodes"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="256 nodes.*255"):
             inner_product(f, f)
+
+
+@pytest.mark.parametrize("j", [0.5, 20.5])
+@pytest.mark.parametrize("rank", [123, 125, 127])
+def test_gauss_norm_stays_finite_below_the_cap(j, rank):
+    # q^2 alone overflows float64 at the 256-node rule's far nodes from rank
+    # 123; the integrand is formed as (sqrt(w) q)^2, so every rank the capped
+    # rule integrates exactly certifies, without a float warning
+    channel = make_channel(j, -1, 0.5)
+    f = raise_to_rank(ground_ladder_function(channel.lam), rank)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(inner_product(f, f) - 1.0) <= 1e-11
+        if j == 0.5:
+            sol = physical_normalize(build_solution(bound_energy(channel, rank)))
+            exact = sum(c.rho_norm_squared() for c in sol.components)
+            assert physical_norm_integral(sol) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["generalized-gauss-laguerre",
+                                    "transformed-trapezoid-in-x"])
+def test_inner_product_returns_a_float(scheme):
+    g = build_solution(bound_energy(make_channel(55.5, -1, 0.5), 3)).psi_plus
+    value = inner_product(g, g, scheme=scheme)
+    assert type(value) is float
+    assert value == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("rank", [0, 12, 40])
@@ -151,13 +179,12 @@ def test_gauss_rule_size_follows_degree(monkeypatch, rank, sizes):
     oracle._laguerre_rule.cache_clear()
     monkeypatch.setattr(oracle, "roots_genlaguerre", recording)
     f = raise_to_rank(ground_ladder_function(LAM), rank)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if rank < 128:
-            assert inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
-        else:
-            # overflows at the 256-node rule's outer nodes, as rank 130 does
-            with pytest.raises(QuadratureFailure):
-                inner_product(f, f)
+    if rank < 128:
+        assert inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
+    else:
+        # degree 256 is past the capped rule's exactness, as rank 130's is
+        with pytest.raises(QuadratureFailure, match="255"):
+            inner_product(f, f)
     assert set(built) == sizes
 
 
