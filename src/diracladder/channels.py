@@ -100,11 +100,15 @@ def _is_half_odd_integer(j) -> bool:
     return 0 < twice < math.inf and twice == int(twice) and int(twice) % 2 == 1
 
 
+def _require_positive_finite(name: str, value):
+    if isinstance(value, bool) or not 0 < value < math.inf:
+        raise InvalidQuantumNumber(f"{name} must be positive and finite, got {value}")
+
+
 def zeta_from_charge(Z: float):
     """Coulomb coupling zeta = Z*alpha at the fixed CODATA 2018 alpha; Z
     positive and finite (nan fails)."""
-    if isinstance(Z, bool) or not 0 < Z < math.inf:
-        raise InvalidQuantumNumber(f"nuclear charge must be positive and finite, got {Z}")
+    _require_positive_finite("nuclear charge", Z)
     alpha = precision.FINE_STRUCTURE_ALPHA
     if precision.is_extended(Z):   # the constant's digits, at the working precision
         import mpmath
@@ -123,8 +127,7 @@ def make_channel(j, epsilon: int, zeta) -> Channel:
             f"j must be a positive half-odd-integer (1/2, 3/2, ...), got {j}")
     if epsilon not in (-1, 1):
         raise InvalidQuantumNumber(f"epsilon must be +1 or -1, got {epsilon}")
-    if isinstance(zeta, bool) or not 0 < zeta < math.inf:
-        raise InvalidQuantumNumber(f"zeta must be positive and finite, got {zeta}")
+    _require_positive_finite("zeta", zeta)
     if zeta >= float(j) + 0.5:
         raise Supercritical(
             f"zeta={zeta} >= j + 1/2 = {float(j) + 0.5}: "
@@ -182,9 +185,11 @@ def state_from_nu(channel: Channel, k: int, nu) -> BoundState:
 def spectrum_table(zeta, j_max, k_max: int) -> list[BoundState]:
     """All bound states with j <= j_max and k <= k_max, sorted by energy.
 
-    Supercritical channels are skipped with a SupercriticalChannelWarning.
-    Ties (exact epsilon degeneracies) are ordered by (j, k, epsilon).
+    Supercritical channels are skipped with a SupercriticalChannelWarning, after
+    make_channel's check on zeta.  Ties (exact epsilon degeneracies) are ordered
+    by (j, k, epsilon).
     """
+    _require_positive_finite("zeta", zeta)
     if not _is_half_odd_integer(j_max):
         raise InvalidQuantumNumber(f"j_max must be half-odd-integer, got {j_max}")
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:

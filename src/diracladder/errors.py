@@ -16,9 +16,9 @@ class DiracLadderError(Exception):
 
 class InvalidQuantumNumber(DiracLadderError):
     """A label or coupling is bad: j not a positive half-odd-integer, epsilon
-    not +-1, Z or zeta not positive and finite, a CLI number that does not
-    parse, or k not a nonnegative integer in bound_energy or spectrum_table
-    (state_from_nu, raise_to_rank and shooting raise DomainError for it)."""
+    not +-1, Z or zeta not positive and finite (in make_channel or spectrum_table),
+    a CLI number that does not parse, or k not a nonnegative integer in bound_energy
+    or spectrum_table (state_from_nu, raise_to_rank and shooting: DomainError)."""
 
 
 class Supercritical(DiracLadderError):
@@ -32,8 +32,8 @@ class UnphysicalState(DiracLadderError):
 
 
 class DomainError(DiracLadderError):
-    """Arguments are outside the mathematical domain of an operation
-    (nonpositive radius, nu outside (0, 1), mismatched channels, ...)."""
+    """Arguments are outside the mathematical domain of an operation (nonpositive
+    radius, nu outside (0, 1), a quadrature weight exponent not finite, ...)."""
 
 
 class WrongBranch(DiracLadderError):
@@ -58,10 +58,10 @@ class StiffnessFailure(DiracLadderError):
 
 
 class PrecisionLoss(DiracLadderError):
-    """Float64 could not carry a closed-form result: a value of F or G, a member's
-    weight or a truncated norm went non-finite, a level's nu or the start b_0 of
-    the Laguerre recurrence (lam >~ 171.16) is not a normal float64, or radial
-    nodes failed their Sturm-count certificate."""
+    """Float64 could not carry a closed-form result: a value of F, G or a derivative
+    or a truncated norm went non-finite, a level's nu or the start b_0 of the
+    Laguerre recurrence (lam >~ 171.16) is not a normal float64, or radial nodes
+    failed their Sturm-count certificate."""
 
 
 class SupercriticalChannelWarning(UserWarning):

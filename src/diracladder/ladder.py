@@ -52,7 +52,8 @@ path.  Values come from the recurrence beta_n b_n = (2n - 1 + a - x) b_(n-1) -
 beta_(n-1) b_(n-2) in x = 2*rho (_evaluate_q), whose start b_0 is the one place
 Gamma and 2**a enter, as Gamma values (normal in float64 up to lam ~ 171.16).
 The weight is one formula for every rho, its fourth root squared twice
-(LadderFunction._weight).  Zeros of two-term members are eigenvalues of a
+(LadderFunction._weight), and one pass judges every float64 value finite
+(_evaluate_with_derivatives).  Zeros of two-term members are eigenvalues of a
 symmetric Jacobi matrix, certified by a Sturm count of its pivots with no value
 of q; members of one tower share one pass (LadderFunction.zeros).
 """
@@ -337,33 +338,29 @@ class LadderFunction:
         # mpmath and array rho: finite wherever w is, though rho**(lam - 1/2) may
         # not be; 0 where exp(-+rho/4) underflows, without forming the power there.
         # Every evaluator checks its radii here, as all(rho > 0): NaN fails too.
-        # PrecisionLoss where a float64 w overflows (negative branch, rho >~ 700).
+        # A float64 w past range (negative branch, rho >~ 700) is inf, judged with
+        # the values (_evaluate_with_derivatives, whose errstate this runs under).
         sign, array = -1.0 if self.branch == "positive" else 1.0, isinstance(rho, np.ndarray)
         if not ((rho > 0).all() if array else rho > 0):
             raise DomainError("rho must be positive" + ("" if array else f", got {rho}"))
         lam, exp = (float(self.lam), np.exp) if array else (self.lam, precision.exp)
         try:
-            with np.errstate(over="ignore"):
-                decay = exp(sign / 4 * rho)
-                base = np.where(decay > 0, rho, 1.0) if array else (rho if decay > 0 else 1.0)
-                root = base ** ((lam - 0.5) / 4) * decay
-                root = root * root
-                root = root * root
+            decay = exp(sign / 4 * rho)
+            base = np.where(decay > 0, rho, 1.0) if array else (rho if decay > 0 else 1.0)
+            root = base ** ((lam - 0.5) / 4) * decay
+            root = root * root
+            root = root * root
         except OverflowError:
             root = math.inf
-        if not ((root < math.inf).all() if array else root < math.inf):
-            raise PrecisionLoss(f"the weight overflows float64 at lam = {float(lam)!r}")
         return root, sign
 
     def evaluate(self, rho):
-        """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight; q first, so a
-        float64 lam past b_0's range raises PrecisionLoss before the power can overflow."""
-        q = self.polynomial(rho)
-        return self._weight(rho)[0] * q
+        """P(rho) including the rho**(lam-1/2)*exp(-+rho) weight (_evaluate_with_derivatives)."""
+        return _evaluate_with_derivatives((self,), rho, derivatives=False)[0]
 
     def evaluate_with_derivative(self, rho):
         """(P, dP/drho), exact; q and q' come from one pass (_evaluate_with_derivatives)."""
-        return _evaluate_with_derivatives((self,), rho)[0]
+        return tuple(_evaluate_with_derivatives((self,), rho))
 
     def zeros(self, lo, hi) -> np.ndarray:
         """Zeros of q (hence of P) with lo < rho < hi, ascending, in float64.
@@ -458,18 +455,30 @@ def _zeros(members, lo, hi) -> list:
     return found
 
 
-def _evaluate_with_derivatives(members, rho):
-    """(P, dP/drho) of each member; the members share lam and the branch.
-
-    dP/drho = w * (q' + ((lam - 1/2)/rho -+ 1) * q), q' = -2 * sum_i W_i b_i
-    (_tails); one weight w, one _evaluate_q pass, run first as in LadderFunction.evaluate.
+def _evaluate_with_derivatives(members, rho, derivatives=True):
+    """[P, dP/drho] of each member in turn, or [P] of each without derivatives; the
+    members share lam and the branch.  dP/drho = w * (q' + ((lam - 1/2)/rho -+ 1) * q),
+    q' = -2 * sum_i W_i b_i (_tails); one weight w after one _evaluate_q pass, so a
+    float64 lam past b_0's range raises PrecisionLoss before the power can overflow.
+    The evaluators' one finiteness check: PrecisionLoss names the first rho where a
+    float64 value is not finite; mpmath values cannot overflow and are not scanned.
     """
     lam = float(members[0].lam) if isinstance(rho, np.ndarray) else members[0].lam
-    rows = [row for f in members for row in (f.coeffs, _tails(lam, f.coeffs))]
-    values, (weight, sign) = _evaluate_q(lam, rows, rho), members[0]._weight(rho)
-    factor = (lam - 0.5) / rho + sign
-    return [(weight * q, weight * (-2 * t + factor * q))
-            for q, t in zip(values[::2], values[1::2])]
+    rows = [row for f in members
+            for row in ((f.coeffs, _tails(lam, f.coeffs)) if derivatives else (f.coeffs,))]
+    with np.errstate(over="ignore", invalid="ignore"):     # judged just below
+        values, (weight, sign) = _evaluate_q(lam, rows, rho), members[0]._weight(rho)
+        if derivatives:     # rows q, W of each member -> q, -2W + factor*q
+            factor = (lam - 0.5) / rho + sign
+            values = [v for q, t in zip(values[::2], values[1::2])
+                      for v in (q, -2 * t + factor * q)]
+        found = [weight * v for v in values]
+    if isinstance(rho, np.ndarray) or isinstance(found[0], float):
+        finite = np.logical_and.reduce([np.isfinite(v) for v in found])
+        if not finite.all():
+            raise PrecisionLoss("evaluation overflows float64 at rho = "
+                                f"{float(np.asarray(rho)[~finite][0])!r}")
+    return found
 
 
 def _require_lam(lam):

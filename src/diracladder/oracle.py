@@ -44,7 +44,6 @@ overflows, and the trapezoid's rho^(alpha + 1) at the top of its window.
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 import sys
 from dataclasses import dataclass
@@ -79,18 +78,15 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)   # e^x overflows float64 above it
 # log-grid points of the residual check; the 8th-order fd stencil takes 4x
 _RESIDUAL_POINTS = 2000
 
-# only shooting needs scipy: its integrator and root finder become module
-# globals on first use (PEP 562), so quadrature and residuals run without it;
-# a binding already in place (a patched one, say) is kept
-_SHOOTING_TOOLS = {"solve_ivp": "scipy.integrate", "brentq": "scipy.optimize"}
-
-
+# only shooting needs scipy: the integrator becomes a module global on first use
+# (PEP 562), so quadrature and residuals run without it and a tracer can wrap it;
+# the root finder is imported where it is used (_shoot)
 def __getattr__(name):
-    if name not in _SHOOTING_TOOLS:
+    if name != "solve_ivp":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    for tool, home in _SHOOTING_TOOLS.items():
-        globals().setdefault(tool, getattr(importlib.import_module(home), tool))
-    return globals()[name]
+    from scipy.integrate import solve_ivp
+    globals()[name] = solve_ivp
+    return solve_ivp
 
 
 @dataclass(frozen=True)
@@ -140,9 +136,6 @@ def _laguerre_rule(n: int, alpha: float):
     # nodes and root weights sqrt(w_i): an integrand formed as (sqrt(w) q)^2
     # stays finite where q^2 alone would overflow at the far nodes
     t, w = roots_genlaguerre(n, alpha)
-    if not (np.isfinite(t).all() and np.isfinite(w).all()):
-        raise QuadratureFailure(
-            f"Gauss-Laguerre rule broke down at {n} nodes, alpha={alpha:g}")
     return t, np.sqrt(w)
 
 
@@ -166,8 +159,9 @@ def _weighted_integral(values_fn, alpha: float, degree: int,
     # integral rho^alpha e^(-2rho) p(rho) drho, where values_fn(rho, root) gives
     # root^2 p(rho) on arrays, root the rule's root weight at rho: each factor
     # of p is scaled by root before any product is formed
-    if alpha <= -1:
-        raise DomainError(f"weight exponent must exceed -1, got {alpha}")
+    # nan fails too; a finite alpha gives a finite Jacobi matrix (roots_genlaguerre)
+    if not -1 < alpha < math.inf:
+        raise DomainError(f"weight exponent must be finite and exceed -1, got {alpha}")
     n, doublings, tolerance = _POLICY[scheme]
     if scheme == _GAUSS:
         # 2^m >= 16 nodes with 2n - 1 >= degree, capped, then its doublings;
@@ -393,7 +387,7 @@ def _legs(channel: Channel, nu: float, k: int, table: bool = False):
     rho_match, rho_max = max(1.0, mu - 0.5), 2.0 * mu + 25.0
     inward = (1.0, -nu * (1.0 - (tau + zeta * nu + q) / rho_max))
     fun = _rhs(tau, zeta, nu)
-    if "solve_ivp" not in globals():    # the first shot binds brentq too
+    if "solve_ivp" not in globals():    # bound on first use, or a patched one kept
         __getattr__("solve_ivp")
     legs = []
     for start, y0, grid in ((_RHO_MIN, _outward_ic(tau, zeta, s, nu), np.geomspace),
@@ -429,22 +423,25 @@ def matching_determinant(channel: Channel, nu: float, k: int = 0) -> float:
 
 def _shoot(channel: Channel, k: int) -> BoundState:
     # the level k at its shot nu.  The closed form is a hint only: with r_n =
-    # zeta/(s + n) (= kappa/E of level n) the walls sit 45% of the way to the
-    # neighbouring levels, and nu = r/(1 + sqrt(1 + r^2)) maps them into (0, 1)
+    # zeta/(s + n) (= kappa/E of level n) the walls sit at r_k -+ 0.45*(r_k -
+    # r_(k+1)), short of both neighbours as the gaps shrink with n; nu = r/(1 +
+    # sqrt(1 + r^2)) maps them into (0, 1).  Brent's first two shots, at the
+    # walls, refuse a bad k (whose wall may be negative: abs), and then its
+    # bracket test refuses walls without a sign change
+    from scipy.optimize import brentq
     s = float(channel.s)
     zeta = float(channel.zeta)
-    r_k, r_next = zeta / (s + k), zeta / (s + k + 1)
-    r_prev = zeta / (s + k - 1) if k >= 1 else 2.0 * r_k - r_next
-    lo, hi = (r / (1.0 + np.sqrt(1.0 + r * r))
-              for r in (r_k - 0.45 * (r_k - r_next), r_k + 0.45 * (r_prev - r_k)))
-    w_lo = matching_determinant(channel, lo, k=k)
-    w_hi = matching_determinant(channel, hi, k=k)
-    if np.sign(w_lo) == np.sign(w_hi):
-        raise NoSignChange(
-            f"determinant keeps sign {np.sign(w_lo):+.0f} over nu in "
-            f"[{lo:.12g}, {hi:.12g}] for {channel.label()}, k={k}")
-    nu = brentq(lambda x: matching_determinant(channel, x, k=k), lo, hi,
-                xtol=_NU_RTOL * lo, rtol=_NU_RTOL)
+    r_k = zeta / (s + k)
+    gap = 0.45 * (r_k - zeta / (s + k + 1))
+    lo, hi = (r / (1.0 + np.sqrt(1.0 + r * r)) for r in (r_k - gap, r_k + gap))
+    try:
+        nu = brentq(lambda x: matching_determinant(channel, x, k=k), lo, hi,
+                    xtol=_NU_RTOL * abs(lo), rtol=_NU_RTOL)
+    except ValueError as exc:
+        if "different signs" not in str(exc):
+            raise
+        raise NoSignChange(f"determinant keeps its sign over nu in [{lo:.12g}, {hi:.12g}] "
+                           f"for {channel.label()}, k={k}") from exc
     return state_from_nu(channel, k, nu)
 
 

@@ -104,7 +104,7 @@ class RadialSolution:
 
     def evaluate_with_derivatives(self, rho: np.ndarray):
         """(F, G, dF/drho, dG/drho), exact, from one Laguerre pass and one weight."""
-        (f, fp), (g, gp) = _evaluate_with_derivatives(self.components, rho)
+        f, fp, g, gp = _evaluate_with_derivatives(self.components, rho)
         return f, g, fp, gp
 
 

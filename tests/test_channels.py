@@ -12,6 +12,7 @@ from diracladder import (
     SupercriticalChannelWarning,
     UnphysicalState,
     bound_energy,
+    compare_spectrum,
     make_channel,
     spectrum_table,
     state_from_nu,
@@ -78,6 +79,16 @@ def test_epsilon_and_zeta_validation():
                 make_channel(j, -1, zeta)
     with mpmath.workprec(113):
         assert make_channel(0.5, -1, mpmath.mpf("0.5")).zeta == mpmath.mpf("0.5")
+
+
+def test_infinite_coupling_is_refused_not_skipped_as_supercritical():
+    # inf >= j + 1/2 read as supercritical: both returned [] after warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidQuantumNumber):
+            spectrum_table(math.inf, 1.5, 2)
+        with pytest.raises(InvalidQuantumNumber):
+            compare_spectrum(math.inf, 0.5, 1)
 
 
 def test_supercritical_coupling_rejected():

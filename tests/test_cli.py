@@ -256,9 +256,9 @@ def test_closed_pipe_ends_quietly():
 
 def test_wavefunction_refuses_non_finite_values(capsys):
     # at k = 200 the float64 weight underflows at rho = 1500 while q
-    # overflows; the command stops instead of printing nan.  It judges
-    # finiteness itself, so numpy's overflow warnings are silenced: under
-    # warnings-as-errors it still exits 1, and stderr is one line
+    # overflows; the command stops instead of printing nan.  The evaluator
+    # judges finiteness and raises PrecisionLoss without a RuntimeWarning, so
+    # under warnings-as-errors it still exits 1, and stderr is one line
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(["wavefunction", "--zeta", "0.5", "--j", "0.5",
@@ -322,6 +322,7 @@ def test_float64_wavefunction_past_gamma_overflow_matches_113_bits(j, k, capsys)
     ["wavefunction", "--Z", "inf", "--j", "0.5", "--eps", "-1", "--k", "1",
      "--precision", "113"],
     ["oracle-compare", "--zeta", "inf"],
+    ["demo-divergence", "--zeta", "0.5", "--cutoffs", "5"],
 ])
 def test_non_finite_or_non_positive_inputs_exit_two(argv, capsys):
     try:
@@ -331,6 +332,19 @@ def test_non_finite_or_non_positive_inputs_exit_two(argv, capsys):
     out, _ = capsys.readouterr()
     assert code == 2
     assert "nan" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--zeta", "1e999"],
+    ["spectrum", "--zeta", "inf", "--precision", "113"],
+    ["oracle-compare", "--zeta", "1e999"],
+])
+def test_infinite_coupling_is_refused_by_the_library(argv, capsys):
+    # the CLI parses any real; the library's coupling check refuses inf
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: zeta must be positive and finite")
+    assert len(err.splitlines()) == 1
 
 
 def test_usage_errors_exit_two(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from diracladder import (
     DomainError,
+    LadderFunction,
     NoSignChange,
     PrecisionLoss,
     QuadratureFailure,
@@ -86,6 +87,14 @@ def test_gauss_laguerre_builder_against_scipy_and_exact_moments(n):
 def test_weighted_integral_exponent_domain():
     with pytest.raises(DomainError):
         laguerre_weighted_integral([1.0], -1.0)
+    # a NaN or infinite exponent used to reach eigvalsh, numpy's LinAlgError
+    for lam in (math.nan, math.inf):
+        f = LadderFunction(lam=lam, mu=lam, coeffs=(1.0,))
+        for scheme in ("generalized-gauss-laguerre", "transformed-trapezoid-in-x"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="finite"):
+                    inner_product(f, f, scheme=scheme)
 
 
 def test_quadrature_spec_validation():
@@ -388,6 +397,24 @@ def test_shooting_rejects_bad_input():
             shooting_solve(ch, k)
         with pytest.raises(DomainError):
             shooting_solution(ch, k)
+
+
+@pytest.mark.parametrize("k, most", [(0, 8), (1, 9), (2, 9), (5, 9)])
+def test_shooting_evaluates_no_trial_nu_twice(monkeypatch, k, most):
+    # Brent's own bracket test reads both walls; _shoot used to shoot them
+    # first as well, 10, 11, 11 and 11 determinants at these levels
+    trials = []
+    determinant = oracle.matching_determinant
+
+    def spy(channel, nu, k=0):
+        trials.append(nu)
+        return determinant(channel, nu, k=k)
+
+    monkeypatch.setattr(oracle, "matching_determinant", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shooting_solve(ref_channel(), k)
+    assert len(trials) == len(set(trials)) <= most
 
 
 def test_shooting_finds_no_excluded_level():

@@ -123,6 +123,20 @@ def test_grid_and_fd_residual_values_match_f_and_g_exactly(monkeypatch, k):
     assert ode_residual(sol, method="fd", tolerance=1e-9) == fd
 
 
+def test_values_past_float64_raise_precision_loss_at_their_radius():
+    # q overflows where the weight underflows: F(1500) at k = 200 was nan after
+    # three RuntimeWarnings, and ode_residual at k = 241 raised the bare warning
+    high = physical_normalize(solution(200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (lambda: high.F(1500.0), lambda: high.G(1500.0),
+                         lambda: high.evaluate_with_derivatives(np.linspace(100, 1500, 6))):
+            with pytest.raises(PrecisionLoss, match=r"rho = 1500\.0"):
+                evaluate()
+        with pytest.raises(PrecisionLoss):
+            ode_residual(physical_normalize(solution(241)))
+
+
 def test_nan_radius_rejected_everywhere():
     # members and solutions share one check: every rho must be > 0
     sol = solution(1)
