@@ -26,9 +26,9 @@ offset: mu = zeta*E/kappa + 1/2, so the energy identity reads
 kappa = zeta*E / (mu - 1/2); this is the numerically stable way around
 (never divide by k, which vanishes for the ground level).
 
-The combination k = 0 with epsilon = +1 is rejected: the nodeless solution
-has a single ladder component, and the first-order system then forces
-tau + zeta/kappa = 0, which requires tau < 0.
+The combination k = 0 with epsilon = +1 is rejected (Channel.k_min): the
+nodeless solution has a single ladder component, and the first-order system
+then forces tau + zeta/kappa = 0, which requires tau < 0.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ class Channel:
     lam: float
     omega: float
 
+    @property
+    def k_min(self) -> int:
+        """Lowest level: 0 for epsilon = -1, 1 for epsilon = +1 (k = 0 is excluded)."""
+        return 0 if self.epsilon < 0 else 1
+
     def label(self) -> str:
         return f"j={self.j}, eps={self.epsilon:+d}, zeta={self.zeta}"
 
@@ -98,6 +103,11 @@ def _is_half_odd_integer(j) -> bool:
     # 0 < twice < inf so that nan fails too
     twice = 2 * j
     return 0 < twice < math.inf and twice == int(twice) and int(twice) % 2 == 1
+
+
+def _require_level(name: str, k):
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise InvalidQuantumNumber(f"{name} must be a nonnegative integer, got {k!r}")
 
 
 def _require_positive_finite(name: str, value):
@@ -146,11 +156,10 @@ def bound_energy(channel: Channel, k: int) -> BoundState:
     """Exact level k of a channel, from the closed-form spectrum.
 
     Raises InvalidQuantumNumber for k not a nonnegative integer and
-    UnphysicalState for the excluded (k = 0, epsilon = +1) combination.
+    UnphysicalState for k below channel.k_min.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidQuantumNumber(f"k must be a nonnegative integer, got {k!r}")
-    if k == 0 and channel.epsilon == 1:
+    _require_level("k", k)
+    if k < channel.k_min:
         raise UnphysicalState(
             f"k=0 is excluded in channel ({channel.label()}): it would force "
             f"tau = -zeta/kappa, but tau = {channel.tau} > 0")
@@ -165,12 +174,11 @@ def state_from_nu(channel: Channel, k: int, nu) -> BoundState:
 
     E, kappa and mu = 1/2 + zeta*E/kappa follow from nu without the cancellation
     in 1 - E, at nu's precision (float or mpmath); a detuned nu detunes mu.
-    Raises DomainError for k not a nonnegative integer or nu outside (0, 1),
-    and PrecisionLoss for a float nu below the smallest normal float64, whose
-    few significant bits would detune mu and kappa.
+    Raises InvalidQuantumNumber for k not a nonnegative integer, DomainError for
+    nu outside (0, 1), and PrecisionLoss for a float nu below the smallest
+    normal float64, whose few significant bits would detune mu and kappa.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
+    _require_level("k", k)
     if not 0 < nu < 1:
         raise DomainError(f"nu must lie in (0, 1), got {nu}")
     if not (precision.is_extended(nu) or nu >= sys.float_info.min):
@@ -185,31 +193,26 @@ def state_from_nu(channel: Channel, k: int, nu) -> BoundState:
 def spectrum_table(zeta, j_max, k_max: int) -> list[BoundState]:
     """All bound states with j <= j_max and k <= k_max, sorted by energy.
 
-    Supercritical channels are skipped with a SupercriticalChannelWarning, after
-    make_channel's check on zeta.  Ties (exact epsilon degeneracies) are ordered
+    A j whose channels make_channel finds supercritical is skipped with a
+    SupercriticalChannelWarning.  Ties (exact epsilon degeneracies) are ordered
     by (j, k, epsilon).
     """
-    _require_positive_finite("zeta", zeta)
     if not _is_half_odd_integer(j_max):
         raise InvalidQuantumNumber(f"j_max must be half-odd-integer, got {j_max}")
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
-        raise InvalidQuantumNumber(f"k_max must be a nonnegative integer, got {k_max!r}")
+    _require_level("k_max", k_max)
 
     states: list[BoundState] = []
     n_half = round(float(j_max) * 2)
     for twice_j in range(1, n_half + 1, 2):
         j = twice_j / 2.0
-        if float(zeta) >= j + 0.5:
+        try:
+            channels = [make_channel(j, epsilon, zeta) for epsilon in (-1, 1)]
+        except Supercritical:
             warnings.warn(
                 f"skipping supercritical channels at j={j} (zeta={zeta} >= {j + 0.5})",
                 SupercriticalChannelWarning, stacklevel=2)
             continue
-        for epsilon in (-1, 1):
-            channel = make_channel(j, epsilon, zeta)
-            for k in range(k_max + 1):
-                if k == 0 and epsilon == 1:
-                    continue
-                states.append(bound_energy(channel, k))
-    states.sort(key=lambda st: (float(st.energy), float(st.channel.j), st.k,
-                                st.channel.epsilon))
+        states.extend(bound_energy(channel, k) for channel in channels
+                      for k in range(channel.k_min, k_max + 1))
+    states.sort(key=lambda st: (st.energy, st.channel.j, st.k, st.channel.epsilon))
     return states

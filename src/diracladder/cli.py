@@ -385,7 +385,7 @@ def main(argv=None) -> int:
     except (Supercritical, UnphysicalState) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidQuantumNumber, DomainError) as exc:
+    except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except DiracLadderError as exc:

@@ -14,13 +14,6 @@ class DiracLadderError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidQuantumNumber(DiracLadderError):
-    """A label or coupling is bad: j not a positive half-odd-integer, epsilon
-    not +-1, Z or zeta not positive and finite (in make_channel or spectrum_table),
-    a CLI number that does not parse, or k not a nonnegative integer in bound_energy
-    or spectrum_table (state_from_nu, raise_to_rank and shooting: DomainError)."""
-
-
 class Supercritical(DiracLadderError):
     """Coupling strength zeta >= j + 1/2: the channel exponent s becomes
     imaginary and no bound-state tower exists."""
@@ -34,6 +27,12 @@ class UnphysicalState(DiracLadderError):
 class DomainError(DiracLadderError):
     """Arguments are outside the mathematical domain of an operation (nonpositive
     radius, nu outside (0, 1), a quadrature weight exponent not finite, ...)."""
+
+
+class InvalidQuantumNumber(DomainError):
+    """A label or coupling is bad: j not a positive half-odd-integer, epsilon not
+    +-1, k not a nonnegative integer, Z or zeta not positive and finite, or a
+    CLI number that does not parse."""
 
 
 class WrongBranch(DiracLadderError):

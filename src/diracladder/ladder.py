@@ -219,8 +219,11 @@ def _ground_value(lam):
     """b_0 = 2**(a/2) / sqrt(Gamma(a + 1)) = pi**(1/4) / sqrt(Gamma(lam) Gamma(lam + 1/2)),
     as sqrt(Gamma(1/2)/Gamma(lam)) / sqrt(Gamma(lam - 1/2)) / sqrt(lam - 1/2): no factor
     overflows while b_0 is normal.  PrecisionLoss when a float64 b_0 is not normal
-    (lam >~ 171.16): every b_n would be built on a start that has lost its digits.
+    (lam >~ 171.16): every b_n would be built on a start that has lost its digits,
+    or when lam - 1/2 is not positive (a wider lam rounded to float64).
     """
+    if not lam - 0.5 > 0:
+        raise PrecisionLoss(f"lam = {lam!r} is not above 1/2 at its own precision")
     b0 = (precision.sqrt(precision.gamma(lam * 0 + 0.5) / precision.gamma(lam))
           / precision.sqrt(precision.gamma(lam - 0.5)) / precision.sqrt(lam - 0.5))
     if not (precision.is_extended(b0) or b0 >= sys.float_info.min):
@@ -483,7 +486,7 @@ def _evaluate_with_derivatives(members, rho, derivatives=True):
 
 def _require_lam(lam):
     # written as 1/2 < lam < inf so that nan fails too
-    if not 0.5 < float(lam) < math.inf:
+    if not 0.5 < lam < math.inf:
         raise DomainError(f"lam must be finite and exceed 1/2, got {lam}")
 
 

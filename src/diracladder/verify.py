@@ -178,9 +178,7 @@ def suite_ode() -> VerificationReport:
     count = 0
     for j, eps, zeta in CHANNEL_GRID:
         channel = make_channel(j, eps, zeta)
-        for k in range(_ORACLE_K_MAX + 1):
-            if k == 0 and eps == 1:
-                continue
+        for k in range(channel.k_min, _ORACLE_K_MAX + 1):
             count += 1
             sol = build_solution(bound_energy(channel, k))
             worst = max(worst, *(abs(c.measured) for c in oracle.ode_residual(sol).checks))

@@ -252,6 +252,48 @@ def test_spectrum_table_skips_supercritical_channels_with_warning():
     assert all(st.channel.j >= 1.5 for st in states)
 
 
+def test_spectrum_table_keeps_a_channel_subcritical_at_its_own_precision():
+    # float(zeta) rounds to j + 1/2 = 1.0: the j = 1/2 channels were skipped
+    # as supercritical, although make_channel builds them at 113 bits
+    with mpmath.workprec(113), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zeta = mpmath.mpf("0.99999999999999999999")
+        states = spectrum_table(zeta, 0.5, 1)
+        assert [(st.channel.epsilon, st.k) for st in states] == [(-1, 0), (-1, 1), (1, 1)]
+        assert states[0].channel == make_channel(0.5, -1, zeta)
+        assert 0 < states[0].channel.s < mpmath.mpf("2e-10")
+
+
+def test_spectrum_table_sorts_by_energy_at_its_own_precision():
+    # float64 keys tie below 1.1e-16: j = 1/2, k = 2 came before j = 3/2, k = 0
+    with mpmath.workprec(113):
+        states = spectrum_table(mpmath.mpf("1e-8"), 1.5, 2)
+        energies = [st.energy for st in states]
+        assert energies == sorted(energies)
+        assert (states[3].channel.j, states[3].k) == (1.5, 0)
+        assert float(states[3].energy) == float(states[4].energy)
+
+
+def test_k_min_is_the_one_statement_of_the_lowest_level():
+    for j in (0.5, 2.5):
+        assert make_channel(j, -1, 0.5).k_min == 0
+        plus = make_channel(j, 1, 0.5)
+        assert plus.k_min == 1
+        with pytest.raises(UnphysicalState, match="k=0 is excluded"):
+            bound_energy(plus, plus.k_min - 1)
+        assert bound_energy(plus, plus.k_min).k == 1
+
+
+def test_a_bad_level_is_one_error_type_that_is_also_a_domain_error():
+    assert issubclass(InvalidQuantumNumber, DomainError)
+    ch = ref_channel()
+    for call in (lambda: bound_energy(ch, -1), lambda: state_from_nu(ch, -1, 0.3)):
+        with pytest.raises(InvalidQuantumNumber, match="^k must be a nonnegative integer"):
+            call()
+    with pytest.raises(InvalidQuantumNumber, match="^k_max must be a nonnegative integer"):
+        spectrum_table(0.5, 0.5, -1)
+
+
 def test_extended_precision_channel():
     with mpmath.workdps(40):
         ch = make_channel(0.5, -1, mpmath.mpf(1) / 2)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,36 @@ def test_infinite_coupling_is_refused_by_the_library(argv, capsys):
     assert code == 2 and out == ""
     assert err.startswith("usage error: zeta must be positive and finite")
     assert len(err.splitlines()) == 1
+
+
+def test_near_critical_113_bit_spectrum_lists_the_channel(capsys):
+    # float(zeta) rounded to j + 1/2 = 1.0: "no subcritical channels", exit 3
+    code, out, err = run(["spectrum", "--zeta", "0.99999999999999999999", "--precision",
+                          "113", "--j-max", "0.5", "--k-max", "1"], capsys)
+    assert code == 0 and err == ""
+    assert [row[:3] for row in csv_rows(out)[1]] == [["0.5", "-1", "0"], ["0.5", "-1|+1", "1"]]
+
+
+def test_113_bit_spectrum_is_sorted_by_its_printed_energies(capsys):
+    # float64 sort keys tied below 1.1e-16 and listed j = 1/2, k = 2 first
+    code, out, _ = run(["spectrum", "--zeta", "1e-8", "--precision", "113",
+                        "--j-max", "1.5", "--k-max", "2", "--no-collapse"], capsys)
+    header, rows = csv_rows(out)
+    energies = [Decimal(row[header.index("E_over_m")]) for row in rows]
+    assert code == 0 and energies == sorted(energies) and len(set(energies)) == 6
+
+
+def test_a_lambda_float64_rounds_to_half_exits_one(capsys):
+    # lam - 1/2 = 1.4e-22 at 200 bits: exit 2 ("lam must ... exceed 1/2") came
+    # from float(lam); now the closed form prints and float64 values refuse
+    base = ["--zeta", "0.99999999999999999999999999999999999999999999",
+            "--precision", "200"]
+    code, out, err = run(["wavefunction", *base, "--j", "0.5", "--eps", "-1",
+                          "--k", "1", "--grid", "1,3,2"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, out, err = run(["spectrum", *base], capsys)
+    assert code == 0 and err == "" and len(csv_rows(out)[1]) == 4
 
 
 def test_usage_errors_exit_two(capsys):

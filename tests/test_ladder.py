@@ -68,6 +68,18 @@ def test_ground_requires_lam_above_half():
         ground_ladder_function(0.2)
 
 
+def test_lam_is_judged_at_its_own_precision():
+    # float(lam) is 0.5 here: the ground member was refused, and the float64
+    # path, which rounds lam to 1/2, then met math.gamma(0.0)
+    with mpmath.workprec(200):
+        f = ground_ladder_function(mpmath.mpf(0.5) + mpmath.mpf("1e-22"))
+        assert f.polynomial(mpmath.mpf(1)) > 0
+        with pytest.raises(PrecisionLoss, match="above 1/2"):
+            f.polynomial(np.array([1.0]))
+    with pytest.raises(PrecisionLoss, match="above 1/2"):
+        ladder._ground_value(0.5)
+
+
 def test_subnormal_ground_value_raises():
     # b_0 = pi**(1/4)/sqrt(Gamma(lam) Gamma(lam + 1/2)) is subnormal in
     # float64 at j = 200.5 (lam ~ 201.5): values are refused, the exact norms

@@ -518,3 +518,17 @@ def test_nodes_certified_high_in_the_tower(k):
                 for component in "FG":
                     assert len(count_radial_nodes(sol, component)) == \
                         expected_nodes(eps, k, component), (j, eps, zeta, component)
+
+
+def test_a_state_whose_lam_float64_rounds_to_half():
+    # zeta = 1 - 1e-44 at 200 bits: lam - 1/2 = 1.4e-22.  Values and node
+    # counts run at the state's precision; the residual, evaluated in float64,
+    # refuses with PrecisionLoss instead of a bare math domain error
+    with mpmath.workprec(200):
+        zeta = 1 - mpmath.mpf("1e-44")
+        sol = build_solution(bound_energy(make_channel(0.5, -1, zeta), 1))
+        assert float(sol.state.channel.lam) == 0.5
+        assert mpmath.isfinite(sol.F(mpmath.mpf(1)))
+        assert len(count_radial_nodes(sol, "F")) == len(count_radial_nodes(sol, "G")) == 1
+        with pytest.raises(PrecisionLoss, match="above 1/2"):
+            ode_residual(sol)
