@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import precision
 from .errors import (
@@ -165,8 +165,11 @@ def bound_energy(channel: Channel, k: int) -> BoundState:
             f"tau = -zeta/kappa, but tau = {channel.tau} > 0")
 
     ratio = channel.zeta / (channel.s + k)
-    # sqrt((1 - E)/(1 + E)) rewritten without the cancellation in 1 - E
-    return state_from_nu(channel, k, ratio / (1.0 + precision.sqrt(1.0 + ratio * ratio)))
+    root = precision.sqrt(1.0 + ratio * ratio)
+    # sqrt((1 - E)/(1 + E)) rewritten without the cancellation in 1 - E; E and kappa
+    # from ratio itself, as E is ill-conditioned in nu as nu -> 1 (k = 0, zeta -> j + 1/2)
+    state = state_from_nu(channel, k, ratio / (1.0 + root))
+    return replace(state, energy=1.0 / root, wavenumber=ratio / root)
 
 
 def state_from_nu(channel: Channel, k: int, nu) -> BoundState:

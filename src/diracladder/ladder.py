@@ -232,7 +232,8 @@ def _ground_value(lam):
 
 
 def _evaluate_q(lam, rows, rho):
-    """q(rho) for each coefficient row, at a float, mpmath scalar or numpy array.
+    """q(rho) for each coefficient row, as the rows of one array, at a float, mpmath
+    scalar or numpy array.
 
     rho is taken in blocks of columns: the forward recurrence in x = 2*rho,
     from b_0 (_ground_value), writes b_n(x) into row n of one basis table of
@@ -258,7 +259,7 @@ def _evaluate_q(lam, rows, rho):
     width = max(1, _TABLE_CELLS // terms)
     cells = np.empty(terms * min(width, x.size), dtype)
     spare = np.empty(min(width, x.size), dtype)
-    values = [np.empty(x.size, dtype) for _ in rows]
+    values = np.empty((len(rows), x.size), dtype)
     for start in range(0, x.size, width):
         block = x[start:start + width]
         table = cells[:terms * block.size].reshape(terms, block.size)
@@ -275,9 +276,7 @@ def _evaluate_q(lam, rows, rho):
             cur /= beta[n]
         for row, value in zip(rows, values):
             np.dot(row, table[:row.size], out=value[start:start + block.size])
-    if dtype is object:
-        return [value[0] for value in values]
-    return [value.reshape(rho.shape) for value in values]
+    return values.reshape((len(rows), *rho.shape)) if dtype is float else values[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -459,29 +458,28 @@ def _zeros(members, lo, hi) -> list:
 
 
 def _evaluate_with_derivatives(members, rho, derivatives=True):
-    """[P, dP/drho] of each member in turn, or [P] of each without derivatives; the
-    members share lam and the branch.  dP/drho = w * (q' + ((lam - 1/2)/rho -+ 1) * q),
-    q' = -2 * sum_i W_i b_i (_tails); one weight w after one _evaluate_q pass, so a
-    float64 lam past b_0's range raises PrecisionLoss before the power can overflow.
-    The evaluators' one finiteness check: PrecisionLoss names the first rho where a
-    float64 value is not finite; mpmath values cannot overflow and are not scanned.
+    """Rows P, dP/drho of each member in turn, or P of each without derivatives, in
+    one block (_evaluate_q); the members share lam and the branch.  P = w * q and
+    dP/drho = w * (q' -+ q) + (lam - 1/2) * P/rho, q' = -2 * sum_i W_i b_i (_tails),
+    the last term after the weight so that a subnormal rho keeps it finite; one weight
+    w after one _evaluate_q pass, so a float64 lam past b_0's range raises PrecisionLoss
+    before the power can overflow.  The evaluators' one finiteness check: PrecisionLoss
+    names the first rho where a float64 value is not finite; mpmath cannot overflow.
     """
     lam = float(members[0].lam) if isinstance(rho, np.ndarray) else members[0].lam
     rows = [row for f in members
             for row in ((f.coeffs, _tails(lam, f.coeffs)) if derivatives else (f.coeffs,))]
     with np.errstate(over="ignore", invalid="ignore"):     # judged just below
-        values, (weight, sign) = _evaluate_q(lam, rows, rho), members[0]._weight(rho)
-        if derivatives:     # rows q, W of each member -> q, -2W + factor*q
-            factor = (lam - 0.5) / rho + sign
-            values = [v for q, t in zip(values[::2], values[1::2])
-                      for v in (q, -2 * t + factor * q)]
-        found = [weight * v for v in values]
-    if isinstance(rho, np.ndarray) or isinstance(found[0], float):
-        finite = np.logical_and.reduce([np.isfinite(v) for v in found])
+        block, (weight, sign) = _evaluate_q(lam, rows, rho), members[0]._weight(rho)
+        block *= weight
+        if derivatives:     # rows wq, wW of each member -> P, P'
+            block[1::2] = -2 * block[1::2] + sign * block[::2] + (lam - 0.5) * block[::2] / rho
+    if block.dtype == float or isinstance(block[0], float):
+        finite = np.logical_and.reduce(np.isfinite(block.astype(float, copy=False)))
         if not finite.all():
             raise PrecisionLoss("evaluation overflows float64 at rho = "
                                 f"{float(np.asarray(rho)[~finite][0])!r}")
-    return found
+    return block
 
 
 def _require_lam(lam):

@@ -149,7 +149,7 @@ def test_kinematic_relations():
 @pytest.mark.parametrize("j", [0.5, 2.5])
 def test_exponent_keeps_its_precision_near_critical_coupling(j):
     # tau^2 - zeta^2 cancels as zeta -> j + 1/2; the factored form does not.
-    # The ground energy goes through nu ~ 1 - E, which costs ~1e-12 more here.
+    # The ground energy comes from zeta/s itself, not from nu ~ 1 - E.
     zeta = (j + 0.5) * (1 - 1e-9)
     ch = make_channel(j, -1, zeta)
     energy = bound_energy(ch, 0).energy
@@ -158,7 +158,7 @@ def test_exponent_keeps_its_precision_near_critical_coupling(j):
         s = mpmath.sqrt(t * t - z * z)
         want = 1 / mpmath.sqrt(1 + (z / s) ** 2)
         assert abs(ch.s - s) <= 1e-15 * s, j
-        assert abs(energy - want) <= 1e-11 * want, j
+        assert abs(energy - want) <= 1e-15 * want, j
 
 
 def from_energy(ch, k, energy):

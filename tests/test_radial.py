@@ -16,6 +16,7 @@ from diracladder import (
     bound_energy,
     build_solution,
     count_radial_nodes,
+    inner_product,
     make_channel,
     ode_residual,
     physical_norm_integral,
@@ -135,6 +136,22 @@ def test_values_past_float64_raise_precision_loss_at_their_radius():
                 evaluate()
         with pytest.raises(PrecisionLoss):
             ode_residual(physical_normalize(solution(241)))
+
+
+def test_derivatives_stay_finite_at_a_subnormal_radius():
+    # (lam - 1/2)/rho alone overflows below (lam - 1/2)/1.8e308; taken after the
+    # weight, as (lam - 1/2) * P/rho, F' ~ 1.9e43 and G' ~ -5.0e42 are finite and
+    # agree with 113 bits, where nothing overflows
+    rho = np.array([1e-320])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solution(1).evaluate_with_derivatives(rho)
+    with mpmath.workprec(113):
+        half = mpmath.mpf(1) / 2
+        want = build_solution(bound_energy(make_channel(half, -1, half), 1)) \
+            .evaluate_with_derivatives(mpmath.mpf(rho[0]))
+        for value, exact in zip(got, want):
+            assert abs(value[0] / exact - 1) <= 1e-12, (value, exact)
 
 
 def test_nan_radius_rejected_everywhere():
@@ -522,13 +539,16 @@ def test_nodes_certified_high_in_the_tower(k):
 
 def test_a_state_whose_lam_float64_rounds_to_half():
     # zeta = 1 - 1e-44 at 200 bits: lam - 1/2 = 1.4e-22.  Values and node
-    # counts run at the state's precision; the residual, evaluated in float64,
-    # refuses with PrecisionLoss instead of a bare math domain error
+    # counts run at the state's precision; the residual and the quadrature,
+    # evaluated in float64, refuse with PrecisionLoss instead of a bare math
+    # domain error or a DomainError on the weight exponent 2*lam - 2 = -1
     with mpmath.workprec(200):
         zeta = 1 - mpmath.mpf("1e-44")
         sol = build_solution(bound_energy(make_channel(0.5, -1, zeta), 1))
         assert float(sol.state.channel.lam) == 0.5
         assert mpmath.isfinite(sol.F(mpmath.mpf(1)))
         assert len(count_radial_nodes(sol, "F")) == len(count_radial_nodes(sol, "G")) == 1
-        with pytest.raises(PrecisionLoss, match="above 1/2"):
-            ode_residual(sol)
+        for check in (ode_residual, physical_norm_integral,
+                      lambda s: inner_product(s.psi_plus, s.psi_plus)):
+            with pytest.raises(PrecisionLoss, match="above 1/2"):
+                check(sol)
