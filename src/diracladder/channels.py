@@ -33,7 +33,9 @@ then forces tau + zeta/kappa = 0, which requires tau < 0.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -105,9 +107,12 @@ def _is_half_odd_integer(j) -> bool:
     return 0 < twice < math.inf and twice == int(twice) and int(twice) % 2 == 1
 
 
-def _require_level(name: str, k):
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidQuantumNumber(f"{name} must be a nonnegative integer, got {k!r}")
+def _require_level(name: str, k) -> int:
+    """k as a Python int: any integer type but bool (operator.index), nonnegative."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(k, bool) and operator.index(k) >= 0:
+            return operator.index(k)
+    raise InvalidQuantumNumber(f"{name} must be a nonnegative integer, got {k!r}")
 
 
 def _require_positive_finite(name: str, value):
@@ -158,7 +163,7 @@ def bound_energy(channel: Channel, k: int) -> BoundState:
     Raises InvalidQuantumNumber for k not a nonnegative integer and
     UnphysicalState for k below channel.k_min.
     """
-    _require_level("k", k)
+    k = _require_level("k", k)
     if k < channel.k_min:
         raise UnphysicalState(
             f"k=0 is excluded in channel ({channel.label()}): it would force "
@@ -181,7 +186,7 @@ def state_from_nu(channel: Channel, k: int, nu) -> BoundState:
     nu outside (0, 1), and PrecisionLoss for a float nu below the smallest
     normal float64, whose few significant bits would detune mu and kappa.
     """
-    _require_level("k", k)
+    k = _require_level("k", k)
     if not 0 < nu < 1:
         raise DomainError(f"nu must lie in (0, 1), got {nu}")
     if not (precision.is_extended(nu) or nu >= sys.float_info.min):
@@ -202,7 +207,7 @@ def spectrum_table(zeta, j_max, k_max: int) -> list[BoundState]:
     """
     if not _is_half_odd_integer(j_max):
         raise InvalidQuantumNumber(f"j_max must be half-odd-integer, got {j_max}")
-    _require_level("k_max", k_max)
+    k_max = _require_level("k_max", k_max)
 
     states: list[BoundState] = []
     n_half = round(float(j_max) * 2)

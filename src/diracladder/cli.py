@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="closed-form bound-state table")
     _add_coupling(p)
     p.add_argument("--j-max", type=float, default=0.5)
-    p.add_argument("--k-max", type=int, default=3)
+    p.add_argument("--k-max", type=int, default=3, help=f"at most {_MAX_LEVEL}")
     p.add_argument("--no-collapse", action="store_true",
                    help="one row per (j, eps, k) state instead of merging "
                         "exactly degenerate eps pairs")
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coupling(p)
     p.add_argument("--j", type=float, required=True)
     p.add_argument("--eps", type=int, choices=(-1, 1), required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"at most {_MAX_LEVEL}")
     p.add_argument("--grid", type=_grid_type, default=(0.01, 20.0, 200),
                    metavar="MIN,MAX,COUNT")
     p.add_argument("--log", action="store_true", help="log-spaced grid")
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="algebraic vs shooting energies, side by side")
     _add_coupling(p)
     p.add_argument("--j-max", type=float, default=0.5)
-    p.add_argument("--k-max", type=int, default=2)
+    p.add_argument("--k-max", type=int, default=2, help=f"at most {_MAX_LEVEL}")
     _add_common(p, extended=False)
     p.set_defaults(func=_cmd_table, body=_oracle_compare_rows)
 
@@ -163,6 +163,8 @@ _FLOAT64_ONLY = (53, "fixed (float64 command)")
 # highest --precision: mpmath's cost grows steeply with the bits, and an
 # unbounded value can run for minutes
 _MAX_PRECISION_BITS = 1024
+# highest --k and --k-max: 10 000 takes about a second; far above, memory runs out
+_MAX_LEVEL = 10_000
 
 
 def _resolve_precision(args) -> tuple[int, str]:
@@ -265,6 +267,9 @@ def _cmd_table(args) -> int:
     # args.body(args, zeta, bits, meta) -> (rows, exit code) adds its own keys
     # to meta; the commands without --precision run in float64
     bits, source = _resolve_precision(args) if "precision" in args else _FLOAT64_ONLY
+    for name in ("k", "k_max"):     # refused before any work, like the precision
+        if getattr(args, name, 0) > _MAX_LEVEL:
+            raise DomainError(f"{name} must be at most {_MAX_LEVEL}, got {getattr(args, name)}")
     with _working_precision(bits):
         zeta, coupling_meta = _resolve_zeta(args, bits)
         meta = {"generator": f"diracladder {__version__}", "command": args.command,

@@ -31,7 +31,7 @@ class DomainError(DiracLadderError):
 
 class InvalidQuantumNumber(DomainError):
     """A label or coupling is bad: j not a positive half-odd-integer, epsilon not
-    +-1, k not a nonnegative integer, Z or zeta not positive and finite, or a
+    +-1, a level not a nonnegative integer, Z or zeta not positive and finite, or a
     CLI number that does not parse."""
 
 

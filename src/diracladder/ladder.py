@@ -55,12 +55,11 @@ The weight is one formula for every rho, its fourth root squared twice
 (LadderFunction._weight), and one pass judges every float64 value finite
 (_evaluate_with_derivatives).  Zeros of two-term members are eigenvalues of a
 symmetric Jacobi matrix, certified by a Sturm count of its pivots with no value
-of q; members of one tower share one pass (LadderFunction.zeros).
+of q; members of one degree share one pass (LadderFunction.zeros).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import threading
@@ -70,8 +69,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import precision
+from .channels import _require_level
 from .errors import (
     DomainError,
+    InvalidQuantumNumber,
     NotAnEigenfunction,
     PrecisionLoss,
     WrongBranch,
@@ -408,53 +409,53 @@ class LadderFunction:
 
 
 def _zeros(members, lo, hi) -> list:
-    """LadderFunction.zeros of members of one tower, each its zeros or the error that
-    refuses them.  Members of one degree k differ in c_(k-1) alone: one eigvalsh
-    call on their stack, one Sturm recursion over all their columns."""
-    a, found, stacks = 2 * float(members[0].lam) - 1, [], {}
+    """LadderFunction.zeros of members of one degree k (a member, or F and G of a level),
+    each its zeros or the error that refuses them.  They differ in c_(k-1) alone: one
+    eigvalsh call on their stack, one Sturm recursion over all their columns."""
+    a, found = 2 * float(members[0].lam) - 1, []
     for f in members:
         coeffs = [float(c) for c in f.coeffs]  # Python floats: an overflow is inf, no warning
         nonzero = [n for n, c in enumerate(coeffs) if c]   # a NaN is not zero
-        k = nonzero[-1] if nonzero else -1
-        if k < 0 or nonzero[0] < k - 1:
+        top = nonzero[-1] if nonzero else -1
+        if top < 0 or nonzero[0] < top - 1:
             found.append(DomainError("zeros need a nonzero member, nonzero on its top two "
                                      "terms only"))
-        elif k == 0:
+        elif top == 0:
             found.append(np.empty(0))
         else:       # c_(k-1) = d_(k-1) - (k - 1), raised by beta_k e_(k-1)/e_k
+            k = top
             last = k - 1 + a + 1.0 + math.sqrt(k * (k + a)) * coeffs[k - 1] / coeffs[k]
-            if math.isfinite(last):
-                stacks.setdefault(k, []).append(len(found))
             found.append(last if math.isfinite(last) else PrecisionLoss(
                 f"the Jacobi matrix of a degree-{k} member is not finite"))
-    for k, stack in stacks.items():
-        n, lasts = np.arange(k), np.array([found[i] for i in stack])
-        base = n + a + 1.0          # c_n; eigvalsh reads the lower triangle
-        jacobi = np.zeros((len(stack), k, k))
-        jacobi[:, n, n], jacobi[:, n[1:], n[:-1]] = base + n, np.sqrt(n[1:] * (n[1:] + a))
-        jacobi[:, -1, -1] = lasts + (k - 1)
-        xs = [x[(x > 2 * lo) & (x < 2 * hi)] for x in np.linalg.eigvalsh(jacobi)]
-        points = [np.concatenate((x, x + x * 1e-6, [2 * lo], (x[1:] + x[:-1]) / 2, [2 * hi]))
-                  for x in xs]
-        sizes = [p.size for p in points]
-        points = np.concatenate(points)
-        s, pivmin = -points, sys.float_info.min * max(1.0, k * (k + a))
-        pivots = np.empty((k, points.size))
-        for i, c in enumerate(base[:-1].tolist() + [lasts.repeat(sizes)]):
-            p = np.add(s, c, out=pivots[i])     # p_n = c_n + s_n
-            np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
-            if i < k - 1:                       # s_(n+1) = (n+1) s_n/p_n - x
-                s *= (i + 1) / p
-                s -= points
-        for i, x, end, size in zip(stack, xs, itertools.accumulate(sizes), sizes):
-            own, cols, m = pivots[:, end - size:end], points[end - size:end], x.size
-            x = x - (cols[m:2 * m] - x) * own[-1, :m] / (own[-1, m:2 * m] - own[-1, :m])
-            counts, fences = (own[:, 2 * m:] < 0).sum(axis=0), cols[2 * m:]
-            certified = ((counts[1:] - counts[:-1] == min(m, 1)).all()
-                         and (fences[:-1] < x).all() and (x < fences[1:]).all())
-            found[i] = x / 2 if certified else PrecisionLoss(
-                f"{m} zeros of a degree-{k} member failed the Sturm count on ({lo}, {hi})")
-    return found
+    lasts = np.array([x for x in found if isinstance(x, float)])
+    if not lasts.size:
+        return found
+    n, jacobi = np.arange(k), np.zeros((lasts.size, k, k))
+    base = n + a + 1.0          # c_n; eigvalsh reads the lower triangle
+    jacobi[:, n, n], jacobi[:, n[1:], n[:-1]] = base + n, np.sqrt(n[1:] * (n[1:] + a))
+    jacobi[:, -1, -1] = lasts + (k - 1)
+    xs = [x[(x > 2 * lo) & (x < 2 * hi)] for x in np.linalg.eigvalsh(jacobi)]
+    columns = [np.concatenate((x, x + x * 1e-6, [2 * lo], (x[1:] + x[:-1]) / 2, [2 * hi]))
+               for x in xs]
+    points = np.concatenate(columns)
+    s, pivmin = -points, sys.float_info.min * max(1.0, k * (k + a))
+    pivots = np.empty((k, points.size))
+    for i, c in enumerate(base[:-1].tolist() + [lasts.repeat([p.size for p in columns])]):
+        p = np.add(s, c, out=pivots[i])     # p_n = c_n + s_n
+        np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
+        if i < k - 1:                       # s_(n+1) = (n+1) s_n/p_n - x
+            s *= (i + 1) / p
+            s -= points
+    zeros, end = [], 0
+    for x, cols in zip(xs, columns):
+        own, m, end = pivots[:, end:end + cols.size], x.size, end + cols.size
+        x = x - (cols[m:2 * m] - x) * own[-1, :m] / (own[-1, m:2 * m] - own[-1, :m])
+        counts, fences = (own[:, 2 * m:] < 0).sum(axis=0), cols[2 * m:]
+        certified = ((counts[1:] - counts[:-1] == min(m, 1)).all()
+                     and (fences[:-1] < x).all() and (x < fences[1:]).all())
+        zeros.append(x / 2 if certified else PrecisionLoss(
+            f"{m} zeros of a degree-{k} member failed the Sturm count on ({lo}, {hi})"))
+    return [zeros.pop(0) if isinstance(x, float) else x for x in found]
 
 
 def _evaluate_with_derivatives(members, rho, derivatives=True):
@@ -554,7 +555,7 @@ def apply_lowering(f: LadderFunction):
 
 
 def raise_to_rank(ground: LadderFunction, k: int) -> LadderFunction:
-    """Climb k rungs from a member e_n b_n; k must be a nonnegative int.
+    """Climb k rungs from a member e_n b_n; k a nonnegative integer (_require_level).
 
     Each rung maps e_n b_n to e_n beta_(n+1) / C_plus(mu) b_(n+1) and mu to
     mu + 1, so only the top coefficient is carried: O(k) work, not the O(k^2)
@@ -562,8 +563,7 @@ def raise_to_rank(ground: LadderFunction, k: int) -> LadderFunction:
     bit.  The lower coefficients, rounding residue in apply_raising, are exact
     zeros here; a member's lower coefficients are not read.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"rank must be a nonnegative integer, got {k!r}")
+    k = _require_level("k", k)
     _require_positive_branch(ground)
     lam, mu, c, n = ground.lam, ground.mu, ground.coeffs[-1], ground.degree
     beta = _tower(lam, n + k + 1).beta
@@ -685,8 +685,8 @@ def matrix_representation(which: str, lam, K: int) -> OperatorMatrix:
     """
     if which not in ("omega1", "omega2", "omega3"):
         raise DomainError(f"which must be omega1|omega2|omega3, got {which!r}")
-    if not isinstance(K, int) or isinstance(K, bool) or K < 1:
-        raise DomainError(f"K must be a positive integer, got {K!r}")
+    if _require_level("K", K) < 1:
+        raise InvalidQuantumNumber(f"K must be a positive integer, got {K!r}")
     _require_lam(lam)
     lam_f = float(lam)
 

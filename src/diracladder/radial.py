@@ -139,12 +139,10 @@ def physical_normalize(solution: RadialSolution) -> RadialSolution:
 
 
 def count_radial_nodes(solution: RadialSolution, component: str = "F") -> np.ndarray:
-    """Interior zeros of F or G, two-term on b_(k-1) and b_k: LadderFunction.zeros,
-    eigenvalues of a symmetric Jacobi matrix certified by a Sturm count of its
-    pivots (PrecisionLoss otherwise), in 1e-3 < rho < 4*mu + 20 (BoundState.window,
-    which oracle.ode_residual reads too).  Level k has k nodes in G; F has k
-    for epsilon = -1 and k - 1 for epsilon = +1.  F and G share one pass, once per
-    solution; each keeps its own nodes or error.
+    """Interior zeros of F or G, certified (LadderFunction.zeros; PrecisionLoss otherwise),
+    in 1e-3 < rho < 4*mu + 20 (BoundState.window, which oracle.ode_residual reads too).
+    Level k has k nodes in G; F has k for epsilon = -1 and k - 1 for epsilon = +1.  F and
+    G, both of degree k, share one pass, once per solution; each keeps its nodes or error.
     """
     if component not in ("F", "G"):
         raise DomainError(f"component must be 'F' or 'G', got {component!r}")

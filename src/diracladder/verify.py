@@ -53,17 +53,8 @@ def _chain(lam, k_max):
 
 
 def _grid_towers():
-    """One channel per distinct tower of CHANNEL_GRID.
-
-    The ladder chain depends on lam alone, and epsilon does not change lam,
-    so the two epsilon channels of a (j, zeta) pair share one tower.
-    """
-    seen = []
-    for j, eps, zeta in CHANNEL_GRID:
-        channel = make_channel(j, eps, zeta)
-        if not any(abs(channel.lam - x.lam) < 1e-12 for x in seen):
-            seen.append(channel)
-    return seen
+    """One channel per tower: lam = s + 1/2, and so the chain, does not depend on epsilon."""
+    return [make_channel(j, eps, zeta) for j, eps, zeta in CHANNEL_GRID if eps < 0]
 
 
 def suite_algebra() -> VerificationReport:

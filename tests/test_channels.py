@@ -4,6 +4,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from diracladder import (
@@ -13,7 +14,10 @@ from diracladder import (
     UnphysicalState,
     bound_energy,
     compare_spectrum,
+    ground_ladder_function,
     make_channel,
+    matrix_representation,
+    raise_to_rank,
     spectrum_table,
     state_from_nu,
     zeta_from_charge,
@@ -287,11 +291,26 @@ def test_k_min_is_the_one_statement_of_the_lowest_level():
 def test_a_bad_level_is_one_error_type_that_is_also_a_domain_error():
     assert issubclass(InvalidQuantumNumber, DomainError)
     ch = ref_channel()
-    for call in (lambda: bound_energy(ch, -1), lambda: state_from_nu(ch, -1, 0.3)):
-        with pytest.raises(InvalidQuantumNumber, match="^k must be a nonnegative integer"):
-            call()
-    with pytest.raises(InvalidQuantumNumber, match="^k_max must be a nonnegative integer"):
-        spectrum_table(0.5, 0.5, -1)
+    ground = ground_ladder_function(ch.lam)
+    for bad in (-1, True, 3.0, np.int64(-1), np.bool_(True)):
+        for call in (lambda: bound_energy(ch, bad), lambda: state_from_nu(ch, bad, 0.3),
+                     lambda: raise_to_rank(ground, bad)):
+            with pytest.raises(InvalidQuantumNumber, match="^k must be a nonnegative integer"):
+                call()
+        with pytest.raises(InvalidQuantumNumber, match="^k_max must be a nonnegative integer"):
+            spectrum_table(0.5, 0.5, bad)
+    # the matrix truncation K is a level too, with its own bound K >= 1
+    for bad in (0, -1, True, 3.0, np.int64(0)):
+        with pytest.raises(InvalidQuantumNumber, match="^K must be a"):
+            matrix_representation("omega1", ch.lam, bad)
+    # any integer type is a level, and a state keeps it as a Python int
+    state = bound_energy(ch, np.int64(3))
+    assert type(state.k) is int and state == bound_energy(ch, 3)
+    assert type(state_from_nu(ch, np.int64(3), state.nu).k) is int
+    assert spectrum_table(0.5, 1.5, np.int64(2)) == spectrum_table(0.5, 1.5, 2)
+    assert raise_to_rank(ground, np.int64(3)) == raise_to_rank(ground, 3)
+    matrix = matrix_representation("omega1", ch.lam, np.int64(3))
+    assert np.array_equal(matrix.entries, matrix_representation("omega1", ch.lam, 3).entries)
 
 
 def test_extended_precision_channel():

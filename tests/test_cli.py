@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import diracladder
-from diracladder import bound_energy, make_channel
+from diracladder import bound_energy, cli, make_channel
 from diracladder.cli import _grid_type, main
 
 
@@ -346,6 +346,32 @@ def test_infinite_coupling_is_refused_by_the_library(argv, capsys):
     assert code == 2 and out == ""
     assert err.startswith("usage error: zeta must be positive and finite")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1", "--k", "10001"],
+    ["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1", "--k", "20000000",
+     "--precision", "113"],
+    ["spectrum", "--zeta", "0.5", "--k-max", "10001"],
+    ["oracle-compare", "--zeta", "0.5", "--k-max", "100000"],
+])
+def test_a_level_above_the_cap_is_refused_before_any_work(argv, capsys, monkeypatch):
+    # without the cap these run for seconds to minutes, or exhaust memory
+    def called(*args):
+        raise AssertionError("the library was called")
+
+    for name in ("bound_energy", "spectrum_table", "compare_spectrum", "_resolve_zeta"):
+        monkeypatch.setattr(cli, name, called)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: k") and len(err.splitlines()) == 1
+    assert "at most 10000" in err
+
+
+def test_a_level_at_the_cap_runs(capsys):
+    code, out, _ = run(["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
+                        "--k", "10000", "--grid", "1,2,2"], capsys)
+    assert code == 0 and meta_lines(out)["k"] == "10000"
 
 
 def test_near_critical_113_bit_spectrum_lists_the_channel(capsys):
