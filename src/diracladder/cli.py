@@ -165,6 +165,10 @@ _FLOAT64_ONLY = (53, "fixed (float64 command)")
 _MAX_PRECISION_BITS = 1024
 # highest --k and --k-max: 10 000 takes about a second; far above, memory runs out
 _MAX_LEVEL = 10_000
+# most states a sweep command may hold, counted from --j-max and --k-max as
+# (j_max + 1/2)(2 k_max + 1); cold, on a 2-core Xeon: spectrum's 100 005 states
+# (--j-max 4.5 --k-max 10000) took 1.5 s, oracle-compare's 31 shots (--k-max 15) 6.4 s
+_MAX_STATES = {"spectrum": 100_000, "oracle-compare": 32}
 
 
 def _resolve_precision(args) -> tuple[int, str]:
@@ -270,6 +274,11 @@ def _cmd_table(args) -> int:
     for name in ("k", "k_max"):     # refused before any work, like the precision
         if getattr(args, name, 0) > _MAX_LEVEL:
             raise DomainError(f"{name} must be at most {_MAX_LEVEL}, got {getattr(args, name)}")
+    if args.command in _MAX_STATES:     # and a sweep's table size
+        states, cap = (args.j_max + 0.5) * (2 * args.k_max + 1), _MAX_STATES[args.command]
+        if states > cap:
+            raise DomainError(f"j_max = {args.j_max} and k_max = {args.k_max} give {states:g} "
+                              f"states; {args.command} takes at most {cap}")
     with _working_precision(bits):
         zeta, coupling_meta = _resolve_zeta(args, bits)
         meta = {"generator": f"diracladder {__version__}", "command": args.command,

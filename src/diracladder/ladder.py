@@ -412,7 +412,7 @@ def _zeros(members, lo, hi) -> list:
     """LadderFunction.zeros of members of one degree k (a member, or F and G of a level),
     each its zeros or the error that refuses them.  They differ in c_(k-1) alone: one
     eigvalsh call on their stack, one Sturm recursion over all their columns."""
-    a, found = 2 * float(members[0].lam) - 1, []
+    found = []
     for f in members:
         coeffs = [float(c) for c in f.coeffs]  # Python floats: an overflow is inf, no warning
         nonzero = [n for n, c in enumerate(coeffs) if c]   # a NaN is not zero
@@ -423,8 +423,9 @@ def _zeros(members, lo, hi) -> list:
         elif top == 0:
             found.append(np.empty(0))
         else:       # c_(k-1) = d_(k-1) - (k - 1), raised by beta_k e_(k-1)/e_k
-            k = top
-            last = k - 1 + a + 1.0 + math.sqrt(k * (k + a)) * coeffs[k - 1] / coeffs[k]
+            k, tower = top, _tower(float(f.lam), top + 1)
+            a, beta = tower.a, tower.beta
+            last = k - 1 + a + 1.0 + beta[k] * coeffs[k - 1] / coeffs[k]
             found.append(last if math.isfinite(last) else PrecisionLoss(
                 f"the Jacobi matrix of a degree-{k} member is not finite"))
     lasts = np.array([x for x in found if isinstance(x, float)])
@@ -432,7 +433,7 @@ def _zeros(members, lo, hi) -> list:
         return found
     n, jacobi = np.arange(k), np.zeros((lasts.size, k, k))
     base = n + a + 1.0          # c_n; eigvalsh reads the lower triangle
-    jacobi[:, n, n], jacobi[:, n[1:], n[:-1]] = base + n, np.sqrt(n[1:] * (n[1:] + a))
+    jacobi[:, n, n], jacobi[:, n[1:], n[:-1]] = base + n, beta[1:k]
     jacobi[:, -1, -1] = lasts + (k - 1)
     xs = [x[(x > 2 * lo) & (x < 2 * hi)] for x in np.linalg.eigvalsh(jacobi)]
     columns = [np.concatenate((x, x + x * 1e-6, [2 * lo], (x[1:] + x[:-1]) / 2, [2 * hi]))

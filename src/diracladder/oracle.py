@@ -246,7 +246,7 @@ def inner_product(f: LadderFunction, g: LadderFunction,
     lam = float(f.lam)
     if f.lam > 0.5 and not lam > 0.5:   # a wider lam rounded to float64 (_ground_value)
         raise PrecisionLoss(f"lam = {lam!r} is not above 1/2 at its own precision")
-    if abs(lam - float(g.lam)) > 1e-12:
+    if f.lam is not g.lam and f.lam != g.lam:   # "is" lets a NaN lam reach the exponent check
         raise DomainError("members from different towers")
     if abs(float(f.mu) - float(g.mu)) > 1e-9:
         return 0.0

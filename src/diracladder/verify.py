@@ -31,10 +31,10 @@ from .report import VerificationReport
 
 __all__ = ["SUITE_NAMES", "run_suite", "CHANNEL_GRID"]
 
-# deepest rank and tolerance of the oracle-backed suites (quadrature, ode)
-_ORACLE_K_MAX, _ORACLE_TOL = 10, 1e-8
-# and of the exact-arithmetic suites (algebra, casimir)
-_ALGEBRA_K_MAX, _ALGEBRA_TOL = 20, 1e-10
+# deepest rank of the oracle-backed suites (quadrature, ode) and of the
+# exact-arithmetic ones (algebra, casimir); every grid sweep's one tolerance
+_ORACLE_K_MAX, _ALGEBRA_K_MAX = 10, 20
+_GRID_TOL = 1e-10
 
 # (j, epsilon, zeta); all subcritical since zeta < 1 <= j + 1/2
 CHANNEL_GRID = [(j, eps, zeta)
@@ -67,9 +67,9 @@ def suite_algebra() -> VerificationReport:
     annihilated = True
     count = 0
     for channel in _grid_towers():
-        for k, f in _chain(channel.lam, _ALGEBRA_K_MAX):
+        for _, f in _chain(channel.lam, _ALGEBRA_K_MAX):
             count += 1
-            sub = commutator_check(f, tolerance=_ALGEBRA_TOL)
+            sub = commutator_check(f, tolerance=_GRID_TOL)
             for check in sub.checks:
                 worst_comm[check.name] = max(worst_comm.get(check.name, 0.0),
                                              abs(check.measured))
@@ -80,25 +80,23 @@ def suite_algebra() -> VerificationReport:
             # C- at mu+1 and C+ at mu share the radicand: product = -(C+)^2
             product_dev = abs(c_down * c_up + c_up * c_up) / (c_up * c_up)
             worst_product = max(worst_product, float(product_dev))
-            if k <= 10:
-                measured = positive_operator_check(f)
-                label = 2 * f.mu * f.mu - f.lam * (f.lam - 1)
-                worst_positive = max(worst_positive,
-                                     float(abs(measured - label) / label))
-                all_positive = all_positive and measured > 0
+            measured = positive_operator_check(f)
+            label = 2 * f.mu * f.mu - f.lam * (f.lam - 1)
+            worst_positive = max(worst_positive, float(abs(measured - label) / label))
+            all_positive = all_positive and measured > 0
         ground = ground_ladder_function(channel.lam)
         zero, coeff = apply_lowering(ground)
         annihilated = annihilated and zero.is_zero and coeff == 0
 
     for name, value in worst_comm.items():
-        report.add(f"{name} (worst of {count})", value, _ALGEBRA_TOL)
-    report.add(f"lower(raise(f)) round trip (worst of {count})", worst_round, _ALGEBRA_TOL)
+        report.add(f"{name} (worst of {count})", value, _GRID_TOL)
+    report.add(f"lower(raise(f)) round trip (worst of {count})", worst_round, _GRID_TOL)
     report.add(f"C-coefficient product consistency (worst of {count})",
-               worst_product, _ALGEBRA_TOL)
-    report.add("positive form matches 2*mu^2 - omega and stays > 0 (k <= 10)",
-               worst_positive, _ALGEBRA_TOL,
-               passed=worst_positive <= _ALGEBRA_TOL and all_positive)
-    report.add("lowering annihilates every ground member", 0.0, _ALGEBRA_TOL,
+               worst_product, _GRID_TOL)
+    report.add(f"positive form matches 2*mu^2 - omega and stays > 0 (worst of {count})",
+               worst_positive, _GRID_TOL,
+               passed=worst_positive <= _GRID_TOL and all_positive)
+    report.add("lowering annihilates every ground member", 0.0, _GRID_TOL,
                passed=annihilated)
     return report
 
@@ -113,13 +111,13 @@ def suite_casimir() -> VerificationReport:
             count += 1
             _, eig = apply_casimir(f)
             worst = max(worst, float(abs(eig - omega) / abs(omega)))
-    report.add(f"eigenvalue constancy over towers ({count} members)", worst, _ALGEBRA_TOL)
+    report.add(f"eigenvalue constancy over towers ({count} members)", worst, _GRID_TOL)
 
     neg = negative_branch_ground(make_channel(0.5, -1, 0.5).lam)
     _, eig = apply_casimir(neg)
     report.add("negative-branch ground eigenvalue",
                float(abs(eig - neg.lam * (neg.lam - 1)) / abs(neg.lam * (neg.lam - 1))),
-               _ALGEBRA_TOL)
+               _GRID_TOL)
 
     f3 = dict(_chain(make_channel(0.5, -1, 0.5).lam, 3))[3]
     perturbed = replace(f3, coeffs=tuple(c + (1e-3 if i == 0 else 0.0)
@@ -129,7 +127,7 @@ def suite_casimir() -> VerificationReport:
         caught = False
     except NotAnEigenfunction:
         caught = True
-    report.add("perturbed coefficients rejected", 0.0, _ALGEBRA_TOL, passed=caught,
+    report.add("perturbed coefficients rejected", 0.0, _GRID_TOL, passed=caught,
                detail="NotAnEigenfunction raised")
     return report
 
@@ -142,7 +140,7 @@ def suite_quadrature() -> VerificationReport:
         for _, f in _chain(channel.lam, _ORACLE_K_MAX):
             count += 1
             worst_norm = max(worst_norm, abs(oracle.inner_product(f, f) - 1.0))
-    report.add(f"unit norms along towers ({count} members)", worst_norm, _ORACLE_TOL)
+    report.add(f"unit norms along towers ({count} members)", worst_norm, _GRID_TOL)
 
     lam = make_channel(0.5, -1, 0.5).lam
     members = dict(_chain(lam, 3))
@@ -158,7 +156,7 @@ def suite_quadrature() -> VerificationReport:
     st = bound_energy(make_channel(0.5, -1, 0.5), 2)
     sol = physical_normalize(build_solution(st))
     report.add("physical normalization integral == 1",
-               abs(oracle.physical_norm_integral(sol) - 1.0), _ORACLE_TOL,
+               abs(oracle.physical_norm_integral(sol) - 1.0), _GRID_TOL,
                detail="exact sum vs Gauss-Laguerre")
     return report
 
@@ -173,7 +171,7 @@ def suite_ode() -> VerificationReport:
             count += 1
             sol = build_solution(bound_energy(channel, k))
             worst = max(worst, *(abs(c.measured) for c in oracle.ode_residual(sol).checks))
-    report.add(f"sup residual, exact derivatives ({count} states)", worst, _ORACLE_TOL)
+    report.add(f"sup residual, exact derivatives ({count} states)", worst, _GRID_TOL)
 
     channel = make_channel(0.5, -1, 0.5)
     sol = build_solution(bound_energy(channel, 2))

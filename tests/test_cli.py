@@ -368,6 +368,44 @@ def test_a_level_above_the_cap_is_refused_before_any_work(argv, capsys, monkeypa
     assert "at most 10000" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--zeta", "0.5", "--j-max", "4000.5", "--k-max", "50"],
+    ["spectrum", "--zeta", "0.5", "--j-max", "4.5", "--k-max", "10000", "--precision", "113"],
+    ["oracle-compare", "--zeta", "0.5", "--k-max", "16"],
+    ["oracle-compare", "--zeta", "0.5", "--j-max", "20.5", "--k-max", "1"],
+])
+def test_a_table_above_its_cap_is_refused_before_any_work(argv, capsys, monkeypatch):
+    # (j_max + 1/2)(2 k_max + 1) states: minutes of shooting or millions of rows
+    def called(*args):
+        raise AssertionError("the library was called")
+
+    for name in ("spectrum_table", "compare_spectrum", "_resolve_zeta"):
+        monkeypatch.setattr(cli, name, called)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: j_max") and len(err.splitlines()) == 1
+    assert f"{argv[0]} takes at most {cli._MAX_STATES[argv[0]]}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--zeta", "0.5", "--j-max", "4.5", "--k-max", "9999"],
+    ["spectrum", "--zeta", "0.5", "--k-max", "10000"],
+    ["oracle-compare", "--zeta", "0.5", "--k-max", "15"],
+    ["oracle-compare", "--zeta", "0.5", "--j-max", "1.5", "--k-max", "7"],
+])
+def test_a_table_within_its_cap_reaches_the_library(argv, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    for name in ("spectrum_table", "compare_spectrum"):
+        monkeypatch.setattr(cli, name, reached)
+    with pytest.raises(Reached):
+        main(argv)
+
+
 def test_a_level_at_the_cap_runs(capsys):
     code, out, _ = run(["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
                         "--k", "10000", "--grid", "1,2,2"], capsys)
@@ -445,6 +483,12 @@ def test_verify_single_suite(capsys):
     assert code == 0
     assert "ALL SUITES PASSED" in out
     assert "[PASS]" in out
+    # the oracle-backed sweeps are held to the algebra sweeps' one tolerance
+    code, out, _ = run(["verify", "--suite", "quadrature", "--suite", "ode"], capsys)
+    sweeps = [line for line in out.splitlines() if line.startswith(
+        ("[PASS] unit norms", "[PASS] physical normalization", "[PASS] sup residual"))]
+    assert code == 0 and len(sweeps) == 3
+    assert all("tol=1.0e-10" in line for line in sweeps), sweeps
 
 
 def test_oracle_compare(capsys):

@@ -34,7 +34,7 @@ from diracladder import (
     positive_operator_check,
     raise_to_rank,
 )
-from diracladder import ladder, precision
+from diracladder import ladder, precision, verify
 from diracladder.ladder import LadderFunction
 from diracladder.verify import CHANNEL_GRID
 
@@ -297,6 +297,18 @@ def test_nan_coefficient_fails_the_algebra_checks(where):
     assert math.isnan(positive_operator_check(bad))
     with pytest.raises(NotAnEigenfunction):
         apply_casimir(bad)
+
+
+def test_the_algebra_suite_checks_the_positive_form_on_every_member(monkeypatch):
+    # a form 1% off at k = 15 alone: the suite walks every member up to k = 20
+    def off_at_15(f):
+        return positive_operator_check(f) * (1.01 if f.rank == 15 else 1)
+
+    monkeypatch.setattr(verify, "positive_operator_check", off_at_15)
+    report = verify.suite_algebra()
+    form, = [c for c in report.checks if c.name.startswith("positive form")]
+    assert not form.passed and form.measured == pytest.approx(0.01, rel=1e-9)
+    assert "(worst of 126)" in form.name
 
 
 def test_commutator_report():

@@ -239,6 +239,10 @@ def test_inner_product_guards():
     g = ground_ladder_function(make_channel(1.5, -1, 0.5).lam)
     with pytest.raises(DomainError):
         inner_product(f, g)
+    # one tower shares its lam exactly: a lam 5e-13 away is another tower
+    with pytest.raises(DomainError, match="different towers"):
+        inner_product(f, ground_ladder_function(LAM + 5e-13))
+    assert inner_product(f, ground_ladder_function(LAM)) == inner_product(f, f)
     with pytest.raises(WrongBranch):
         inner_product(f, negative_branch_ground(LAM))
 
