@@ -41,6 +41,7 @@ from .errors import (
 from .ladder import negative_branch_ground
 from .oracle import compare_spectrum, divergence_check, truncated_norms
 from .radial import build_solution, physical_normalize
+from .report import _sup
 
 # The two conventions that differ from a naive reading of the source
 # relations; echoed in every output so downstream consumers know them.
@@ -169,6 +170,8 @@ _MAX_LEVEL = 10_000
 # (j_max + 1/2)(2 k_max + 1); cold, on a 2-core Xeon: spectrum's 100 005 states
 # (--j-max 4.5 --k-max 10000) took 1.5 s, oracle-compare's 31 shots (--k-max 15) 6.4 s
 _MAX_STATES = {"spectrum": 100_000, "oracle-compare": 32}
+# oracle-compare's gate on the worst rel_delta (in nu); a NaN row fails it too
+_AGREEMENT = 1e-6
 
 
 def _resolve_precision(args) -> tuple[int, str]:
@@ -344,13 +347,13 @@ def _wavefunction_rows(args, zeta, bits, meta):
 
 def _oracle_compare_rows(args, zeta, bits, meta):
     rows, skipped = _sweep(compare_spectrum, float(zeta), args)
-    worst = max(r["rel_delta"] for r in rows)
-    meta.update({"j_max": args.j_max, "k_max": args.k_max,
-                 "worst_rel_delta": f"{worst:.3e}", "agreement_threshold": "1e-06",
+    worst = _sup([r["rel_delta"] for r in rows])
+    meta.update({"j_max": args.j_max, "k_max": args.k_max, "worst_rel_delta": f"{worst:.3e}",
+                 "agreement_threshold": f"{_AGREEMENT:.0e}",
                  "rel_delta_measure": "|nu_shooting - nu_algebraic|/nu_algebraic"})
     if skipped:
         meta["skipped_channels"] = skipped
-    return rows, 0 if worst <= 1e-6 else 1
+    return rows, 0 if worst <= _AGREEMENT else 1
 
 
 def _demo_divergence_rows(args, zeta, bits, meta):

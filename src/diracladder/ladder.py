@@ -77,7 +77,7 @@ from .errors import (
     PrecisionLoss,
     WrongBranch,
 )
-from .report import VerificationReport
+from .report import VerificationReport, _sup
 
 __all__ = [
     "LadderFunction", "OperatorMatrix", "ground_ladder_function",
@@ -102,11 +102,6 @@ def _combine(*terms):
             if c:
                 out[n] += factor * c
     return out
-
-
-def _sup(values):
-    """max |v|, or a NaN among the values (max alone keeps a NaN only in first place)."""
-    return next((v for v in values if v != v), None) or max(abs(v) for v in values)
 
 
 def _rel_dev(a, b, scale) -> float:

@@ -335,6 +335,11 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
 # 1 - E, which cancels at small zeta.
 
 _RHO_MIN = 1e-4            # outward start
+# last series order of that start: order 1 leaves the shot nu 1.8e-8 off near
+# critical coupling (zeta = 0.999, j = 1/2), order 3 leaves 3.5e-13, and eight
+# orders move it by under 1e-14; fixed, since a sum run until it stops
+# changing need not end (nu = 1e-30)
+_SERIES_ORDER = 3
 _RTOL, _ATOL = 1e-11, 1e-14
 _TABLE_STEPS = 600         # per-leg samples in shooting_solution tables
 _NU_RTOL = 1e-12           # Brent tolerance on nu, relative
@@ -352,17 +357,22 @@ def _rhs(tau, zeta, nu):
 
 
 def _outward_ic(tau, zeta, s, nu):
-    # two-term series F, G ~ rho^s (y0 + y1 rho) from the indicial system; the
-    # system is linear, so rho_min^s is dropped and the start is O(1), which
-    # keeps atol from swamping the solution at large s
-    f0 = 1.0
+    # series F, G ~ rho^s sum_n (f_n, g_n) rho^n through _SERIES_ORDER, order n
+    # from [[s+n+tau, -zeta], [zeta, s+n-tau]] @ (f_n, g_n) = (g_(n-1)/nu, nu*f_(n-1)),
+    # of determinant n(n + 2s); the system is linear, so rho_min^s is dropped and
+    # the start is O(1), which keeps atol from swamping the solution at large s
+    f = 1.0
     # (s + tau)/zeta cancels at small zeta if tau < 0; s^2 - tau^2 = -zeta^2
-    g0 = (s + tau) / zeta if tau > 0 else -zeta / (s - tau)
-    # [[s+1+tau, -zeta], [zeta, s+1-tau]] @ [f1, g1] = [g0/nu, nu*f0]
-    det = 2.0 * s + 1.0
-    f1 = ((s + 1.0 - tau) * (g0 / nu) + zeta * (nu * f0)) / det
-    g1 = ((s + 1.0 + tau) * (nu * f0) - zeta * (g0 / nu)) / det
-    return (f0 + f1 * _RHO_MIN, g0 + g1 * _RHO_MIN)
+    g = (s + tau) / zeta if tau > 0 else -zeta / (s - tau)
+    F, G, power = f, g, 1.0
+    for n in range(1, _SERIES_ORDER + 1):
+        f, g = (((s + n - tau) * (g / nu) + zeta * (nu * f)) / (n * (n + 2.0 * s)),
+                ((s + n + tau) * (nu * f) - zeta * (g / nu)) / (n * (n + 2.0 * s)))
+        power *= _RHO_MIN
+        F, G = F + f * power, G + g * power
+    if not (math.isfinite(F) and math.isfinite(G)):     # before the integrator sees it
+        raise StiffnessFailure(f"series start overflowed at nu = {nu!r}")
+    return F, G
 
 
 def _legs(channel: Channel, nu: float, k: int, table: bool = False):

@@ -7,6 +7,11 @@ from dataclasses import dataclass, field
 __all__ = ["CheckResult", "VerificationReport"]
 
 
+def _sup(values):
+    """max |v|, or a NaN among the values (max alone keeps a NaN only in first place)."""
+    return next((v for v in values if v != v), None) or max(abs(v) for v in values)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str

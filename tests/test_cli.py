@@ -1,6 +1,8 @@
 """Front-end contract: table shapes, metadata, precision echo, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import diracladder
-from diracladder import bound_energy, cli, make_channel
+from diracladder import DomainError, bound_energy, cli, make_channel, oracle, verify
 from diracladder.cli import _grid_type, main
 
 
@@ -335,6 +337,14 @@ def test_non_finite_or_non_positive_inputs_exit_two(argv, capsys):
     assert "nan" not in out
 
 
+@pytest.mark.parametrize("argv", [["spectrum", "--zeta", "abc"],
+                                  ["spectrum", "--Z", "abc", "--precision", "113"]])
+def test_a_coupling_that_is_not_a_number_is_a_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "usage error: not a number: 'abc'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--zeta", "1e999"],
     ["spectrum", "--zeta", "inf", "--precision", "113"],
@@ -456,6 +466,9 @@ def test_usage_errors_exit_two(capsys):
             main(["wavefunction", "--zeta", "0.5", "--j", "0.5", "--eps", "-1",
                   "--k", "1", "--grid", grid])
         assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["demo-divergence", "--zeta", "0.5", "--cutoffs", "5,x"])
+    assert exc.value.code == 2
     assert _grid_type("0.1,10,100000") == (0.1, 10.0, 100000)
     # flags a command would ignore are not registered: no command takes a
     # mass (energies are in units of it), alpha and the electron rest energy
@@ -491,6 +504,51 @@ def test_verify_single_suite(capsys):
     assert all("tol=1.0e-10" in line for line in sweeps), sweeps
 
 
+def _nan_check(report, i):
+    report.checks[i] = dataclasses.replace(report.checks[i], measured=math.nan)
+    return report
+
+
+_SECOND_TOWER = make_channel(1.5, -1, 0.1).lam     # verify's second tower
+
+
+@pytest.mark.parametrize("home, name, poison, failing", [
+    (verify, "commutator_check", lambda f, out: _nan_check(out, 0) if f.rank == 15 else out,
+     ["[raise, lower] acts as 2*mu (worst of 126)"]),
+    (verify, "apply_casimir",
+     lambda f, out: (f, math.nan) if f.rank == 7 and f.branch == "positive" else out,
+     ["eigenvalue constancy over towers (126 members)"]),
+    (oracle, "inner_product", lambda f, out: math.nan if f.rank == 4 else out,
+     ["unit norms along towers (66 members)"]),
+    (oracle, "ode_residual", lambda sol, out: _nan_check(out, 1) if sol.state.k == 6 else out,
+     ["sup residual, exact derivatives (126 states)"]),
+    (verify, "matrix_representation",
+     lambda _, m: dataclasses.replace(m, entries=np.full_like(m.entries, math.nan))
+     if m.which == "omega1" and m.lam == _SECOND_TOWER else m,
+     ["omega1/omega2 traces vanish exactly",
+      "symmetry classes (antisym/anti-Hermitian/Hermitian)",
+      "interior rows of [omega1, omega2] - i*omega3", "towers stay disconnected"]),
+], ids=["algebra", "casimir", "quadrature", "ode", "matrices"])
+def test_a_nan_anywhere_in_a_sweep_fails_its_line(home, name, poison, failing,
+                                                  monkeypatch, capsys):
+    # one NaN on a member, state or tower past the first; Python's max keeps a
+    # NaN only in first place, and the line must not read the others' worst
+    original = getattr(home, name)
+    monkeypatch.setattr(home, name, lambda first, *args, **kwargs:
+                        poison(first, original(first, *args, **kwargs)))
+    code, out, _ = run(["verify"], capsys)
+    assert code == 1 and out.splitlines()[-1] == "SUITE FAILURES PRESENT"
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert [line.partition(" tol=")[0] for line in failed] == [
+        f"[FAIL] {check}: measured=nan" for check in failing]
+
+
+def test_an_unknown_suite_is_a_domain_error():
+    # the CLI's choices never pass one; the library names the choices
+    with pytest.raises(DomainError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
+
+
 def test_oracle_compare(capsys):
     # a float64 command reports 53 bits
     code, out, _ = run(["oracle-compare", "--zeta", "0.5", "--j-max", "0.5",
@@ -502,6 +560,19 @@ def test_oracle_compare(capsys):
     assert float(meta_lines(out)["worst_rel_delta"]) < 1e-6
     assert meta_lines(out)["rel_delta_measure"].startswith("|nu_shooting")
     assert meta_lines(out)["precision_bits"] == "53"
+
+
+def test_oracle_compare_fails_a_nan_row(capsys, monkeypatch):
+    # a NaN in any row, not only the first, fails the gate
+    def rows(zeta, j_max, k_max):
+        return [{"j": 0.5, "eps": [-1], "k": k, "E_algebraic": 0.9, "E_shooting": 0.9,
+                 "rel_delta": delta} for k, delta in enumerate((1e-13, math.nan, 2e-13))]
+
+    monkeypatch.setattr(cli, "compare_spectrum", rows)
+    code, out, _ = run(["oracle-compare", "--zeta", "0.5"], capsys)
+    assert code == 1
+    meta = meta_lines(out)
+    assert meta["worst_rel_delta"] == "nan" and meta["agreement_threshold"] == "1e-06"
 
 
 def test_oracle_compare_records_skipped_channels_in_metadata(capsys):

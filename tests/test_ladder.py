@@ -68,6 +68,11 @@ def test_ground_requires_lam_above_half():
         ground_ladder_function(0.2)
 
 
+def test_a_member_is_on_one_of_the_two_branches():
+    with pytest.raises(DomainError, match="branch must be"):
+        LadderFunction(1.5, 1.5, (1.0,), branch="neither")
+
+
 def test_lam_is_judged_at_its_own_precision():
     # float(lam) is 0.5 here: the ground member was refused, and the float64
     # path, which rounds lam to 1/2, then met math.gamma(0.0)

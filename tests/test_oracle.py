@@ -245,6 +245,10 @@ def test_inner_product_guards():
     assert inner_product(f, ground_ladder_function(LAM)) == inner_product(f, f)
     with pytest.raises(WrongBranch):
         inner_product(f, negative_branch_ground(LAM))
+    # a NaN coefficient makes every estimate NaN, which no doubling settles
+    bad = replace(f, coeffs=(math.nan,))
+    with pytest.raises(QuadratureFailure, match="went non-finite"):
+        inner_product(bad, bad)
 
 
 def test_physical_norm_quadrature_matches_exact_sum():
@@ -433,6 +437,18 @@ def test_long_outward_leg_overflows_controlled():
     # match point near mu - 1/2 ~ 1000 and overflows
     with pytest.raises(StiffnessFailure):
         matching_determinant(ref_channel(), 0.2, k=1000)
+    # a series start past float64 (terms in 1/nu) is refused before the integrator
+    with pytest.raises(StiffnessFailure):
+        matching_determinant(make_channel(0.5, -1, 0.5), 1e-300)
+
+
+@pytest.mark.parametrize("j, eps, zeta, k", [
+    (0.5, -1, 0.999, 1), (0.5, -1, 0.999, 2), (0.5, 1, 0.999, 1), (1.5, 1, 1.99, 1)])
+def test_shooting_near_critical_coupling(j, eps, zeta, k):
+    # s is small here, so the start's truncation shows in nu: a series cut
+    # after order 1 leaves 6.8e-9, 1.8e-8, 6.8e-9 and 3.2e-10
+    ch = make_channel(j, eps, zeta)
+    assert oracle._shoot(ch, k).nu == pytest.approx(float(bound_energy(ch, k).nu), rel=1e-11)
 
 
 def test_shooting_solution_nodes_and_tables():
