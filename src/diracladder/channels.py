@@ -38,7 +38,7 @@ import math
 import operator
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import precision
 from .errors import (
@@ -109,6 +109,8 @@ def _is_half_odd_integer(j) -> bool:
 
 def _require_level(name: str, k) -> int:
     """k as a Python int: any integer type but bool (operator.index), nonnegative."""
+    if type(k) is int and k >= 0:   # the common case, before any context manager
+        return k
     with contextlib.suppress(TypeError):
         if not isinstance(k, bool) and operator.index(k) >= 0:
             return operator.index(k)
@@ -174,7 +176,8 @@ def bound_energy(channel: Channel, k: int) -> BoundState:
     # sqrt((1 - E)/(1 + E)) rewritten without the cancellation in 1 - E; E and kappa
     # from ratio itself, as E is ill-conditioned in nu as nu -> 1 (k = 0, zeta -> j + 1/2)
     state = state_from_nu(channel, k, ratio / (1.0 + root))
-    return replace(state, energy=1.0 / root, wavenumber=ratio / root)
+    return BoundState(channel=channel, k=k, mu=state.mu, energy=1.0 / root,
+                      wavenumber=ratio / root, nu=state.nu)
 
 
 def state_from_nu(channel: Channel, k: int, nu) -> BoundState:

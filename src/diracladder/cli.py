@@ -253,12 +253,18 @@ def _cell(value, bits: int) -> str:
     return _fmt(value, bits)
 
 
+def _json_real(val):
+    val = float(val)
+    return val if math.isfinite(val) else None
+
+
 def _emit(meta: dict, rows: list[dict], args, bits: int) -> None:
-    """Print the rows (dicts of raw values) as CSV or JSON; reals become float in JSON."""
+    """Print the rows (dicts of raw values) as CSV or JSON; reals become float in JSON,
+    and null where not finite, as strict JSON has no NaN or Infinity."""
     if args.format == "json":
-        rows = [{key: val if val is None or isinstance(val, (int, list)) else float(val)
+        rows = [{key: val if val is None or isinstance(val, (int, list)) else _json_real(val)
                  for key, val in row.items()} for row in rows]
-        print(json.dumps({"meta": meta, "rows": rows}, indent=2))
+        print(json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False))
         return
     lines = [f"# {key} = {json.dumps(val) if isinstance(val, (list, dict)) else val}"
              for key, val in meta.items()]

@@ -42,10 +42,11 @@ raising is the basis shift: the rank-k unit member is sqrt(a) b_k, and
 raise_to_rank climbs on the top coefficient alone in O(k); apply_raising keeps
 the full action, which the algebra checks exercise.  A member's raw raising,
 lowering and Casimir actions at its own mu are each computed once, on first
-read, and kept with it.  The primitives skip exact-zero coefficients, so an
-action's work follows the member's nonzero band (psi_plus, F, G: the top two),
-not k.  The lam-only numbers (beta_n, the _tails ratios, b_0) are tables of the
-tower, formed once per lam and working precision (_tower), not per member.
+read, and kept with it.  The primitives skip the arithmetic on exact-zero
+coefficients (psi_plus, F, G are nonzero on their top two only) but still scan
+every coefficient, so an action's work grows with k, if slowly.  The lam-only
+numbers (beta_n, the _tails ratios, b_0) are tables of the tower, formed once
+per lam and working precision (_tower), not per member.
 Both norms are sums of nonnegative terms of order one (rho measure: sum e_n**2
 / 2; x measure: _x_norm_sq), so float64 and mpmath coefficients share one code
 path.  Values come from the recurrence beta_n b_n = (2n - 1 + a - x) b_(n-1) -
@@ -406,7 +407,10 @@ class LadderFunction:
 def _zeros(members, lo, hi) -> list:
     """LadderFunction.zeros of members of one degree k (a member, or F and G of a level),
     each its zeros or the error that refuses them.  They differ in c_(k-1) alone: one
-    eigvalsh call on their stack, one Sturm recursion over all their columns."""
+    eigvalsh call on their stack, one Sturm recursion over all their columns, laid out by
+    kind (every in-window eigenvalue, each at x*(1 + 1e-6), every member's fences), so that
+    one expression polishes, one reduction counts and plain comparisons fence them all.
+    Each member keeps its own fences, the count min(m, 1) per interval and its error."""
     found = []
     for f in members:
         coeffs = [float(c) for c in f.coeffs]  # Python floats: an overflow is inf, no warning
@@ -430,27 +434,41 @@ def _zeros(members, lo, hi) -> list:
     base = n + a + 1.0          # c_n; eigvalsh reads the lower triangle
     jacobi[:, n, n], jacobi[:, n[1:], n[:-1]] = base + n, beta[1:k]
     jacobi[:, -1, -1] = lasts + (k - 1)
-    xs = [x[(x > 2 * lo) & (x < 2 * hi)] for x in np.linalg.eigvalsh(jacobi)]
-    columns = [np.concatenate((x, x + x * 1e-6, [2 * lo], (x[1:] + x[:-1]) / 2, [2 * hi]))
-               for x in xs]
-    points = np.concatenate(columns)
+    eig = np.linalg.eigvalsh(jacobi)    # ascending rows: a member's in-window run is contiguous
+    inside = (eig > 2 * lo) & (eig < 2 * hi)
+    grid = np.empty((lasts.size, k + 1))    # 2*lo, the midpoints, 2*hi; a member's fences
+    grid[:, 0], grid[:, 1:-1], grid[:, -1] = 2 * lo, (eig[:, 1:] + eig[:, :-1]) / 2, 2 * hi
+    fenced = np.ones(grid.shape, bool)      # are its midpoints between in-window eigenvalues
+    fenced[:, 1:-1] = inside[:, 1:] & inside[:, :-1]
+    x, fences = eig[inside], grid[fenced]   # member by member
+    (of_x, _), (of_fence, _) = inside.nonzero(), fenced.nonzero()
+    points = np.concatenate((x, x + x * 1e-6, fences))
     s, pivmin = -points, sys.float_info.min * max(1.0, k * (k + a))
     pivots = np.empty((k, points.size))
-    for i, c in enumerate(base[:-1].tolist() + [lasts.repeat([p.size for p in columns])]):
+    for i, c in enumerate(base[:-1].tolist() + [lasts[np.concatenate((of_x, of_x, of_fence))]]):
         p = np.add(s, c, out=pivots[i])     # p_n = c_n + s_n
         np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
         if i < k - 1:                       # s_(n+1) = (n+1) s_n/p_n - x
             s *= (i + 1) / p
             s -= points
+    m, last = x.size, pivots[-1]
+    x = x - (points[m:2 * m] - x) * last[:m] / (last[m:2 * m] - last[:m])
+    counts = np.add.reduce(pivots[:, 2 * m:] < 0)
+    # an interval is two fences of one member; it holds min(m, 1) eigenvalues, and
+    # the intervals of a member with zeros hold its polished zeros in turn
+    sizes = np.add.reduce(inside, axis=1)
+    interval = of_fence[1:] == of_fence[:-1]
+    holds = (sizes > 0)[of_fence[1:]]       # min(m, 1), as a bool
+    around = interval & holds
+    failed = np.zeros(sizes.size, bool)
+    failed[of_fence[1:][interval & (counts[1:] - counts[:-1] != holds)]] = True
+    failed[of_x[~((fences[:-1][around] < x) & (x < fences[1:][around]))]] = True
+    x /= 2
     zeros, end = [], 0
-    for x, cols in zip(xs, columns):
-        own, m, end = pivots[:, end:end + cols.size], x.size, end + cols.size
-        x = x - (cols[m:2 * m] - x) * own[-1, :m] / (own[-1, m:2 * m] - own[-1, :m])
-        counts, fences = (own[:, 2 * m:] < 0).sum(axis=0), cols[2 * m:]
-        certified = ((counts[1:] - counts[:-1] == min(m, 1)).all()
-                     and (fences[:-1] < x).all() and (x < fences[1:]).all())
-        zeros.append(x / 2 if certified else PrecisionLoss(
-            f"{m} zeros of a degree-{k} member failed the Sturm count on ({lo}, {hi})"))
+    for size, refused in zip(sizes.tolist(), failed.tolist()):
+        zeros.append(PrecisionLoss(f"{size} zeros of a degree-{k} member failed the Sturm "
+                                   f"count on ({lo}, {hi})") if refused else x[end:end + size])
+        end += size
     return [zeros.pop(0) if isinstance(x, float) else x for x in found]
 
 
@@ -469,11 +487,18 @@ def _evaluate_with_derivatives(members, rho, derivatives=True):
     with np.errstate(over="ignore", invalid="ignore"):     # judged just below
         block, (weight, sign) = _evaluate_q(lam, rows, rho), members[0]._weight(rho)
         block *= weight
-        if derivatives:     # rows wq, wW of each member -> P, P'
-            block[1::2] = -2 * block[1::2] + sign * block[::2] + (lam - 0.5) * block[::2] / rho
+        if derivatives:     # rows wq, wW of each member -> P, P', in place
+            value, slope = block[::2], block[1::2]
+            slope *= -2
+            scratch = np.multiply(sign, value)
+            slope += scratch
+            np.multiply(lam - 0.5, value, out=scratch)
+            scratch /= rho
+            slope += scratch
     if block.dtype == float or isinstance(block[0], float):
-        finite = np.logical_and.reduce(np.isfinite(block.astype(float, copy=False)))
-        if not finite.all():
+        block64 = block.astype(float, copy=False)
+        if not np.isfinite(block64).all():      # one test; the scan below only names rho
+            finite = np.logical_and.reduce(np.isfinite(block64))
             raise PrecisionLoss("evaluation overflows float64 at rho = "
                                 f"{float(np.asarray(rho)[~finite][0])!r}")
     return block

@@ -283,6 +283,12 @@ def _fd_first_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return np.convolve(values, c[::-1], mode="valid") / h
 
 
+def _accumulate(sums, term):
+    # sums[0] += term and sums[1] += |term|, in place; term is scratch
+    sums[0] += term
+    sums[1] += np.abs(term, out=term)
+
+
 def ode_residual(solution: RadialSolution, method: str = "exact",
                  tolerance: float = 1e-8) -> VerificationReport:
     """Pointwise residuals of both first-order equations, sup and RMS.
@@ -313,12 +319,26 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
         gp = _fd_first_derivative(g, h) / rho
         f, g = f[4:-4], g[4:-4]
 
-    # the signed terms of the G' ("small") and F' ("large") equations, summed in order
-    tau_rho, zeta_rho = tau / rho, zeta / rho
-    terms = np.array([(gp, fp), (-tau_rho * g, tau_rho * f), (-nu * f, g / -nu),
-                      (zeta_rho * f, -zeta_rho * g)])
-    rel = np.abs(np.add.reduce(terms)) / (np.add.reduce(np.abs(terms)) + 1e-290)
-    rms = np.sqrt(np.add.reduce(rel ** 2, axis=1) / rho.size)    # np.mean's bits, no wrapper
+    # the signed terms of the G' ("small") and F' ("large") equations, (G', F'),
+    # (-tau/rho G, tau/rho F), (-nu F, G/-nu), (zeta/rho F, -zeta/rho G), and apart
+    # their magnitudes, each added in that order into its half of one buffer
+    sums, term, flip = np.empty((2, 2, rho.size)), np.empty((2, rho.size)), np.empty((2, rho.size))
+    signed, size = sums
+    signed[0], signed[1] = gp, fp
+    np.abs(signed, out=size)
+    np.negative(g, out=flip[0])
+    flip[1] = f                         # (-G, F); flip[::-1] is (F, -G)
+    np.multiply(tau / rho, flip, out=term)
+    _accumulate(sums, term)
+    np.multiply(-nu, f, out=term[0])
+    np.divide(g, -nu, out=term[1])
+    _accumulate(sums, term)
+    np.multiply(zeta / rho, flip[::-1], out=term)
+    _accumulate(sums, term)
+    rel = np.abs(signed, out=signed)
+    size += 1e-290
+    rel /= size
+    rms = np.sqrt(np.add.reduce(np.square(rel, out=size), axis=1) / rho.size)  # np.mean's bits
     report = VerificationReport(
         f"radial system residual ({method}) for k={st.k}, "
         f"j={float(st.channel.j)}, eps={st.channel.epsilon:+d}")

@@ -33,7 +33,7 @@ zeta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -134,8 +134,9 @@ def physical_normalize(solution: RadialSolution) -> RadialSolution:
     the same path, so the amplitude keeps the solution's precision.
     """
     norm = sum(c.rho_norm_squared() for c in solution.components)
-    return replace(solution, amplitude=solution.amplitude / precision.sqrt(norm),
-                   normalization="physical")
+    return RadialSolution(solution.state, solution.psi_plus, solution.psi_minus,
+                          solution.rel_coeff, amplitude=solution.amplitude / precision.sqrt(norm),
+                          normalization="physical")
 
 
 def count_radial_nodes(solution: RadialSolution, component: str = "F") -> np.ndarray:

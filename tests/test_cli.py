@@ -575,6 +575,23 @@ def test_oracle_compare_fails_a_nan_row(capsys, monkeypatch):
     assert meta["worst_rel_delta"] == "nan" and meta["agreement_threshold"] == "1e-06"
 
 
+def test_oracle_compare_json_with_a_nan_row_is_strict_json(capsys, monkeypatch):
+    # strict parsers have no NaN: the row's rel_delta is null, and the gate still fails
+    def rows(zeta, j_max, k_max):
+        return [{"j": 0.5, "eps": [-1], "k": k, "E_algebraic": 0.9, "E_shooting": 0.9,
+                 "rel_delta": delta} for k, delta in enumerate((1e-13, math.nan, math.inf))]
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setattr(cli, "compare_spectrum", rows)
+    code, out, _ = run(["oracle-compare", "--zeta", "0.5", "--format", "json"], capsys)
+    assert code == 1
+    parsed = json.loads(out, parse_constant=refuse)
+    assert [r["rel_delta"] for r in parsed["rows"]] == [1e-13, None, None]
+    assert parsed["meta"]["worst_rel_delta"] == "nan"
+
+
 def test_oracle_compare_records_skipped_channels_in_metadata(capsys):
     # zeta = 1.2 is supercritical at j = 1/2: the skip goes into the metadata,
     # as in spectrum, and nothing reaches stderr even under warnings-as-errors

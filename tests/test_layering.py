@@ -11,11 +11,13 @@ first extended-precision number (a `--precision 113` call, or a caller's own
 `import mpmath`), and the precision helpers recognise its numbers from then
 on.  Importing the package binds every public name, each from the `__all__`
 of exactly one module, and loads no numpy.polynomial either.  Certifying a
-state enters none of numpy's Python-level wrappers that a plainer call
-replaces, and a tower grown once is read without growing it again.
+state, from its level's closed-form energy on, enters none of numpy's Python-level
+wrappers that a plainer call replaces, no `dataclasses.replace` and no
+`contextlib.suppress`, and a tower grown once is read without growing it again.
 """
 
 import ast
+import contextlib
 import dataclasses
 import functools
 import os
@@ -28,7 +30,6 @@ import pytest
 
 import diracladder
 from diracladder.ladder import _Tower
-from diracladder.radial import RadialSolution
 
 PACKAGE = Path(diracladder.__file__).parent
 
@@ -202,10 +203,10 @@ def test_package_binds_each_public_name_from_one_module():
 WRAPPERS = ("diag", "fill_diagonal", "all", "mean", "flatnonzero", "cumsum", "split", "repeat")
 
 
-def certify(state):
-    """One state's certify sequence: build, algebra, norms, residual, both node counts."""
+def certify(channel, k):
+    """One state's certify sequence: level, build, algebra, norms, residual, both node counts."""
     dl = diracladder
-    sol = dl.build_solution(state)
+    sol = dl.build_solution(dl.bound_energy(channel, k))
     f = sol.psi_plus
     dl.commutator_check(f)
     dl.apply_casimir(f)
@@ -221,20 +222,14 @@ def entered(run):
     """Names of the watched frames that run() enters, in order, by sys.setprofile."""
     watched = {getattr(np, n)._implementation.__code__: f"numpy.{n}" for n in WRAPPERS}
     watched[_Tower.grow.__code__] = "_Tower.grow"
-    components = RadialSolution.components.func.__code__
+    # a frozen dataclass built field by field, and a context manager around a plain int
+    watched[dataclasses.replace.__code__] = "dataclasses.replace"
+    watched[contextlib.suppress.__init__.__code__] = "contextlib.suppress"
     seen = []
 
     def profile(frame, event, arg):
-        if event != "call":
-            return
-        if frame.f_code in watched:
+        if event == "call" and frame.f_code in watched:
             seen.append(watched[frame.f_code])
-        elif frame.f_code is dataclasses.replace.__code__:
-            caller = frame.f_back
-            while caller is not None and caller.f_code is not components:
-                caller = caller.f_back
-            if caller is not None:
-                seen.append("dataclasses.replace in RadialSolution.components")
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -248,8 +243,7 @@ def entered(run):
 def test_certify_enters_no_numpy_wrapper_and_reads_a_grown_tower_as_is():
     # a channel no other test uses: its tower and Gauss rules are built here
     channel = diracladder.make_channel(2.5, -1, 0.2718281828)
-    top, lower = (diracladder.bound_energy(channel, k) for k in (6, 4))
-    first = entered(lambda: certify(top))
+    first = entered(lambda: certify(channel, 6))
     assert "_Tower.grow" in first
     assert [name for name in first if name != "_Tower.grow"] == []
-    assert entered(lambda: certify(lower)) == []
+    assert entered(lambda: certify(channel, 4)) == []

@@ -36,6 +36,7 @@ from diracladder import (
 from diracladder import ladder, oracle
 from diracladder.oracle import component_norm_integral, laguerre_weighted_integral
 from diracladder.radial import RadialSolution, count_radial_nodes
+from diracladder.verify import CHANNEL_GRID
 
 LAM = 1.3660254037844386468
 N5_REF = 33075.131063410606081     # integral_0^5 rho^(2lam-2) e^(2rho) drho
@@ -323,6 +324,34 @@ def test_state_from_nu_passes_residual_at_tiny_coupling(k):
     lossy = replace(sol, state=state_from_nu(
         ch, k, math.sqrt((1.0 - st.energy) / (1.0 + st.energy))))
     assert not ode_residual(lossy).all_passed
+
+
+@pytest.mark.parametrize("method", ["exact", "fd"])
+@pytest.mark.parametrize("j, eps, zeta", CHANNEL_GRID)
+def test_ode_residual_sums_its_terms_in_one_fixed_order(method, j, eps, zeta):
+    # the terms of each equation, (G', F'), (-tau/rho G, tau/rho F), (-nu F, G/-nu),
+    # (zeta/rho F, -zeta/rho G), summed in that order: np.add.reduce over their stack
+    channel = make_channel(j, eps, zeta)
+    tau = channel.tau
+    for k in range(channel.k_min, 11):
+        sol = physical_normalize(build_solution(bound_energy(channel, k)))
+        nu, (lo, hi) = sol.state.nu, sol.state.window
+        x = np.linspace(np.log(lo), np.log(hi),
+                        (4 if method == "fd" else 1) * oracle._RESIDUAL_POINTS)
+        rho = np.exp(x)
+        f, g, fp, gp = sol.evaluate_with_derivatives(rho)
+        if method == "fd":
+            rho = rho[4:-4]
+            fp, gp = (oracle._fd_first_derivative(v, x[1] - x[0]) / rho for v in (f, g))
+            f, g = f[4:-4], g[4:-4]
+        terms = np.array([(gp, fp), (-tau / rho * g, tau / rho * f), (-nu * f, g / -nu),
+                          (zeta / rho * f, -zeta / rho * g)])
+        rel = np.abs(np.add.reduce(terms)) / (np.add.reduce(np.abs(terms)) + 1e-290)
+        rms = np.sqrt(np.add.reduce(rel ** 2, axis=1) / rho.size)
+        report = ode_residual(sol, method=method)
+        assert [c.measured for c in report.checks] == np.maximum.reduce(rel, axis=1).tolist()
+        assert [c.detail for c in report.checks] == [
+            f"rms={spread:.2e}, n={rho.size}" for spread in rms.tolist()]
 
 
 def test_ode_residual_method_validation():

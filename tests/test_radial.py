@@ -497,6 +497,17 @@ def test_one_eigvalsh_call_certifies_f_and_g(monkeypatch):
     assert shapes == [(2, 12, 12)]
 
 
+@pytest.mark.parametrize("j, eps, zeta", CHANNEL_GRID)
+def test_a_members_nodes_do_not_depend_on_the_member_beside_it(j, eps, zeta):
+    # F and G share one layout of columns; each alone gives the same bits
+    channel = make_channel(j, eps, zeta)
+    for k in [*range(channel.k_min, 21), 60]:
+        sol = build_solution(bound_energy(channel, k))
+        for component, member in zip("FG", sol.components):
+            assert np.array_equal(count_radial_nodes(sol, component),
+                                  member.zeros(*sol.state.window))
+
+
 def test_zeros_make_no_laguerre_pass(monkeypatch):
     # the count and the polish both run on pivots of the Jacobi matrix
     sol = solution(12)
