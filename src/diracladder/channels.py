@@ -33,7 +33,6 @@ then forces tau + zeta/kappa = 0, which requires tau < 0.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 import sys
@@ -109,11 +108,11 @@ def _is_half_odd_integer(j) -> bool:
 
 def _require_level(name: str, k) -> int:
     """k as a Python int: any integer type but bool (operator.index), nonnegative."""
-    if type(k) is int and k >= 0:   # the common case, before any context manager
-        return k
-    with contextlib.suppress(TypeError):
+    try:
         if not isinstance(k, bool) and operator.index(k) >= 0:
             return operator.index(k)
+    except TypeError:
+        pass
     raise InvalidQuantumNumber(f"{name} must be a nonnegative integer, got {k!r}")
 
 

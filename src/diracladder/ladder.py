@@ -455,7 +455,9 @@ def _zeros(members, lo, hi) -> list:
     x = x - (points[m:2 * m] - x) * last[:m] / (last[m:2 * m] - last[:m])
     counts = np.add.reduce(pivots[:, 2 * m:] < 0)
     # an interval is two fences of one member; it holds min(m, 1) eigenvalues, and
-    # the intervals of a member with zeros hold its polished zeros in turn
+    # the intervals of a member with zeros hold its polished zeros in turn.  This
+    # bookkeeping serves the zeros' positions only: ROADMAP item 3's two-fence count
+    # replaces it, and it is not to be extended meanwhile
     sizes = np.add.reduce(inside, axis=1)
     interval = of_fence[1:] == of_fence[:-1]
     holds = (sizes > 0)[of_fence[1:]]       # min(m, 1), as a bool

@@ -222,7 +222,7 @@ def entered(run):
     """Names of the watched frames that run() enters, in order, by sys.setprofile."""
     watched = {getattr(np, n)._implementation.__code__: f"numpy.{n}" for n in WRAPPERS}
     watched[_Tower.grow.__code__] = "_Tower.grow"
-    # a frozen dataclass built field by field, and a context manager around a plain int
+    # a frozen dataclass built field by field, and a context manager around the level check
     watched[dataclasses.replace.__code__] = "dataclasses.replace"
     watched[contextlib.suppress.__init__.__code__] = "contextlib.suppress"
     seen = []
