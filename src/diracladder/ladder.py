@@ -61,6 +61,7 @@ of q; members of one degree share one pass (LadderFunction.zeros).
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 import threading
@@ -364,24 +365,28 @@ class LadderFunction:
     def zeros(self, lo, hi) -> np.ndarray:
         """Zeros of q (hence of P) with lo < rho < hi, ascending, in float64.
 
-        q must be two-term, e_(k-1) b_(k-1) + e_k b_k once trailing zeros are
-        trimmed (every F, G and raised member); any other member, or zero,
-        raises DomainError.  At a zero x = 2*rho, b_k = -(e_(k-1)/e_k) b_(k-1)
-        closes rows 0..k-1 of the recurrence: the zeros are the eigenvalues
-        (real, simple: q is quasi-orthogonal, Chihara 1978) of the symmetric
-        Jacobi matrix T with diagonal d_n = 2n + a + 1, off-diagonal beta_n,
-        n < k, and d_(k-1) raised by beta_k e_(k-1)/e_k.  Certificate: T has
-        as many eigenvalues below x as T - x*I has negative pivots (Sturm
-        sequence; Barth, Martin & Wilkinson 1967), ratios no k overflows, at
-        the fences 2*lo, the midpoints between eigvalsh's eigenvalues inside
-        and 2*hi; the recursion also runs at each such x and x*(1 + 1e-6),
-        in the differential form of T = L D L^T (c_n = d_n - n, c_n l_n**2 =
-        n + 1; Dhillon & Parlett 2004) that keeps small zeros' relative
-        digits; a pivot under pivmin counts as -pivmin (LAPACK's dstebz).  One
-        secant step on p_(k-1) removes eigvalsh's absolute error (to 2e-13 on
-        small zeros).  PrecisionLoss unless each fence interval holds one
-        eigenvalue and its polished zero, an empty window none (_zeros).
+        The window's ends must be finite, lo <= hi (lo == hi holds no zero); any
+        other window raises DomainError before any work.  q must be two-term,
+        e_(k-1) b_(k-1) + e_k b_k once trailing zeros are trimmed (every F, G
+        and raised member); any other member, or zero, raises DomainError.
+        At a zero x = 2*rho, b_k = -(e_(k-1)/e_k) b_(k-1) closes rows 0..k-1
+        of the recurrence: the zeros are the eigenvalues (real, simple: q is
+        quasi-orthogonal, Chihara 1978) of the symmetric Jacobi matrix T with
+        diagonal d_n = 2n + a + 1, off-diagonal beta_n, n < k, and d_(k-1)
+        raised by beta_k e_(k-1)/e_k.  Certificate: T has as many eigenvalues
+        below x as T - x*I has negative pivots (Sturm sequence; Barth, Martin &
+        Wilkinson 1967), ratios no k overflows, at the fences 2*lo, the
+        midpoints between eigvalsh's eigenvalues inside and 2*hi; the
+        recursion also runs at each such x and x*(1 + 1e-6), in the
+        differential form of T = L D L^T (c_n = d_n - n, c_n l_n**2 = n + 1;
+        Dhillon & Parlett 2004) that keeps small zeros' relative digits; a
+        pivot under pivmin counts as -pivmin (LAPACK's dstebz).  One secant
+        step on p_(k-1) removes eigvalsh's absolute error (to 2e-13 on small
+        zeros).  PrecisionLoss unless each fence interval holds one eigenvalue
+        and its polished zero, an empty window none (_zeros).
         """
+        if not -math.inf < lo <= hi < math.inf:     # written so that nan fails too
+            raise DomainError(f"zeros need a finite window with lo <= hi, got ({lo}, {hi})")
         found, = _zeros((self,), lo, hi)
         if isinstance(found, Exception):
             raise found
@@ -407,10 +412,10 @@ class LadderFunction:
 def _zeros(members, lo, hi) -> list:
     """LadderFunction.zeros of members of one degree k (a member, or F and G of a level),
     each its zeros or the error that refuses them.  They differ in c_(k-1) alone: one
-    eigvalsh call on their stack, one Sturm recursion over all their columns, laid out by
-    kind (every in-window eigenvalue, each at x*(1 + 1e-6), every member's fences), so that
-    one expression polishes, one reduction counts and plain comparisons fence them all.
-    Each member keeps its own fences, the count min(m, 1) per interval and its error."""
+    eigvalsh call on their stack, one Sturm recursion over all their columns (every
+    in-window eigenvalue, each at x*(1 + 1e-6), every member's fences) and one polishing
+    expression.  Each member is judged apart, in plain Python over its row: its in-window
+    run by bisection, its fences, the count min(m, 1) per interval, its error."""
     found = []
     for f in members:
         coeffs = [float(c) for c in f.coeffs]  # Python floats: an overflow is inf, no warning
@@ -427,25 +432,27 @@ def _zeros(members, lo, hi) -> list:
             last = k - 1 + a + 1.0 + beta[k] * coeffs[k - 1] / coeffs[k]
             found.append(last if math.isfinite(last) else PrecisionLoss(
                 f"the Jacobi matrix of a degree-{k} member is not finite"))
-    lasts = np.array([x for x in found if isinstance(x, float)])
-    if not lasts.size:
+    lasts = [f for f in found if isinstance(f, float)]
+    if not lasts:
         return found
-    n, jacobi = np.arange(k), np.zeros((lasts.size, k, k))
+    n, jacobi = np.arange(k), np.zeros((len(lasts), k * k))
     base = n + a + 1.0          # c_n; eigvalsh reads the lower triangle
-    jacobi[:, n, n], jacobi[:, n[1:], n[:-1]] = base + n, beta[1:k]
-    jacobi[:, -1, -1] = lasts + (k - 1)
-    eig = np.linalg.eigvalsh(jacobi)    # ascending rows: a member's in-window run is contiguous
-    inside = (eig > 2 * lo) & (eig < 2 * hi)
-    grid = np.empty((lasts.size, k + 1))    # 2*lo, the midpoints, 2*hi; a member's fences
-    grid[:, 0], grid[:, 1:-1], grid[:, -1] = 2 * lo, (eig[:, 1:] + eig[:, :-1]) / 2, 2 * hi
-    fenced = np.ones(grid.shape, bool)      # are its midpoints between in-window eigenvalues
-    fenced[:, 1:-1] = inside[:, 1:] & inside[:, :-1]
-    x, fences = eig[inside], grid[fenced]   # member by member
-    (of_x, _), (of_fence, _) = inside.nonzero(), fenced.nonzero()
-    points = np.concatenate((x, x + x * 1e-6, fences))
+    jacobi[:, ::k + 1], jacobi[:, k::k + 1] = base + n, beta[1:k]
+    jacobi[:, -1] = [last + (k - 1) for last in lasts]
+    eig = np.linalg.eigvalsh(jacobi.reshape(-1, k, k))  # ascending rows: bisect finds runs
+    runs, fences, x_of, fence_of = [], [], [], []
+    lo2, hi2 = float(2 * lo), float(2 * hi)
+    for row, last in zip(eig.tolist(), lasts):  # its in-window run, its fences around it
+        run = row[bisect.bisect_right(row, lo2):bisect.bisect_left(row, hi2)]
+        runs.append(run)
+        fences.append([lo2, *[(u + v) / 2 for u, v in zip(run, run[1:])], hi2])
+        x_of += [last] * len(run)
+        fence_of += [last] * len(fences[-1])
+    x = np.array([z for run in runs for z in run], float)
+    points = np.concatenate((x, x + x * 1e-6, [z for fence in fences for z in fence]))
     s, pivmin = -points, sys.float_info.min * max(1.0, k * (k + a))
     pivots = np.empty((k, points.size))
-    for i, c in enumerate(base[:-1].tolist() + [lasts[np.concatenate((of_x, of_x, of_fence))]]):
+    for i, c in enumerate(base[:-1].tolist() + [np.array(x_of + x_of + fence_of)]):
         p = np.add(s, c, out=pivots[i])     # p_n = c_n + s_n
         np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
         if i < k - 1:                       # s_(n+1) = (n+1) s_n/p_n - x
@@ -453,25 +460,23 @@ def _zeros(members, lo, hi) -> list:
             s -= points
     m, last = x.size, pivots[-1]
     x = x - (points[m:2 * m] - x) * last[:m] / (last[m:2 * m] - last[:m])
-    counts = np.add.reduce(pivots[:, 2 * m:] < 0)
-    # an interval is two fences of one member; it holds min(m, 1) eigenvalues, and
-    # the intervals of a member with zeros hold its polished zeros in turn.  This
+    counts, polished = np.add.reduce(pivots[:, 2 * m:] < 0).tolist(), x.tolist()
+    x /= 2
+    # each interval between a member's consecutive fences holds min(m, 1) eigenvalues,
+    # and a member's polished zeros lie strictly inside its intervals in turn.  This
     # bookkeeping serves the zeros' positions only: ROADMAP item 3's two-fence count
     # replaces it, and it is not to be extended meanwhile
-    sizes = np.add.reduce(inside, axis=1)
-    interval = of_fence[1:] == of_fence[:-1]
-    holds = (sizes > 0)[of_fence[1:]]       # min(m, 1), as a bool
-    around = interval & holds
-    failed = np.zeros(sizes.size, bool)
-    failed[of_fence[1:][interval & (counts[1:] - counts[:-1] != holds)]] = True
-    failed[of_x[~((fences[:-1][around] < x) & (x < fences[1:][around]))]] = True
-    x /= 2
-    zeros, end = [], 0
-    for size, refused in zip(sizes.tolist(), failed.tolist()):
-        zeros.append(PrecisionLoss(f"{size} zeros of a degree-{k} member failed the Sturm "
-                                   f"count on ({lo}, {hi})") if refused else x[end:end + size])
-        end += size
-    return [zeros.pop(0) if isinstance(x, float) else x for x in found]
+    verdicts, end, at = [], 0, 0     # a member's first zero, its first fence
+    for run, fence in zip(runs, fences):
+        size, count = len(run), counts[at:at + len(fence)]
+        if all(v - u == min(size, 1) for u, v in zip(count, count[1:])) and all(
+                u < z < v for u, z, v in zip(fence, polished[end:], fence[1:])):
+            verdicts.append(x[end:end + size])
+        else:
+            verdicts.append(PrecisionLoss(f"{size} zeros of a degree-{k} member failed the "
+                                          f"Sturm count on ({lo}, {hi})"))
+        end, at = end + size, at + len(fence)
+    return [verdicts.pop(0) if isinstance(f, float) else f for f in found]
 
 
 def _evaluate_with_derivatives(members, rho, derivatives=True):

@@ -28,7 +28,9 @@ many, from one evaluation of the integrand over the nodes of both rules.  The
 rules come from the module's own Golub-Welsch builder in numpy
 (roots_genlaguerre); at the largest, 256 nodes, its nodes and weights agree
 with scipy's to 4e-12 and its moments with Gamma(alpha + m + 1) to 3e-12
-relative, so the cap keeps every rule well inside the 1e-10 agreement.  The
+relative, so the cap keeps every rule well inside the 1e-10 agreement.  Each
+pair is cached per (n, alpha) as its rules' concatenated half-nodes t_i/2 and
+root weights sqrt(w_i), read-only, so an integral reuses them as they are.  The
 log-grid trapezoid starts at 512 nodes and doubles at most 5 times.  Two
 successive estimates must agree to 1e-10 (Gauss) or 1e-12 (trapezoid)
 relative to max(1, |estimate|).  The integrands are polynomials against fixed
@@ -133,10 +135,14 @@ def roots_genlaguerre(n: int, alpha: float):
 
 @functools.lru_cache(maxsize=64)
 def _laguerre_rule(n: int, alpha: float):
-    # nodes and root weights sqrt(w_i): an integrand formed as (sqrt(w) q)^2
-    # stays finite where q^2 alone would overflow at the far nodes
-    t, w = roots_genlaguerre(n, alpha)
-    return t, np.sqrt(w)
+    # the rules of n, 2n, ... nodes (_POLICY), concatenated and read-only: half-nodes
+    # t_i/2 and root weights sqrt(w_i); an integrand formed as (sqrt(w) q)^2 stays
+    # finite where q^2 alone would overflow at the far nodes
+    rules = [roots_genlaguerre(n << i, alpha) for i in range(_POLICY[_GAUSS][1] + 1)]
+    half = np.concatenate([t for t, _ in rules]) / 2.0
+    roots = np.sqrt(np.concatenate([w for _, w in rules]))
+    half.flags.writeable = roots.flags.writeable = False
+    return half, roots
 
 
 def _first_settled(estimates, n: int, tolerance: float, note: str = "") -> float:
@@ -169,9 +175,7 @@ def _weighted_integral(values_fn, alpha: float, degree: int,
         # the rule of m = n << i nodes sits at offset n + 2n + ... = m - n
         n = min(n, max(16, 1 << (degree // 2).bit_length()))
         sizes = [n << i for i in range(doublings + 1)]
-        rules = [_laguerre_rule(m, float(alpha)) for m in sizes]
-        values = values_fn(np.concatenate([t for t, _ in rules]) / 2.0,
-                           np.concatenate([root for _, root in rules]))
+        values = values_fn(*_laguerre_rule(n, float(alpha)))
         factor = 2.0 ** (-(alpha + 1.0))
         estimates = [factor * float(np.add.reduce(values[m - n:2 * m - n])) for m in sizes]
         note = (f"; degree {degree} is past {2 * n - 1}, the most the {n}-node rule "
@@ -308,7 +312,11 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
     nu = float(st.nu)
     lo, hi = st.window
 
-    x = np.linspace(np.log(lo), np.log(hi), (4 if method == "fd" else 1) * _RESIDUAL_POINTS)
+    # np.linspace's own arithmetic, without its Python wrapper: the same bits
+    n, start, stop = (4 if method == "fd" else 1) * _RESIDUAL_POINTS, np.log(lo), np.log(hi)
+    x = np.arange(float(n)) * ((stop - start) / (n - 1))
+    x += start
+    x[-1] = stop
     rho = np.exp(x)
     f, g, fp, gp = solution.evaluate_with_derivatives(rho)
     if method == "fd":

@@ -200,7 +200,8 @@ def test_package_binds_each_public_name_from_one_module():
 
 # numpy's Python-level wrappers off the certify path: each is a cold frame
 # between the benchmark's host-speed samples, dearer than its arithmetic
-WRAPPERS = ("diag", "fill_diagonal", "all", "mean", "flatnonzero", "cumsum", "split", "repeat")
+WRAPPERS = ("diag", "fill_diagonal", "all", "mean", "flatnonzero", "cumsum", "split", "repeat",
+            "linspace")
 
 
 def certify(channel, k):

@@ -175,6 +175,20 @@ def test_gauss_rule_reads_the_lower_triangle_only(monkeypatch, n):
         assert np.array_equal(t, t_full) and np.array_equal(w, w_full), alpha
 
 
+def test_cached_gauss_rule_pair_is_read_only():
+    # a rule pair's half-nodes and root weights are formed once per (n, alpha) and
+    # shared: a write through either would change every later integral, so it raises
+    f = raise_to_rank(ground_ladder_function(LAM), 2)
+    assert inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
+    hits = oracle._laguerre_rule.cache_info().hits
+    for array in oracle._laguerre_rule(16, 2.0 * LAM - 2.0):     # rank 2's pair
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+    assert oracle._laguerre_rule.cache_info().hits == hits + 1
+
+
 @pytest.mark.parametrize("rank, sizes", [(3, {16, 32}), (20, {32, 64}), (128, {128, 256})])
 def test_gauss_rule_size_follows_degree(monkeypatch, rank, sizes):
     # the first rule is the smallest 2^m >= 16 nodes exact at the degree

@@ -437,6 +437,20 @@ def test_zeros_refuse_members_with_lower_terms():
     assert LadderFunction(lam=3.5, mu=3.5, coeffs=(2.0,)).zeros(1e-3, 100.0).size == 0
 
 
+def test_zeros_refuse_a_window_that_is_not_finite_and_ordered(monkeypatch):
+    # a NaN end once returned no zeros, a reversed window blamed float64 with
+    # PrecisionLoss, and an infinite end warned first: each is a DomainError,
+    # raised before the Jacobi matrix is formed
+    f = solution(6).components[0]
+    assert f.zeros(1e-3, 30.0).size == 6
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    for lo, hi in [(1e-3, math.nan), (5.0, 3.0), (math.nan, 30.0), (1e-3, math.inf)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite window"):
+                f.zeros(lo, hi)
+
+
 def test_jacobi_matrix_past_float64_raises_without_a_warning():
     # beta_k e_(k-1)/e_k overflows: PrecisionLoss, with no RuntimeWarning first
     member = LadderFunction(lam=1.5, mu=2.5, coeffs=(1e300, 1e-300))
