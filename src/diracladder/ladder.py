@@ -238,16 +238,18 @@ def _evaluate_q(lam, rows, rho):
     at most _TABLE_CELLS values, in place on row views split once per block,
     with one scratch row for its beta_(n-1) b_(n-2) term; each row's q is one
     dot product of its coefficients with the table's first len(row) rows.  An
-    array rho is float64 throughout (lam and rows rounded to it); a scalar rho
-    is one column of dtype object, so float and mpmath scalars keep their own
-    arithmetic.  One dot per row, not one matrix product for all, so a row's
-    values are the same bits with or without other rows of no greater length
-    (the longest row sets the block width).  A point's value can move in its
-    last bit with the grid it comes in, since the dot's rounding may depend
-    on where its column sits in the block.
+    array rho is cast to float64 whatever its dtype (numpy would otherwise keep
+    a float32 rho's precision in 2*rho, NEP 50) and is float64 throughout (lam
+    and rows rounded to it); a scalar rho is one column of dtype object, so
+    float and mpmath scalars keep their own arithmetic.  One dot per row, not
+    one matrix product for all, so a row's values are the same bits with or
+    without other rows of no greater length (the longest row sets the block
+    width).  A point's value can move in its last bit with the grid it comes
+    in, since the dot's rounding may depend on where its column sits in the
+    block.
     """
     if isinstance(rho, np.ndarray):
-        dtype, lam, x = float, float(lam), 2.0 * rho.ravel()
+        dtype, lam, x = float, float(lam), 2.0 * rho.astype(float, copy=False).ravel()
     else:
         dtype, x = object, np.array([2.0 * rho], dtype=object)
     rows = [np.array(row, dtype=dtype) for row in rows]
@@ -300,6 +302,8 @@ class LadderFunction:
     def __post_init__(self):
         if self.branch not in ("positive", "negative"):
             raise DomainError(f"branch must be 'positive' or 'negative', got {self.branch!r}")
+        if len(self.coeffs) == 0:
+            raise DomainError("a member needs at least one coefficient, got none")
 
     @property
     def degree(self) -> int:
@@ -488,7 +492,10 @@ def _evaluate_with_derivatives(members, rho, derivatives=True):
     before the power can overflow.  The evaluators' one finiteness check: PrecisionLoss
     names the first rho where a float64 value is not finite; mpmath cannot overflow.
     """
-    lam = float(members[0].lam) if isinstance(rho, np.ndarray) else members[0].lam
+    if isinstance(rho, np.ndarray):     # float64 whatever its dtype, a float64 rho uncopied
+        rho, lam = rho.astype(float, copy=False), float(members[0].lam)
+    else:
+        lam = members[0].lam
     rows = [row for f in members
             for row in ((f.coeffs, _tails(lam, f.coeffs)) if derivatives else (f.coeffs,))]
     with np.errstate(over="ignore", invalid="ignore"):     # judged just below

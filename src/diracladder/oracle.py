@@ -28,10 +28,15 @@ many, from one evaluation of the integrand over the nodes of both rules.  The
 rules come from the module's own Golub-Welsch builder in numpy
 (roots_genlaguerre); at the largest, 256 nodes, its nodes and weights agree
 with scipy's to 4e-12 and its moments with Gamma(alpha + m + 1) to 3e-12
-relative, so the cap keeps every rule well inside the 1e-10 agreement.  Each
-pair is cached per (n, alpha) as its rules' concatenated half-nodes t_i/2 and
-root weights sqrt(w_i), read-only, so an integral reuses them as they are.  The
-log-grid trapezoid starts at 512 nodes and doubles at most 5 times.  Two
+relative, so the cap keeps every rule well inside the 1e-10 agreement.  A
+fresh pair is one eigen-solve: the n-node Jacobi matrix, padded below its
+spectrum to 2n x 2n, and the 2n-node one go to eigvalsh as one stack, and
+both rules come out bit for bit as built alone.  Each pair is kept per
+(n, alpha) as its rules' concatenated half-nodes t_i/2 and root weights
+sqrt(w_i), read-only, so an integral reuses them as they are; a pair whose
+(n/2, alpha) pair is kept takes the n-node rule from it and solves for the
+2n-node rule alone, so a tower that crosses a rule size builds each size once.
+The log-grid trapezoid starts at 512 nodes and doubles at most 5 times.  Two
 successive estimates must agree to 1e-10 (Gauss) or 1e-12 (trapezoid)
 relative to max(1, |estimate|).  The integrands are polynomials against fixed
 weights, and both rules are exact up to roundoff below degree 256; each
@@ -45,7 +50,6 @@ overflows, and the trapezoid's rho^(alpha + 1) at the top of its window.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -71,11 +75,18 @@ __all__ = [
     "compare_spectrum", "truncated_norms", "divergence_check",
 ]
 
-# quadrature policy per scheme: (starting nodes, doublings, tolerance); see above
 _GAUSS = "generalized-gauss-laguerre"
 _TRAPEZOID = "transformed-trapezoid-in-x"
+# policy per scheme: (starting nodes, doublings, tolerance); see above.  The Gauss
+# rules are built and kept as one pair (_laguerre_rule), so their doublings stay 1
 _POLICY = {_GAUSS: (128, 1, 1e-10), _TRAPEZOID: (512, 5, 1e-12)}
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)   # e^x overflows float64 above it
+# Gauss rule pairs by (n, alpha), least recently used first (_laguerre_rule); the
+# pad of a smaller rule's Jacobi matrix (roots_genlaguerre) lies below every node:
+# the least, at 256 nodes and the least float64 alpha above -1, is 4.3e-19
+_PAIRS: dict = {}
+_PAIRS_KEPT = 64
+_PAD = 1e-300
 
 # log-grid points of the residual check; the 8th-order fd stencil takes 4x
 _RESIDUAL_POINTS = 2000
@@ -107,42 +118,70 @@ class ShootingResult:
 # ---------------------------------------------------------------------------
 # quadrature
 
-def roots_genlaguerre(n: int, alpha: float):
-    """Nodes and weights of the n-point rule for the weight t^alpha e^(-t).
+def roots_genlaguerre(n: int, alpha: float, pair: bool = False):
+    """Nodes and weights of the n-point rule for the weight t^alpha e^(-t), and
+    with pair set those of the 2n-point rule after them, from one eigen-solve.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
     L_n^(alpha) (diagonal 2i + alpha + 1, off-diagonal sqrt(i(i + alpha))),
     whose characteristic polynomial is the monic L_n^(alpha).  So L_n'(t_i)
     is proportional to prod_(j != i) (t_i - t_j), and w_i to
     1/(t_i L_n'(t_i)^2); the weights are summed in logs and scaled to add up
-    to Gamma(alpha + 1).
+    to Gamma(alpha + 1).  A pair is one eigvalsh over a stack of two 2n x 2n
+    matrices, the n-point Jacobi matrix padded and the 2n-point one.  The
+    padded matrix has the n-point one as its leading block, decoupled from a
+    diagonal block of _PAD below every node, so its nodes are its top n
+    eigenvalues.  In the weight pass a pad is a gap of 1 (a log of 0, at the
+    front of each sum) and a weight of 0, so both rules come out as from
+    their own matrices, bit for bit.
     """
-    i = np.arange(1.0, n)
+    m = 2 * n if pair else n
+    i = np.arange(float(m))
     # diagonal and subdiagonal only: eigvalsh reads the lower triangle
-    jacobi = np.zeros((n, n))
-    jacobi.flat[::n + 1] = 2.0 * np.arange(n) + alpha + 1.0
-    jacobi.flat[n::n + 1] = np.sqrt(i * (i + alpha))
-    t = np.linalg.eigvalsh(jacobi)
-    gaps = np.abs(t[:, None] - t)
-    gaps.flat[::n + 1] = 1.0
-    log_w = -np.log(t) - 2.0 * np.log(gaps).sum(axis=1)
-    log_w -= log_w.max()
-    top = math.lgamma(alpha + 1.0) - np.log(np.exp(log_w).sum())   # log of the largest w_i
-    if top > _LOG_FLOAT_MAX:
+    jacobi = np.zeros((1 + pair, m * m))
+    jacobi[:, ::m + 1] = 2.0 * i + alpha + 1.0
+    jacobi[:, m::m + 1] = np.sqrt(i[1:] * (i[1:] + alpha))
+    if pair:
+        jacobi[0, n * (m + 1)::m + 1] = _PAD
+        jacobi[0, n * (m + 1) - 1::m + 1] = 0.0
+    t = np.linalg.eigvalsh(jacobi.reshape(1 + pair, m, m))
+    gaps = t[:, :, None] - t[:, None, :]
+    np.abs(gaps, out=gaps)
+    gaps.reshape(1 + pair, m * m)[:, ::m + 1] = 1.0
+    gaps[0, :, :m - n] = 1.0
+    log_w = -np.log(t) - 2.0 * np.log(gaps, out=gaps).sum(axis=2)
+    log_w[0, :m - n] = -np.inf
+    log_w -= log_w.max(axis=1, keepdims=True)
+    top = math.lgamma(alpha + 1.0) - np.log(np.exp(log_w).sum(axis=1))  # logs of the largest w_i
+    if top.max() > _LOG_FLOAT_MAX:
         raise QuadratureFailure(f"Gauss-Laguerre weights overflow float64 at alpha={alpha:g}")
-    return t, np.exp(log_w + top)
+    log_w += top[:, None]
+    # the pads lead the flat rows, so the rules follow them in order
+    return t.reshape(-1)[m - n:], np.exp(log_w, out=log_w).reshape(-1)[m - n:]
 
 
-@functools.lru_cache(maxsize=64)
 def _laguerre_rule(n: int, alpha: float):
-    # the rules of n, 2n, ... nodes (_POLICY), concatenated and read-only: half-nodes
-    # t_i/2 and root weights sqrt(w_i); an integrand formed as (sqrt(w) q)^2 stays
-    # finite where q^2 alone would overflow at the far nodes
-    rules = [roots_genlaguerre(n << i, alpha) for i in range(_POLICY[_GAUSS][1] + 1)]
-    half = np.concatenate([t for t, _ in rules]) / 2.0
-    roots = np.sqrt(np.concatenate([w for _, w in rules]))
-    half.flags.writeable = roots.flags.writeable = False
-    return half, roots
+    # the pair of rules of n and 2n nodes (_POLICY's one doubling), concatenated and
+    # read-only: half-nodes t_i/2 and root weights sqrt(w_i); an integrand formed as
+    # (sqrt(w) q)^2 stays finite where q^2 alone would overflow at the far nodes.
+    # _PAIRS keeps the _PAIRS_KEPT latest used; a pair whose (n/2, alpha) pair is
+    # kept takes its n-node rule from there and builds the 2n-node one alone
+    pair = _PAIRS.pop((n, alpha), None)
+    if pair is None:
+        below = _PAIRS.get((n // 2, alpha))
+        if below is None:
+            t, w = roots_genlaguerre(n, alpha, pair=True)
+            pair = t / 2.0, np.sqrt(w)
+        else:
+            t, w = roots_genlaguerre(2 * n, alpha)
+            pair = tuple(np.concatenate((kept[n // 2:], new))
+                         for kept, new in zip(below, (t / 2.0, np.sqrt(w))))
+        for array in pair:
+            array.flags.writeable = False
+        if len(_PAIRS) >= _PAIRS_KEPT:
+            del _PAIRS[next(iter(_PAIRS))]
+    _PAIRS[n, alpha] = pair
+    return pair
 
 
 def _first_settled(estimates, n: int, tolerance: float, note: str = "") -> float:

@@ -73,6 +73,31 @@ def test_a_member_is_on_one_of_the_two_branches():
         LadderFunction(1.5, 1.5, (1.0,), branch="neither")
 
 
+# each reached the empty member before construction refused it: evaluation
+# divided by zero (_evaluate_q's table width), the others indexed past the end
+# (the relations with a ValueError)
+EMPTY_MEMBER_USES = {
+    "evaluate": lambda f: f.evaluate(1.0),
+    "polynomial": lambda f: f.polynomial(np.array([1.0, 2.0])),
+    "inner_product": lambda f: inner_product(f, f),
+    "norm_squared": lambda f: f.norm_squared(),
+    "positive_operator_check": positive_operator_check,
+    "apply_raising": apply_raising,
+    "raise_to_rank": lambda f: raise_to_rank(f, 2),
+    "evaluate_with_derivative": lambda f: f.evaluate_with_derivative(1.0),
+    "commutator_check": commutator_check,
+}
+
+
+@pytest.mark.parametrize("use", sorted(EMPTY_MEMBER_USES))
+@pytest.mark.parametrize("coeffs", [(), [], np.array([])], ids=["tuple", "list", "array"])
+def test_a_member_without_coefficients_is_refused_where_it_is_made(use, coeffs):
+    with pytest.raises(DomainError, match="at least one coefficient"):
+        EMPTY_MEMBER_USES[use](LadderFunction(lam=1.3, mu=1.3, coeffs=coeffs))
+    with pytest.raises(DomainError, match="at least one coefficient"):
+        EMPTY_MEMBER_USES[use](replace(ground_ladder_function(1.3), coeffs=coeffs))
+
+
 def test_lam_is_judged_at_its_own_precision():
     # float(lam) is 0.5 here: the ground member was refused, and the float64
     # path, which rounds lam to 1/2, then met math.gamma(0.0)

@@ -248,3 +248,25 @@ def test_certify_enters_no_numpy_wrapper_and_reads_a_grown_tower_as_is():
     assert "_Tower.grow" in first
     assert [name for name in first if name != "_Tower.grow"] == []
     assert entered(lambda: certify(channel, 4)) == []
+
+
+def test_certify_makes_one_gauss_solve_per_fresh_channel(monkeypatch):
+    # a channel no other test uses, so that its rule pair and tower start cold:
+    # one eigvalsh on the Gauss stack of both rules (16 and 32 nodes, padded
+    # to 32), built by one call of the oracle's builder, and one on the stack of
+    # F's and G's node matrices; a second level reuses the pair
+    from diracladder import oracle
+
+    shapes, builds = [], []
+    eigvalsh, build = np.linalg.eigvalsh, oracle.roots_genlaguerre
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or eigvalsh(m))
+    monkeypatch.setattr(oracle, "roots_genlaguerre",
+                        lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs))
+    channel = diracladder.make_channel(3.5, 1, 0.1414213562)
+    certify(channel, 6)
+    assert sorted(shapes) == [(2, 6, 6), (2, 32, 32)]
+    assert len(builds) == 1
+    del shapes[:], builds[:]
+    certify(channel, 5)
+    assert shapes == [(2, 5, 5)]
+    assert builds == []

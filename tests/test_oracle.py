@@ -163,16 +163,34 @@ def test_inner_product_evaluates_members_once(monkeypatch, rank):
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
 def test_gauss_rule_reads_the_lower_triangle_only(monkeypatch, n):
-    # the builder writes only the diagonal and subdiagonal of the Jacobi
-    # matrix; the rule is the same, bit for bit, as from the full symmetric one
+    # the builder writes only the diagonal and subdiagonal of each Jacobi
+    # matrix in its stack, the n-node rule's alone or the pair of n and 2n
+    # nodes; the rules are the same, bit for bit, as from the full symmetric ones
     eigvalsh = np.linalg.eigvalsh
     for alpha in RULE_ALPHAS:
-        t, w = oracle.roots_genlaguerre(n, alpha)
+        for pair in (False, True) if n < 256 else (False,):
+            t, w = oracle.roots_genlaguerre(n, alpha, pair)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvalsh",
+                              lambda m: eigvalsh(np.tril(m) + np.swapaxes(np.tril(m, -1), -1, -2)))
+                t_full, w_full = oracle.roots_genlaguerre(n, alpha, pair)
+            assert np.array_equal(t, t_full) and np.array_equal(w, w_full), (alpha, pair)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_gauss_rule_pair_is_its_rules_built_alone(monkeypatch, n):
+    # the n-node rule, padded into the 2n-node stack, comes out bit for bit as
+    # from its own n x n matrix, in one eigvalsh call for both rules
+    for alpha in RULE_ALPHAS + [-1.0 + 2.3e-16, 170.0]:
+        alone = [oracle.roots_genlaguerre(m, alpha) for m in (n, 2 * n)]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigvalsh",
-                          lambda m: eigvalsh(np.tril(m) + np.tril(m, -1).T))
-            t_full, w_full = oracle.roots_genlaguerre(n, alpha)
-        assert np.array_equal(t, t_full) and np.array_equal(w, w_full), alpha
+            patch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+            t, w = oracle.roots_genlaguerre(n, alpha, pair=True)
+        assert calls == [(2, 2 * n, 2 * n)]
+        assert np.array_equal(t, np.concatenate([t for t, _ in alone])), alpha
+        assert np.array_equal(w, np.concatenate([w for _, w in alone])), alpha
 
 
 def test_cached_gauss_rule_pair_is_read_only():
@@ -180,27 +198,28 @@ def test_cached_gauss_rule_pair_is_read_only():
     # shared: a write through either would change every later integral, so it raises
     f = raise_to_rank(ground_ladder_function(LAM), 2)
     assert inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
-    hits = oracle._laguerre_rule.cache_info().hits
-    for array in oracle._laguerre_rule(16, 2.0 * LAM - 2.0):     # rank 2's pair
+    pair = oracle._PAIRS[16, 2.0 * LAM - 2.0]       # rank 2's pair, as kept
+    assert oracle._laguerre_rule(16, 2.0 * LAM - 2.0) is pair
+    for array in pair:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             array *= 2.0
-    assert oracle._laguerre_rule.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("rank, sizes", [(3, {16, 32}), (20, {32, 64}), (128, {128, 256})])
 def test_gauss_rule_size_follows_degree(monkeypatch, rank, sizes):
     # the first rule is the smallest 2^m >= 16 nodes exact at the degree
     # 2*rank (2n - 1 >= degree), capped at 128, and is compared with 2n
-    built = []
+    built, calls = [], []
     build = oracle.roots_genlaguerre
 
-    def recording(n, alpha):
-        built.append(n)
-        return build(n, alpha)
+    def recording(n, alpha, pair=False):
+        built.extend((n, 2 * n) if pair else (n,))
+        calls.append(n)
+        return build(n, alpha, pair)
 
-    oracle._laguerre_rule.cache_clear()
+    monkeypatch.setattr(oracle, "_PAIRS", {})
     monkeypatch.setattr(oracle, "roots_genlaguerre", recording)
     f = raise_to_rank(ground_ladder_function(LAM), rank)
     if rank < 128:
@@ -209,7 +228,36 @@ def test_gauss_rule_size_follows_degree(monkeypatch, rank, sizes):
         # degree 256 is past the capped rule's exactness, as rank 130's is
         with pytest.raises(QuadratureFailure, match="255"):
             inner_product(f, f)
-    assert set(built) == sizes
+    assert set(built) == sizes and len(built) == len(sizes)
+    assert len(calls) == 1      # both rules from one build
+
+
+def test_a_tower_builds_each_rule_size_once_per_exponent(monkeypatch):
+    # k = 0..69 crosses the rule sizes 16 -> 32 -> 64 -> 128; each pair after the
+    # first takes its first rule from the pair below and builds only its second,
+    # so inner_product (alpha = 2 lam - 2) and physical_norm_integral (2 lam - 1)
+    # build the rules of 16, 32, 64, 128 and 256 nodes once each: 10 rules
+    built = []
+    build = oracle.roots_genlaguerre
+
+    def recording(n, alpha, pair=False):
+        built.extend((m, alpha) for m in ((n, 2 * n) if pair else (n,)))
+        return build(n, alpha, pair)
+
+    monkeypatch.setattr(oracle, "_PAIRS", {})
+    monkeypatch.setattr(oracle, "roots_genlaguerre", recording)
+    channel = make_channel(1.5, -1, 0.3)
+    for k in range(70):
+        sol = build_solution(bound_energy(channel, k))
+        assert inner_product(sol.psi_plus, sol.psi_plus) == pytest.approx(1.0, abs=1e-12)
+        exact = sum(c.rho_norm_squared() for c in sol.components)
+        assert physical_norm_integral(sol) == pytest.approx(exact, rel=1e-12)
+    assert len(built) == len(set(built)) == 10
+    # a pair assembled from the one below is the pair built whole, bit for bit
+    assert len(oracle._PAIRS) == 8
+    for (n, alpha), pair in oracle._PAIRS.items():
+        t, w = build(n, alpha, pair=True)
+        assert np.array_equal(pair[0], t / 2.0) and np.array_equal(pair[1], np.sqrt(w))
 
 
 @pytest.mark.parametrize("k", [15, 16, 31, 32, 63, 64])

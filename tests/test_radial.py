@@ -94,6 +94,23 @@ def test_evaluate_with_derivatives_contract():
         sol.evaluate_with_derivatives(np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_array_radii_are_evaluated_in_float64_whatever_their_dtype(dtype):
+    # numpy keeps a narrower operand's precision in 2*rho and in the weight's exp
+    # and power (NEP 50): uncast, a float32 grid read F 4.0e-7 of max|F| off and
+    # the derivatives 8.9e-7, a float16 grid about 2.6e-3
+    sol = physical_normalize(solution(6))
+    grid = np.geomspace(1e-2, 40.0, 50).astype(dtype)
+    wide = grid.astype(float)
+    assert np.array_equal(sol.F(grid), sol.F(wide))
+    assert np.array_equal(sol.G(grid), sol.G(wide))
+    for narrow, exact in zip(sol.evaluate_with_derivatives(grid),
+                             sol.evaluate_with_derivatives(wide)):
+        assert np.array_equal(narrow, exact)
+    for member in sol.components:
+        assert np.array_equal(member.polynomial(grid), member.polynomial(wide))
+
+
 @pytest.mark.parametrize("k", [0, 3, 12, 60])
 def test_grid_and_fd_residual_values_match_f_and_g_exactly(monkeypatch, k):
     # evaluate_with_derivatives (the CLI's grid path) and ode_residual(method='fd')
