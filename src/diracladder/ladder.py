@@ -30,21 +30,25 @@ D1 = rho*d/drho + (lam - 1/2 -+ rho) (sign tied to the branch).
 
 q is stored as its coefficients e_n on the orthonormal Laguerre functions
 b_n = 2**(a/2) L_n^(a)(2*rho) / h_n, a = 2*lam - 1, h_n**2 = Gamma(n+a+1)/n!
-(DLMF 18.9), each of squared norm 1/2 under rho**a exp(-2*rho).  Every action
-above is composed from two banded primitives, with beta_n = sqrt(n*(n + a)),
+(DLMF 18.9), each of squared norm 1/2 under rho**a exp(-2*rho).  With
+beta_n = sqrt(n*(n + a)), rho and rho*d/drho are banded on them,
 
     rho * b_n           = ((2n + a + 1) b_n - beta_(n+1) b_(n+1) - beta_n b_(n-1)) / 2
     rho * d/drho b_n    = n b_n - beta_n b_(n-1)
 
-so raising b_n gives beta_(n+1) b_(n+1) + (mu - lam - n) b_n.  On the rank-n
-member mu - lam - n = 0 and C_plus(lam + n) = beta_(n+1), so normalized
+and each action is written as its own band, one pass that skips exact zeros
+(psi_plus, F, G are nonzero on their top two only); with m = mu - lam,
+
+    raise:    b_n -> (m - n) b_n + beta_(n+1) b_(n+1)
+    lower:    b_n -> (n - m) b_n - beta_n b_(n-1)
+    Casimir:  b_n -> omega b_n + 2 (m - n) rho b_n    (negative branch: _casimir_action)
+
+On the rank-n member m = n and C_plus(lam + n) = beta_(n+1), so normalized
 raising is the basis shift: the rank-k unit member is sqrt(a) b_k, and
 raise_to_rank climbs on the top coefficient alone in O(k); apply_raising keeps
 the full action, which the algebra checks exercise.  A member's raw raising,
 lowering and Casimir actions at its own mu are each computed once, on first
-read, and kept with it.  The primitives skip the arithmetic on exact-zero
-coefficients (psi_plus, F, G are nonzero on their top two only) but still scan
-every coefficient, so an action's work grows with k, if slowly.  The lam-only
+read, and kept with it; each relation is one sweep over them.  The lam-only
 numbers (beta_n, the _tails ratios, b_0) are tables of the tower, formed once
 per lam and working precision (_tower), not per member.
 Both norms are sums of nonnegative terms of order one (rho measure: sum e_n**2
@@ -67,6 +71,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -89,26 +94,18 @@ __all__ = [
 ]
 
 _CASIMIR_REL_TOL = 1e-8    # apply_casimir's eigenfunction test
+_RELATIONS = ("[raise, lower] acts as 2*mu", "[weight, raise] acts as raise",
+              "lower.raise acts as -(mu*(mu+1) - omega)",
+              "casimir == lower.raise + weight*(weight+1)")      # commutator_check's lines
 _TABLE_CELLS = 1 << 19     # cap on _evaluate_q's basis table (4 MiB of float64)
 
 
 # ---------------------------------------------------------------------------
 # coefficient vectors on b_n, a = 2*lam - 1
 
-def _combine(*terms):
-    """Sum of factor * coeffs over (factor, coeffs) pairs, zero-padded; exact
-    zeros add nothing and are skipped (a NaN is not zero)."""
-    out = [terms[0][1][0] * 0] * max(len(coeffs) for _, coeffs in terms)
-    for factor, coeffs in terms:
-        for n, c in enumerate(coeffs):
-            if c:
-                out[n] += factor * c
-    return out
-
-
 def _rel_dev(a, b, scale) -> float:
     """max |a - b| over zero-padded coefficient vectors, divided by scale."""
-    return float(_sup(_combine((1, a), (-1, b))) / scale)
+    return float(_sup([x - y for x, y in zip_longest(a, b, fillvalue=0)]) / scale)
 
 
 class _Tower:
@@ -144,54 +141,49 @@ def _tower(lam, size=0):
     return tower if len(tower.ratio) >= size else tower.grow(size)
 
 
-def _times_rho(lam, beta, coeffs):
-    # rho*b_n = ((2n + a + 1) b_n - beta_(n+1) b_(n+1) - beta_n b_(n-1)) / 2
-    a = 2 * lam - 1
-    out = [coeffs[0] * 0] * (len(coeffs) + 1)
-    for n, c in enumerate(coeffs):
-        if not c:
-            continue
-        out[n] += (2 * n + a + 1) * c / 2
-        out[n + 1] -= beta[n + 1] * c / 2
-        if n:
-            out[n - 1] -= beta[n] * c / 2
-    return out
-
-
-def _rho_d(beta, coeffs):
-    # rho * d/drho b_n = n b_n - beta_n b_(n-1)
-    out = [n * c if c else c for n, c in enumerate(coeffs)]
-    for n in range(1, len(coeffs)):
-        if coeffs[n]:
-            out[n - 1] -= beta[n] * coeffs[n]
-    return out
-
-
 def _raising_action(lam, mu, coeffs):
-    # rho*q' - 2*rho*q + (lam + mu)*q
-    beta = _tower(lam, len(coeffs) + 1).beta
-    return _combine((1, _rho_d(beta, coeffs)), (-2, _times_rho(lam, beta, coeffs)),
-                    (lam + mu, coeffs))
+    # rho*q' - 2*rho*q + (lam + mu)*q:  b_j -> (m - j) b_j + beta_(j+1) b_(j+1), m = mu - lam
+    beta, m = _tower(lam, len(coeffs) + 1).beta, mu - lam
+    out = [coeffs[0] * 0] * (len(coeffs) + 1)
+    for j, e in enumerate(coeffs):
+        if e:       # exact zeros add nothing (a NaN is not zero)
+            out[j] += (m - j) * e
+            out[j + 1] += beta[j + 1] * e
+    return out
 
 
 def _lowering_action(lam, mu, coeffs):
-    # rho*q' + (lam - mu)*q
-    return _combine((1, _rho_d(_tower(lam, len(coeffs)).beta, coeffs)), (lam - mu, coeffs))
-
-
-def _weighted_derivative_action(lam, beta, coeffs, branch_sign):
-    # D1 q = rho*q' + (lam - 1/2)*q + branch_sign*rho*q
-    return _combine((1, _rho_d(beta, coeffs)), (lam - 0.5, coeffs),
-                    (branch_sign, _times_rho(lam, beta, coeffs)))
+    # rho*q' + (lam - mu)*q:  b_j -> (j - m) b_j - beta_j b_(j-1), m = mu - lam
+    beta, m = _tower(lam, len(coeffs)).beta, mu - lam
+    out = [coeffs[0] * 0] * len(coeffs)
+    for j, e in enumerate(coeffs):
+        if e:
+            out[j] += (j - m) * e
+            if j:
+                out[j - 1] -= beta[j] * e
+    return out
 
 
 def _casimir_action(lam, mu, coeffs, branch):
-    sign = -1.0 if branch == "positive" else 1.0
-    beta = _tower(lam, len(coeffs) + 2).beta
-    d1 = _weighted_derivative_action(lam, beta, coeffs, sign)
-    rho_q = _times_rho(lam, beta, coeffs)
-    return _combine((1, _weighted_derivative_action(lam, beta, d1, sign)), (2 * mu, rho_q),
-                    (-1, _times_rho(lam, beta, rho_q)), (-0.25, coeffs))
+    # D1(D1 q) + 2*mu*rho*q - rho**2*q - q/4, its rho**2 terms cancelled (sigma**2 = 1).
+    # With m = mu - lam and h = 1 + sigma (0 on the positive branch, 2 on the negative):
+    #   b_j -> (omega + 2 (m - j)(j + lam) + h (3j**2 + (6 lam - 1) j + 2 lam**2)) b_j
+    #          - beta_(j+1) (m - j + h (j + lam)) b_(j+1)
+    #          - beta_j (m - j + h (3j + 3 lam - 2)) b_(j-1) + h beta_(j-1) beta_j b_(j-2)
+    h = 0 if branch == "positive" else 2
+    beta, m, omega = _tower(lam, len(coeffs) + 1).beta, mu - lam, lam * (lam - 1)
+    out = [coeffs[0] * 0] * (len(coeffs) + 1)
+    for j, e in enumerate(coeffs):
+        if e:
+            d = m - j
+            out[j] += (omega + 2 * d * (j + lam)
+                       + h * (3 * j * j + (6 * lam - 1) * j + 2 * lam * lam)) * e
+            out[j + 1] -= beta[j + 1] * (d + h * (j + lam)) * e
+            if j:
+                out[j - 1] -= beta[j] * (d + h * (3 * j + 3 * lam - 2)) * e
+            if j > 1:
+                out[j - 2] += h * beta[j - 1] * beta[j] * e
+    return out
 
 
 def _tails(lam, coeffs):
@@ -330,7 +322,8 @@ class LadderFunction:
 
     @cached_property
     def _casimir(self) -> tuple:
-        """Coefficients of the raw Casimir action at mu, on the member's branch."""
+        """Coefficients of the raw Casimir action at mu, on the member's branch (one more
+        than coeffs)."""
         return tuple(_casimir_action(self.lam, self.mu, self.coeffs, self.branch))
 
     def polynomial(self, rho):
@@ -549,14 +542,21 @@ def _require_positive_branch(f: LadderFunction):
             "ladder recurrences are implemented for the positive branch only")
 
 
+def _radicand(name, value):
+    # float64 sqrt raises ValueError on a negative value, and mpmath's returns a complex number
+    if value < 0:
+        raise DomainError(f"{name} - lam*(lam-1) = {value} is negative: no real coefficient")
+    return value
+
+
 def c_plus(lam, mu):
-    """Raising normalization +sqrt(mu*(mu+1) - lam*(lam-1))."""
-    return precision.sqrt(mu * (mu + 1) - lam * (lam - 1))
+    """Raising normalization +sqrt(mu*(mu+1) - lam*(lam-1)); DomainError where negative."""
+    return precision.sqrt(_radicand("mu*(mu+1)", mu * (mu + 1) - lam * (lam - 1)))
 
 
 def c_minus(lam, mu):
-    """Lowering normalization -sqrt(mu*(mu-1) - lam*(lam-1))."""
-    return -precision.sqrt(mu * (mu - 1) - lam * (lam - 1))
+    """Lowering normalization -sqrt(mu*(mu-1) - lam*(lam-1)); DomainError where negative."""
+    return -precision.sqrt(_radicand("mu*(mu-1)", mu * (mu - 1) - lam * (lam - 1)))
 
 
 def apply_raising(f: LadderFunction):
@@ -618,66 +618,59 @@ def apply_casimir(f: LadderFunction):
     """Apply the quadratic invariant; returns (f, measured eigenvalue).
 
     Raises NotAnEigenfunction when the residual against omega*q exceeds
-    _CASIMIR_REL_TOL (1e-8) relative to the largest coefficient of q.  The
-    raw action is the member's own, computed once (commutator_check reads it
-    too).
+    _CASIMIR_REL_TOL (1e-8) relative to the largest coefficient of q, and
+    DomainError on the zero function.  The raw action is the member's own,
+    computed once (commutator_check reads it too); the residual and the
+    projection <Cq, q>/<q, q> come from one sweep over it.
     """
-    if f.is_zero:
+    q = f.coeffs
+    scale = _sup(q)
+    if not scale:
         raise DomainError("casimir eigenvalue of the zero function is undefined")
-    raw = f._casimir
-    omega = f.lam * (f.lam - 1)
-    deviation = _rel_dev(raw, _combine((omega, f.coeffs)),
-                         _sup(f.coeffs))
+    omega, zero = f.lam * (f.lam - 1), q[0] * 0
+    residual, num, den = [], zero, zero
+    for c, e in zip(f._casimir, (*q, zero)):
+        residual.append(c - omega * e)
+        num += c * e
+        den += e * e
+    deviation = float(_sup(residual) / scale)
     if not deviation <= _CASIMIR_REL_TOL:
         raise NotAnEigenfunction(
             f"casimir residual {deviation:.3e} exceeds {_CASIMIR_REL_TOL:.1e}")
-    # projection <Cq, q>/<q, q> over coefficient vectors
-    num = sum(raw[i] * c for i, c in enumerate(f.coeffs))
-    den = sum(c * c for c in f.coeffs)
     return f, num / den
 
 
 def commutator_check(f: LadderFunction, tolerance: float = 1e-10) -> VerificationReport:
     """Verify the su(2) relations on a concrete member, via raw actions.
 
-    Checks, all as relative coefficient deviations:
+    Checks, all as coefficient deviations relative to max|q| (DomainError at 0):
       1. (raise.lower - lower.raise) q == 2*mu*q
-      2. lower.raise q == -(mu*(mu+1) - omega)*q
-      3. casimir q == (lower.raise + mu^2 + mu) q
+      2. [weight, raise] q == raise q
+      3. lower.raise q == -(mu*(mu+1) - omega)*q
+      4. casimir q == (lower.raise + mu^2 + mu) q
 
     The raising, lowering and Casimir actions on q at mu are the member's
-    own, computed once per member and shared with apply_casimir and
-    positive_operator_check; the second rung of each product is computed
-    here.
+    own, computed once and shared with apply_casimir and positive_operator_check;
+    the second rungs are computed here, and the four deviations come from one
+    sweep over the vectors, each one coefficient longer than q.
     """
     _require_positive_branch(f)
     lam, mu, q = f.lam, f.mu, f.coeffs
-    report = VerificationReport(f"su(2) relations at lam={float(lam):.6f}, mu={float(mu):.6f}")
     scale = _sup(q)
-
-    down = f._lowered
-    up_down = _raising_action(lam, mu - 1, down)
+    if not scale:
+        raise DomainError("su(2) relations on the zero function are undefined")
+    report = VerificationReport(f"su(2) relations at lam={float(lam):.6f}, mu={float(mu):.6f}")
     up = f._raised
+    up_down = _raising_action(lam, mu - 1, f._lowered)
     down_up = _lowering_action(lam, mu + 1, up)
-
-    comm = _combine((1, up_down), (-1, down_up))
-    report.add("[raise, lower] acts as 2*mu",
-               _rel_dev(comm, _combine((2 * mu, q)), scale), tolerance)
-
-    # weight operator multiplies by the operand's label: on raise(f) that is
+    # the weight operator multiplies by the operand's label: on raise(f) that is
     # mu+1, so [weight, raise] f = (mu+1)*up - mu*up must equal up itself
-    weight_comm = _combine((mu + 1, up), (-mu, up))
-    report.add("[weight, raise] acts as raise", _rel_dev(weight_comm, up, scale),
-               tolerance)
-
+    two_mu, mu_up, square = 2 * mu, mu + 1, mu * mu + mu
     eigen = -(mu * (mu + 1) - lam * (lam - 1))
-    report.add("lower.raise acts as -(mu*(mu+1) - omega)",
-               _rel_dev(down_up, _combine((eigen, q)), scale), tolerance)
-
-    casimir = f._casimir
-    ladder_side = _combine((1, down_up), (mu * mu + mu, q))
-    report.add("casimir == lower.raise + weight*(weight+1)",
-               _rel_dev(casimir, ladder_side, scale), tolerance)
+    rows = [(ud - du - two_mu * e, mu_up * r - mu * r - r, du - eigen * e, c - (du + square * e))
+            for e, r, ud, du, c in zip((*q, q[0] * 0), up, up_down, down_up, f._casimir)]
+    for name, deviations in zip(_RELATIONS, zip(*rows)):
+        report.add(name, float(_sup(deviations) / scale), tolerance)
     return report
 
 
@@ -685,15 +678,17 @@ def positive_operator_check(f: LadderFunction):
     """The positive quadratic form 2*mu^2 - omega, measured on f.
 
     Returns (|raise f|^2 + |lower f|^2)/2 + mu^2*|f|^2 normalized by |f|^2,
-    each norm exact in the Laguerre basis.  For family members this equals
-    the sum of the three squared generator norms, whose label value
-    2*mu^2 - omega is strictly positive (it bounds mu away from zero).  The
-    raising and lowering actions are the member's own, computed once per
-    member (commutator_check reads them too).
+    each norm exact in the Laguerre basis; DomainError where |f|^2 is 0.  For
+    family members this equals the sum of the three squared generator norms,
+    whose label value 2*mu^2 - omega is strictly positive (it bounds mu away
+    from zero).  The raising and lowering actions are the member's own,
+    computed once per member (commutator_check reads them too).
     """
     _require_positive_branch(f)
     lam, mu = f.lam, f.mu
     nf, n_up, n_down = (_x_norm_sq(lam, c) for c in (f.coeffs, f._raised, f._lowered))
+    if not nf:
+        raise DomainError("the positive form of a member of zero norm is undefined")
     return ((n_up + n_down) / 2 + mu * mu * nf) / nf
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .channels import BoundState
 from .errors import DomainError
 from .ladder import (
     LadderFunction,
-    _combine,
     _evaluate_with_derivatives,
     _zeros,
     apply_raising,
@@ -82,13 +82,14 @@ class RadialSolution:
         psi_plus's labels.  Computed once per solution.
         """
         c_f = self.amplitude * precision.sqrt(1.0 + self.state.energy)
-        plus = self.psi_plus.coeffs
+        plus, rel = self.psi_plus.coeffs, self.rel_coeff
         minus = () if self.psi_minus is None else self.psi_minus.coeffs
+        zero = plus[0] * 0      # exact zeros add nothing and stay zero (a NaN is not zero)
+        pairs = [(p, rel * m if m else zero) for p, m in zip_longest(plus, minus, fillvalue=zero)]
         lam, mu, branch = self.psi_plus.lam, self.psi_plus.mu, self.psi_plus.branch
         return tuple(
-            LadderFunction(lam, mu, tuple(
-                front * u if u else u
-                for u in _combine((sign, plus), (self.rel_coeff, minus))), branch)
+            LadderFunction(lam, mu, tuple(front * u if u else u for u in (
+                (sign * p if p else zero) + m for p, m in pairs)), branch)
             for sign, front in ((1, c_f), (-1, c_f * self.state.nu)))
 
     @cached_property

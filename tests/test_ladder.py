@@ -1,5 +1,6 @@
 """Ladder recurrences, coefficients, Casimir, and the truncated matrices."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -36,6 +37,7 @@ from diracladder import (
 )
 from diracladder import ladder, precision, verify
 from diracladder.ladder import LadderFunction
+from diracladder.report import _sup
 from diracladder.verify import CHANNEL_GRID
 
 LAM = 1.3660254037844386468           # zeta=0.5, j=1/2 channel
@@ -369,6 +371,138 @@ def test_algebra_checks_compute_each_action_once(monkeypatch):
     assert apply_casimir(f)[1] == eigenvalue and positive_operator_check(f) == form
     assert ("_casimir_action", f.mu) not in calls
     assert ("_raising_action", f.mu) not in calls and ("_lowering_action", f.mu) not in calls
+
+
+# Reference: each action composed from the two banded primitives of the
+# module docstring, rho*b_n and rho*d/drho b_n, summed term by term
+
+
+def _combine(*terms):
+    # sum of factor * coeffs over (factor, coeffs) pairs, zero-padded; exact zeros skipped
+    out = [terms[0][1][0] * 0] * max(len(coeffs) for _, coeffs in terms)
+    for factor, coeffs in terms:
+        for n, c in enumerate(coeffs):
+            if c:
+                out[n] += factor * c
+    return out
+
+
+def _times_rho(lam, beta, coeffs):
+    # rho*b_n = ((2n + a + 1) b_n - beta_(n+1) b_(n+1) - beta_n b_(n-1)) / 2
+    a = 2 * lam - 1
+    out = [coeffs[0] * 0] * (len(coeffs) + 1)
+    for n, c in enumerate(coeffs):
+        if not c:
+            continue
+        out[n] += (2 * n + a + 1) * c / 2
+        out[n + 1] -= beta[n + 1] * c / 2
+        if n:
+            out[n - 1] -= beta[n] * c / 2
+    return out
+
+
+def _rho_d(beta, coeffs):
+    # rho * d/drho b_n = n b_n - beta_n b_(n-1)
+    out = [n * c if c else c for n, c in enumerate(coeffs)]
+    for n in range(1, len(coeffs)):
+        if coeffs[n]:
+            out[n - 1] -= beta[n] * coeffs[n]
+    return out
+
+
+def _weighted_derivative_action(lam, beta, coeffs, branch_sign):
+    # D1 q = rho*q' + (lam - 1/2)*q + branch_sign*rho*q
+    return _combine((1, _rho_d(beta, coeffs)), (lam - 0.5, coeffs),
+                    (branch_sign, _times_rho(lam, beta, coeffs)))
+
+
+def _composed(action, lam, mu, coeffs, branch):
+    beta = ladder._tower(lam, len(coeffs) + 2).beta
+    if action == "raise":       # rho*q' - 2*rho*q + (lam + mu)*q
+        return _combine((1, _rho_d(beta, coeffs)), (-2, _times_rho(lam, beta, coeffs)),
+                        (lam + mu, coeffs))
+    if action == "lower":       # rho*q' + (lam - mu)*q
+        return _combine((1, _rho_d(beta, coeffs)), (lam - mu, coeffs))
+    sign = -1 if branch == "positive" else 1    # D1(D1 q) + 2*mu*rho*q - rho^2*q - q/4
+    d1 = _weighted_derivative_action(lam, beta, coeffs, sign)
+    rho_q = _times_rho(lam, beta, coeffs)
+    return _combine((1, _weighted_derivative_action(lam, beta, d1, sign)), (2 * mu, rho_q),
+                    (-1, _times_rho(lam, beta, rho_q)), (-0.25, coeffs))
+
+
+BANDED = {"raise": lambda lam, mu, q, branch: ladder._raising_action(lam, mu, q),
+          "lower": lambda lam, mu, q, branch: ladder._lowering_action(lam, mu, q),
+          "casimir": ladder._casimir_action}
+
+
+def _assert_banded_matches_composed(lam, mu, coeffs, tolerance):
+    # each computed entry sums a few terms of at most s (raise, lower) or s**2
+    # (Casimir) times max|e|, s = len(e) + lam + |mu|: agreement is judged on
+    # that scale, as a member's Casimir output cancels to omega*e from terms of s**2*e
+    s = len(coeffs) + lam + abs(mu)
+    for branch in ("positive", "negative"):
+        for action, power in (("raise", 1), ("lower", 1), ("casimir", 2)):
+            got = BANDED[action](lam, mu, coeffs, branch)
+            want = _composed(action, lam, mu, coeffs, branch)
+            gap = _sup([x - y for x, y in itertools.zip_longest(got, want, fillvalue=0)])
+            assert gap <= tolerance * _sup(coeffs) * s ** power, (action, branch, len(coeffs))
+
+
+def test_banded_actions_match_the_composed_ones_on_random_vectors():
+    rng = np.random.default_rng(35)
+    for _ in range(500):
+        lam, size = rng.uniform(0.51, 8.0), int(rng.integers(1, 14))
+        mu = lam + rng.uniform(-4.0, 12.0)
+        coeffs = rng.uniform(-1.0, 1.0, size) * (rng.random(size) < 0.7)    # exact zeros too
+        coeffs[-1] = coeffs[-1] or 1.0
+        _assert_banded_matches_composed(lam, mu, tuple(coeffs.tolist()), 1e-14)
+
+
+def test_banded_actions_match_the_composed_ones_on_the_channel_grid():
+    for j, eps, zeta in CHANNEL_GRID:
+        channel = make_channel(j, eps, zeta)
+        for k in range(eps == 1, 61):
+            sol = build_solution(bound_energy(channel, k))
+            for f in (sol.psi_plus, *sol.components):
+                _assert_banded_matches_composed(f.lam, f.mu, f.coeffs, 1e-14)
+
+
+def test_banded_actions_match_the_composed_ones_at_113_bits():
+    with mpmath.workprec(113):
+        for j, eps, zeta in CHANNEL_GRID:
+            channel = make_channel(mpmath.mpf(j), eps, mpmath.mpf(zeta))
+            for k in (1, 7, 20, 41, 60):
+                sol = build_solution(bound_energy(channel, k))
+                for f in (sol.psi_plus, *sol.components):
+                    _assert_banded_matches_composed(f.lam, f.mu, f.coeffs, 1e-30)
+
+
+@pytest.mark.parametrize("bits", [53, 113])
+def test_the_relations_of_the_zero_function_are_a_domain_error(bits):
+    # commutator_check divided by max|q| and the positive form by |q|^2, both 0:
+    # ZeroDivisionError in float64 and at 113 bits
+    with mpmath.workprec(bits):
+        lam = mpmath.mpf(LAM) if bits == 113 else LAM
+        zero = LadderFunction(lam, lam + 2, (lam * 0,) * 3)
+        for check in (commutator_check, positive_operator_check, apply_casimir):
+            with pytest.raises(DomainError, match="zero"):
+                check(zero)
+
+
+@pytest.mark.parametrize("bits", [53, 113])
+def test_a_negative_ladder_radicand_is_a_domain_error(bits):
+    # float64 sqrt raised ValueError("math domain error"); mpmath returned a complex
+    # number, and apply_lowering then built a member with no coefficient
+    with mpmath.workprec(bits):
+        lam, mu = (mpmath.mpf(1.5), mpmath.mpf(0.7)) if bits == 113 else (1.5, 0.7)
+        with pytest.raises(DomainError, match=r"mu\*\(mu-1\) - lam\*\(lam-1\) = .* is negative"):
+            c_minus(lam, mu)
+        with pytest.raises(DomainError, match=r"mu\*\(mu\+1\) - lam\*\(lam-1\) = .* is negative"):
+            c_plus(lam, mu - 1)
+        with pytest.raises(DomainError, match="is negative"):
+            apply_lowering(LadderFunction(lam, mu, (lam * 0 + 1,)))
+        # out of mu = -lam the raising radicand is exactly 0, not negative
+        assert c_plus(lam, -lam) == 0
 
 
 def test_recurrences_match_numerical_differentiation():
