@@ -94,8 +94,7 @@ __all__ = [
 ]
 
 _CASIMIR_REL_TOL = 1e-8    # apply_casimir's eigenfunction test
-_RELATIONS = ("[raise, lower] acts as 2*mu", "[weight, raise] acts as raise",
-              "lower.raise acts as -(mu*(mu+1) - omega)",
+_RELATIONS = ("[raise, lower] acts as 2*mu", "lower.raise acts as -(mu*(mu+1) - omega)",
               "casimir == lower.raise + weight*(weight+1)")      # commutator_check's lines
 _TABLE_CELLS = 1 << 19     # cap on _evaluate_q's basis table (4 MiB of float64)
 
@@ -645,14 +644,15 @@ def commutator_check(f: LadderFunction, tolerance: float = 1e-10) -> Verificatio
 
     Checks, all as coefficient deviations relative to max|q| (DomainError at 0):
       1. (raise.lower - lower.raise) q == 2*mu*q
-      2. [weight, raise] q == raise q
-      3. lower.raise q == -(mu*(mu+1) - omega)*q
-      4. casimir q == (lower.raise + mu^2 + mu) q
+      2. lower.raise q == -(mu*(mu+1) - omega)*q
+      3. casimir q == (lower.raise + mu^2 + mu) q
 
-    The raising, lowering and Casimir actions on q at mu are the member's
-    own, computed once and shared with apply_casimir and positive_operator_check;
-    the second rungs are computed here, and the four deviations come from one
-    sweep over the vectors, each one coefficient longer than q.
+    [weight, raise] == raise is not checked: the weight operator multiplies
+    by the label, so it holds for any vector.  The raising, lowering and
+    Casimir actions on q at mu are the member's own, computed once and shared
+    with apply_casimir and positive_operator_check; the second rungs are
+    computed here, and the three deviations come from one sweep over the
+    vectors, each one coefficient longer than q.
     """
     _require_positive_branch(f)
     lam, mu, q = f.lam, f.mu, f.coeffs
@@ -663,12 +663,10 @@ def commutator_check(f: LadderFunction, tolerance: float = 1e-10) -> Verificatio
     up = f._raised
     up_down = _raising_action(lam, mu - 1, f._lowered)
     down_up = _lowering_action(lam, mu + 1, up)
-    # the weight operator multiplies by the operand's label: on raise(f) that is
-    # mu+1, so [weight, raise] f = (mu+1)*up - mu*up must equal up itself
-    two_mu, mu_up, square = 2 * mu, mu + 1, mu * mu + mu
+    two_mu, square = 2 * mu, mu * mu + mu
     eigen = -(mu * (mu + 1) - lam * (lam - 1))
-    rows = [(ud - du - two_mu * e, mu_up * r - mu * r - r, du - eigen * e, c - (du + square * e))
-            for e, r, ud, du, c in zip((*q, q[0] * 0), up, up_down, down_up, f._casimir)]
+    rows = [(ud - du - two_mu * e, du - eigen * e, c - (du + square * e))
+            for e, ud, du, c in zip((*q, q[0] * 0), up_down, down_up, f._casimir)]
     for name, deviations in zip(_RELATIONS, zip(*rows)):
         report.add(name, float(_sup(deviations) / scale), tolerance)
     return report

@@ -5,8 +5,10 @@ generalized Gauss-Laguerre quadrature (with a log-grid trapezoid cross-check)
 of pointwise polynomial values, which re-checks the exact norms of the
 algebraic side (member norms, and the physical norm that
 radial.physical_normalize sums exactly); the differential equations are
-checked pointwise over BoundState.window, from exact derivatives or finite
-differences, and energies are re-derived by two-sided shooting on the raw
+checked pointwise over BoundState.window, from exact derivatives on
+max(32, 4(k + 2)) Chebyshev-Lobatto points in log rho (the residual, over its
+weight, is a polynomial of degree k + 1) or from finite differences on a
+uniform log grid, and energies are re-derived by two-sided shooting on the raw
 first-order system
 
     F' = -(tau/rho) F + (1/nu + zeta/rho) G
@@ -88,8 +90,9 @@ _PAIRS: dict = {}
 _PAIRS_KEPT = 64
 _PAD = 1e-300
 
-# log-grid points of the residual check; the 8th-order fd stencil takes 4x
-_RESIDUAL_POINTS = 2000
+# points of the fd residual check's uniform log grid, which its 8th-order stencil
+# needs; the exact check takes max(32, 4(k + 2)) Chebyshev-Lobatto points (ode_residual)
+_FD_POINTS = 8000
 
 # only shooting needs scipy: the integrator becomes a module global on first use
 # (PEP 562), so quadrature and residuals run without it and a tracer can wrap it;
@@ -336,12 +339,17 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
                  tolerance: float = 1e-8) -> VerificationReport:
     """Pointwise residuals of both first-order equations, sup and RMS.
 
-    The grid, uniform in log rho, spans the state's window
-    (BoundState.window, past the outermost node).  method 'exact'
-    differentiates the polynomial form analytically; 'fd' uses 8th-order
-    finite differences on 4x the points and so also cross-checks the
-    evaluation code.  Residuals are normalized
-    by the local sum of term magnitudes (plus a machine floor); NaN fails.
+    The points, in log rho, span the state's window (BoundState.window, past
+    the outermost node), both ends included.  method 'exact' differentiates
+    the polynomial form analytically on n = max(32, 4(k + 2)) Chebyshev-Lobatto
+    points: with w = rho^(lam - 1/2) e^(-rho), rho*residual/w is a polynomial
+    of degree <= k + 1 in rho, so it vanishes iff it vanishes at k + 2
+    distinct points; 4x that many, and at least 32, read a detuned state's
+    sup as a dense grid does (2000 log points: within 3e-5 relative on 1176
+    states up to k = 24).  'fd' uses 8th-order finite differences on a
+    uniform grid of 8000 points and so also cross-checks the evaluation code.
+    Residuals are normalized by the local sum of term magnitudes (plus a
+    machine floor); NaN fails.
     """
     if method not in ("exact", "fd"):
         raise DomainError(f"method must be 'exact' or 'fd', got {method!r}")
@@ -350,12 +358,21 @@ def ode_residual(solution: RadialSolution, method: str = "exact",
     zeta = float(st.channel.zeta)
     nu = float(st.nu)
     lo, hi = st.window
+    start, stop = np.log(lo), np.log(hi)
 
-    # np.linspace's own arithmetic, without its Python wrapper: the same bits
-    n, start, stop = (4 if method == "fd" else 1) * _RESIDUAL_POINTS, np.log(lo), np.log(hi)
-    x = np.arange(float(n)) * ((stop - start) / (n - 1))
-    x += start
-    x[-1] = stop
+    if method == "fd":
+        # np.linspace's own arithmetic, without its Python wrapper: the same bits
+        n = _FD_POINTS
+        x = np.arange(float(n)) * ((stop - start) / (n - 1))
+        x += start
+        x[-1] = stop
+    else:
+        # x_i = (start + stop)/2 - (stop - start)/2 cos(pi i/(n - 1)), ascending
+        n = max(32, 4 * (st.k + 2))
+        x = np.cos(np.arange(float(n)) * (math.pi / (n - 1)))
+        x *= 0.5 * (start - stop)
+        x += 0.5 * (start + stop)
+        x[0], x[-1] = start, stop
     rho = np.exp(x)
     f, g, fp, gp = solution.evaluate_with_derivatives(rho)
     if method == "fd":

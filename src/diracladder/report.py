@@ -8,8 +8,14 @@ __all__ = ["CheckResult", "VerificationReport"]
 
 
 def _sup(values):
-    """max |v|, or a NaN among the values (max alone keeps a NaN only in first place)."""
-    return next((v for v in values if v != v), None) or max(abs(v) for v in values)
+    """max |v|, or NaN if any value is NaN (max alone keeps a NaN only in first place).
+
+    C-level passes over the magnitudes: their sum is NaN iff some value is,
+    since an infinite one only makes it infinite.
+    """
+    sizes = list(map(abs, values))
+    total = sum(sizes)
+    return total if total != total else max(sizes)
 
 
 @dataclass(frozen=True)

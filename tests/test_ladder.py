@@ -346,7 +346,48 @@ def test_the_algebra_suite_checks_the_positive_form_on_every_member(monkeypatch)
 def test_commutator_report():
     rep = commutator_check(raise_to_rank(ground(), 5))
     assert rep.all_passed
-    assert len(rep.checks) == 4
+    assert len(rep.checks) == 3
+
+
+def test_a_raising_action_off_in_its_beta_band_fails_every_relation(monkeypatch):
+    # every relation line reads the raising action; [weight, raise] = raise,
+    # which any vector meets, is not among them
+    raising = ladder._raising_action
+
+    def off(lam, mu, coeffs):
+        out = raising(lam, mu, coeffs)
+        beta = ladder._tower(lam, len(coeffs) + 1).beta
+        for j, e in enumerate(coeffs):
+            out[j + 1] += 0.001 * beta[j + 1] * e
+        return out
+
+    monkeypatch.setattr(ladder, "_raising_action", off)
+    for lam in (LAM, make_channel(20.5, -1, 0.5).lam):
+        for k in (0, 1, 5, 12):
+            rep = commutator_check(raise_to_rank(ground_ladder_function(lam), k))
+            assert len(rep.checks) == 3
+            assert not any(c.passed for c in rep.checks), str(rep)
+
+
+def _sup_as_it_was(values):
+    return next((v for v in values if v != v), None) or max(abs(v) for v in values)
+
+
+@pytest.mark.parametrize("kind", ["float", "mpmath"])
+def test_sup_agrees_with_the_generator_form_and_keeps_a_nan_anywhere(kind):
+    rng = np.random.default_rng(36)
+    make = float if kind == "float" else mpmath.mpf
+    for size in (1, 2, 7, 40):
+        for _ in range(50):
+            values = [make(v) for v in rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300)]
+            assert _sup(values) == _sup_as_it_was(values)
+            assert _sup(tuple(values)) == _sup_as_it_was(values)
+        for where in {0, size // 2, size - 1}:
+            poisoned = list(values)
+            poisoned[where] = make(math.nan)
+            got = _sup(poisoned)
+            assert got != got, (size, where)
+    assert _sup([make(1.0), make(-math.inf)]) == math.inf
 
 
 def test_algebra_checks_compute_each_action_once(monkeypatch):

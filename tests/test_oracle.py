@@ -388,32 +388,66 @@ def test_state_from_nu_passes_residual_at_tiny_coupling(k):
     assert not ode_residual(lossy).all_passed
 
 
+def _residual_terms(sol, rho, fgd):
+    # the terms of each equation, (G', F'), (-tau/rho G, tau/rho F), (-nu F, G/-nu),
+    # (zeta/rho F, -zeta/rho G), summed in that order: np.add.reduce over their stack
+    tau, zeta, nu = sol.state.channel.tau, sol.state.channel.zeta, sol.state.nu
+    f, g, fp, gp = fgd
+    terms = np.array([(gp, fp), (-tau / rho * g, tau / rho * f), (-nu * f, g / -nu),
+                      (zeta / rho * f, -zeta / rho * g)])
+    return np.abs(np.add.reduce(terms)) / (np.add.reduce(np.abs(terms)) + 1e-290)
+
+
+def _lobatto_log_points(window, n):
+    # n Chebyshev-Lobatto points in log rho over the window, ascending, ends exact
+    start, stop = np.log(window[0]), np.log(window[1])
+    x = 0.5 * (start + stop) + 0.5 * (start - stop) * np.cos(np.arange(float(n)) * (math.pi / (n - 1)))
+    x[0], x[-1] = start, stop
+    return x
+
+
 @pytest.mark.parametrize("method", ["exact", "fd"])
 @pytest.mark.parametrize("j, eps, zeta", CHANNEL_GRID)
 def test_ode_residual_sums_its_terms_in_one_fixed_order(method, j, eps, zeta):
-    # the terms of each equation, (G', F'), (-tau/rho G, tau/rho F), (-nu F, G/-nu),
-    # (zeta/rho F, -zeta/rho G), summed in that order: np.add.reduce over their stack
+    # 'exact' reads max(32, 4(k + 2)) Chebyshev-Lobatto points in log rho,
+    # 'fd' a uniform log grid of 8000 points
     channel = make_channel(j, eps, zeta)
-    tau = channel.tau
     for k in range(channel.k_min, 11):
         sol = physical_normalize(build_solution(bound_energy(channel, k)))
-        nu, (lo, hi) = sol.state.nu, sol.state.window
-        x = np.linspace(np.log(lo), np.log(hi),
-                        (4 if method == "fd" else 1) * oracle._RESIDUAL_POINTS)
+        lo, hi = sol.state.window
+        if method == "fd":
+            x = np.linspace(np.log(lo), np.log(hi), 8000)
+        else:
+            x = _lobatto_log_points((lo, hi), max(32, 4 * (k + 2)))
         rho = np.exp(x)
         f, g, fp, gp = sol.evaluate_with_derivatives(rho)
         if method == "fd":
             rho = rho[4:-4]
             fp, gp = (oracle._fd_first_derivative(v, x[1] - x[0]) / rho for v in (f, g))
             f, g = f[4:-4], g[4:-4]
-        terms = np.array([(gp, fp), (-tau / rho * g, tau / rho * f), (-nu * f, g / -nu),
-                          (zeta / rho * f, -zeta / rho * g)])
-        rel = np.abs(np.add.reduce(terms)) / (np.add.reduce(np.abs(terms)) + 1e-290)
+        rel = _residual_terms(sol, rho, (f, g, fp, gp))
         rms = np.sqrt(np.add.reduce(rel ** 2, axis=1) / rho.size)
         report = ode_residual(sol, method=method)
         assert [c.measured for c in report.checks] == np.maximum.reduce(rel, axis=1).tolist()
         assert [c.detail for c in report.checks] == [
             f"rms={spread:.2e}, n={rho.size}" for spread in rms.tolist()]
+
+
+@pytest.mark.parametrize("j, eps, zeta", CHANNEL_GRID)
+def test_a_detuning_reads_as_on_2000_log_points(j, eps, zeta):
+    # rho*residual/w is a polynomial of degree <= k + 1 (ode_residual), so the
+    # sized Chebyshev-Lobatto points see a detuned nu as a dense grid does
+    channel = make_channel(j, eps, zeta)
+    for k in (1, 5, 12, 30):
+        st = bound_energy(channel, k)
+        sol = physical_normalize(build_solution(st))
+        lo, hi = st.window
+        rho = np.exp(np.linspace(np.log(lo), np.log(hi), 2000))
+        for delta in (1e-3, 1e-6, 1e-9):
+            detuned = replace(sol, state=state_from_nu(channel, k, st.nu * (1 - delta)))
+            reference = _residual_terms(detuned, rho, detuned.evaluate_with_derivatives(rho)).max()
+            reading = max(c.measured for c in ode_residual(detuned).checks)
+            assert reference / 2 <= reading <= 2 * reference, (k, delta, reading, reference)
 
 
 def test_ode_residual_method_validation():
@@ -438,6 +472,30 @@ def test_ode_residual_grid_reaches_past_every_node(monkeypatch, j, k):
     assert ode_residual(sol).all_passed
     (rho,) = seen
     assert rho.max() > max(count_radial_nodes(sol, c)[-1] for c in ("F", "G"))
+
+
+@pytest.mark.parametrize("j, k", [(0.5, 0), (0.5, 5), (1.5, 6), (0.5, 7), (20.5, 30), (0.5, 120)])
+def test_ode_residual_reads_points_sized_to_the_level(monkeypatch, j, k):
+    # max(32, 4(k + 2)) points: 32 up to k = 6, then 36, 128 and 488; ascending,
+    # clustered toward both window ends, which are among them
+    sol = build_solution(bound_energy(make_channel(j, -1, 0.5), k))
+    seen = []
+    evaluate = RadialSolution.evaluate_with_derivatives
+
+    def spy(self, rho):
+        seen.append(np.asarray(rho))
+        return evaluate(self, rho)
+
+    monkeypatch.setattr(RadialSolution, "evaluate_with_derivatives", spy)
+    report = ode_residual(sol)
+    assert report.all_passed
+    (rho,) = seen
+    n = max(32, 4 * (k + 2))
+    assert rho.size == n and all(f"n={n}" in c.detail for c in report.checks)
+    assert (np.diff(rho) > 0).all()
+    lo, hi = sol.state.window
+    assert rho[0] == pytest.approx(lo, rel=1e-15) and rho[-1] == pytest.approx(hi, rel=1e-15)
+    assert np.array_equal(rho, np.exp(_lobatto_log_points((lo, hi), n)))
 
 
 # ---------------------------------------------------------------------------
